@@ -308,8 +308,7 @@ def cmd_catch_release(cfg: ExperimentConfig, out: Path) -> dict:
         rtol=cfg["solver.rtol"],
         n_samples=cfg["solver.n_samples"],
     )
-    ht = ScheduledHamiltonian(space, sched)
-    target = dark_state_2q(ht.params_at(T_gen), space)
+    target = dark_state_2q(sched.params_at(T_gen, cfg["dims.M"], cfg["dims.N"]), space)
     k_gen = int(np.argmin(np.abs(traj.times - T_gen)))
     _write_trajectory_csv(out / "catch_release.csv", traj)
     total = report.total_emitted

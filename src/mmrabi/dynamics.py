@@ -1,25 +1,27 @@
 """Time-dependent closed and open dynamics under parameter schedules.
 
-Closed runs integrate i d/dt psi = H(t) psi with an adaptive explicit
-Runge-Kutta; open runs integrate the bare-basis Lindblad equation
+Every time-dependent operator is a fixed list of sparse terms times scalar
+coefficients read from the schedule, H(t) = sum_k c_k(t) H_k, where each
+term names the piecewise-linear curve (``delta_j``, ``g_i``, ``kappa_c_i``,
+1-based) that weights it.  Closed runs integrate i d/dt psi = H(t) psi with
+an adaptive explicit Runge-Kutta; open runs lift the same terms to sparse
+generators of the bare-basis Lindblad equation
 
     drho/dt = -i[H, rho]
             + sum_i kappa_i/2 (2 a_i rho a_i^dag - {a_i^dag a_i, rho})
             + sum_j gamma_j/2 (2 s_j^- rho s_j^+ - {s_j^+ s_j^-, rho})
             + sum_j gamma_phi_j (s_jz rho s_jz - rho),
 
-with kappa_i(t) = kappa_in + kappa_c_i(t).  A dressed-basis amplitude-
-damping master equation over instantaneous eigenstates is available as
-an independent cross-check for static Hamiltonians.
-
-Schedules are piecewise-linear curves named ``delta_j``, ``g_i`` and
-``kappa_c_i`` (1-based).  Per-mode emission into the transmission lines
-is the input-output flux kappa_c_i(t) <a_i^dag a_i>(t), accumulated
-inside the ODE alongside the photon-ledger integrals.
+with kappa_i(t) = kappa_in + kappa_c_i(t).  Per-mode emission into the
+transmission lines is the input-output flux kappa_c_i(t) <a_i^dag a_i>(t),
+accumulated inside the ODE alongside the photon-ledger integrals.  A
+dressed-basis amplitude-damping master equation over instantaneous
+eigenstates is an independent cross-check for static Hamiltonians.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,11 +197,31 @@ def check_constraint_tags(schedule: ProtocolSchedule, omega: float = 1.0, tol: f
 # scheduled Hamiltonian
 
 
-class ScheduledHamiltonian:
-    """H(t) = H_static + sum_j delta_j(t) Sz_j + sum_i g_i(t) X_i.
+def term_coefficients(schedule: ProtocolSchedule, terms, t: float) -> np.ndarray:
+    """c_k(t) of (curve name, term) pairs: the named curve's value, 1 when unnamed."""
+    return np.array([1.0 if name is None else schedule.value(name, t) for name, _ in terms])
 
-    X_i couples mode i symmetrically to every qubit (the g_ij = g_i
-    structure the dark-state protocol requires).
+
+def _combine(coeffs: np.ndarray, terms) -> sp.csr_matrix:
+    """sum_k coeffs[k] A_k as one sparse matrix."""
+    return sum(c * m for c, (_, m) in zip(coeffs, terms))
+
+
+def _apply(coeffs: np.ndarray, terms, y: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] (A_k @ y), accumulated in term order."""
+    out = coeffs[0] * (terms[0][1] @ y)
+    for c, (_, m) in zip(coeffs[1:], terms[1:]):
+        out += c * (m @ y)
+    return out
+
+
+class ScheduledHamiltonian:
+    """H(t) = sum_k c_k(t) H_k over ``terms``, (curve name or None, H_k) pairs.
+
+    The terms are omega sum_i n_i (c = 1), Sz_j (``delta_j``) and
+    X_i = (a_i + a_i^dag) sum_j sigma_jx (``g_i``): mode i couples
+    symmetrically to every qubit, the g_ij = g_i structure the dark-state
+    protocol requires.  Every view of H(t) below reads this one list.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule, omega: float = 1.0):
@@ -207,72 +229,35 @@ class ScheduledHamiltonian:
         self.schedule = schedule
         self.omega = omega
         M, N = space.dims.M, space.dims.N
-        self.static = sum(
-            omega * (build_mode_number(space, i).matrix) for i in range(M)
-        ).tocsr()
-        self.sz = [build_qubit_op(space, j, "z").matrix.tocsr() for j in range(N)]
-        self.coupling = []
+        static = sum(omega * build_mode_number(space, i).matrix for i in range(M))
+        sx = [build_qubit_op(space, j, "x").matrix for j in range(N)]
+        self.terms = [(None, static)]
+        self.terms += [(f"delta_{j+1}", build_qubit_op(space, j, "z").matrix) for j in range(N)]
         for i in range(M):
             a = build_mode_lowering(space, i).matrix
-            x_i = a + a.getH()
-            term = sum(x_i @ build_qubit_op(space, j, "x").matrix for j in range(N))
-            self.coupling.append(term.tocsr())
+            self.terms.append((f"g_{i+1}", sum((a + a.getH()) @ x for x in sx)))
 
-        self._dense = None
+    def coefficients(self, t: float) -> np.ndarray:
+        return term_coefficients(self.schedule, self.terms, t)
 
-    def _coeffs(self, t: float):
-        N = self.space.dims.N
-        M = self.space.dims.M
-        deltas = [self.schedule.value(f"delta_{j+1}", t) for j in range(N)]
-        gs = [self.schedule.value(f"g_{i+1}", t) for i in range(M)]
-        return deltas, gs
+    def slopes(self, t: float) -> np.ndarray:
+        """dc_k/dt, right-sided at breakpoints."""
+        return np.array(
+            [0.0 if name is None else self.schedule.derivative(name, t) for name, _ in self.terms]
+        )
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y without assembling H(t)."""
-        deltas, gs = self._coeffs(t)
-        out = self.static @ y
-        for d, m in zip(deltas, self.sz):
-            out += d * (m @ y)
-        for g, m in zip(gs, self.coupling):
-            if g != 0.0:
-                out += g * (m @ y)
-        return out
-
-    def at_dense(self, t: float) -> np.ndarray:
-        """Dense H(t); term matrices are densified once and cached."""
-        if self._dense is None:
-            self._dense = (
-                self.static.toarray(),
-                [m.toarray() for m in self.sz],
-                [m.toarray() for m in self.coupling],
-            )
-        static, sz, coupling = self._dense
-        deltas, gs = self._coeffs(t)
-        H = static.copy()
-        for d, m in zip(deltas, sz):
-            H += d * m
-        for g, m in zip(gs, coupling):
-            if g != 0.0:
-                H += g * m
-        return H
+        return _apply(self.coefficients(t), self.terms, y)
 
     def at(self, t: float) -> sp.csr_matrix:
-        deltas, gs = self._coeffs(t)
-        H = self.static.copy()
-        for d, m in zip(deltas, self.sz):
-            H = H + d * m
-        for g, m in zip(gs, self.coupling):
-            H = H + g * m
-        return H
+        return _combine(self.coefficients(t), self.terms)
+
+    def at_dense(self, t: float) -> np.ndarray:
+        return self.at(t).toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
-        N, M = self.space.dims.N, self.space.dims.M
-        H = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
-        for j in range(N):
-            H = H + self.schedule.derivative(f"delta_{j+1}", t) * self.sz[j]
-        for i in range(M):
-            H = H + self.schedule.derivative(f"g_{i+1}", t) * self.coupling[i]
-        return H
+        return _combine(self.slopes(t), self.terms)
 
     def params_at(self, t: float) -> RabiParams:
         return self.schedule.params_at(t, self.space.dims.M, self.space.dims.N, self.omega)
@@ -295,9 +280,6 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def is_density(self) -> bool:
-        return self.states.ndim == 3
-
 
 def fidelity(a, b: np.ndarray) -> float:
     """|<b|a>|^2 for pure a, <b|rho|b> for density a; b must be normalized."""
@@ -310,6 +292,15 @@ def fidelity(a, b: np.ndarray) -> float:
     if a.shape != (b.size, b.size):
         raise SpaceMismatch(f"density shape {a.shape} vs state dim {b.size}")
     return float(np.real(np.vdot(b, a @ b)))
+
+
+def _integrate(rhs, y0, T: float, n_samples: int, rtol: float, atol: float):
+    """DOP853 over [0, T]: sample times, sampled states as rows, solver statistics."""
+    t_eval = np.linspace(0.0, T, n_samples)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
+    if not sol.success:
+        raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
+    return t_eval, sol.y.T, {"rtol": rtol, "nfev": int(sol.nfev), "status": int(sol.status)}
 
 
 def evolve_schrodinger(
@@ -329,18 +320,14 @@ def evolve_schrodinger(
     def rhs(t, y):
         return -1j * hamiltonian.apply(t, y)
 
-    t_eval = np.linspace(0.0, T, n_samples)
-    sol = solve_ivp(rhs, (0.0, T), psi0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
-    states = sol.y.T
+    t_eval, states, stats = _integrate(rhs, psi0, T, n_samples, rtol, atol)
     obs = {"norm": np.linalg.norm(states, axis=1)}
     R = build_parity_operator(hamiltonian.space).matrix
     obs["parity"] = np.real(np.einsum("ti,ti->t", states.conj(), (R @ states.T).T))
     for name, op in (observables or {}).items():
         m = op.matrix if hasattr(op, "matrix") else op
         obs[name] = np.real(np.einsum("ti,ti->t", states.conj(), (m @ states.T).T))
-    return Trajectory(times=t_eval, states=states, observables=obs, metadata={"rtol": rtol})
+    return Trajectory(times=t_eval, states=states, observables=obs, metadata=stats)
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +356,55 @@ class NoiseModel:
         return gam, phi
 
 
+def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> list:
+    """(curve name or None, A_k) pairs with d/dt [vec rho, ledger] = sum_k c_k(t) A_k vec rho.
+
+    vec rho is row-major.  Each A_k stacks a superoperator over M + 2 ledger
+    rows: emission kappa_c_i <n_i> per line, kappa <n> outflow and exchange
+    -i tr(N [H, rho]).  H_k lifts to -i[H_k, .], D[a_i] takes ``kappa_c_i``,
+    and the constant kappa_in, gamma and gamma_phi terms join the static block.
+    """
+    space = hamiltonian.space
+    dim, M, N = space.dim, space.dims.M, space.dims.N
+    a_ops = [build_mode_lowering(space, i).matrix for i in range(M)]
+    n_ops = [a.getH() @ a for a in a_ops]
+    N_tot = sum(n_ops)
+    gam, phi = noise.qubit_rates(N)
+    eye = sp.identity(dim, dtype=complex, format="csr")
+
+    def commutator(h):  # -i[h, rho]
+        return -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+
+    def dissipator(L):  # L rho L^dag - {L^dag L, rho}/2
+        LdL = L.getH() @ L
+        return sp.kron(L, L.conj()) - 0.5 * (sp.kron(LdL, eye) + sp.kron(eye, LdL.T))
+
+    def block(superop, ledger):
+        """[superop; ledger rows], row r accumulating tr(A rho) for each r: A."""
+        rows = [sp.csr_matrix((1, dim * dim), dtype=complex)] * (M + 2)
+        for r, A in ledger.items():
+            rows[r] = A.T.reshape(1, dim * dim)
+        return sp.vstack([superop, *rows], format="csr")
+
+    generator = {}
+
+    def add(name, blk):
+        generator[name] = generator[name] + blk if name in generator else blk
+
+    for name, h in hamiltonian.terms:
+        add(name, block(commutator(h), {M + 1: -1j * (N_tot @ h - h @ N_tot)}))
+    static = sum(noise.kappa_in * dissipator(a) for a in a_ops)
+    for j in range(N):
+        sz = build_qubit_op(space, j, "z").matrix
+        static = static + gam[j] * dissipator(build_qubit_op(space, j, "-").matrix)
+        static = static + phi[j] * (sp.kron(sz, sz.T) - sp.identity(dim * dim))
+    add(None, block(static, {M: noise.kappa_in * N_tot}))
+    for i in range(M):
+        if f"kappa_c_{i+1}" in hamiltonian.schedule.curves:
+            add(f"kappa_c_{i+1}", block(dissipator(a_ops[i]), {i: n_ops[i], M: n_ops[i]}))
+    return list(generator.items())
+
+
 def evolve_lindblad(
     hamiltonian: ScheduledHamiltonian,
     noise: NoiseModel,
@@ -377,7 +413,7 @@ def evolve_lindblad(
     atol: float = 1e-10,
     n_samples: int = 201,
 ) -> Trajectory:
-    """Bare-basis Lindblad evolution over the schedule's [0, T].
+    """Bare-basis Lindblad evolution of ``lindblad_generator`` over [0, T].
 
     The returned trajectory carries per-mode populations, per-line
     emission rates and their running integrals, plus the photon-ledger
@@ -391,56 +427,17 @@ def evolve_lindblad(
     if abs(np.trace(rho0) - 1) > 1e-9:
         raise ValueError("rho0 must have unit trace")
 
-    M, N = space.dims.M, space.dims.N
-    a_ops = [build_mode_lowering(space, i).dense() for i in range(M)]
-    n_ops = [op.conj().T @ op for op in a_ops]
-    n_diag = [np.real(np.diag(op)) for op in n_ops]
-    sm_ops = [build_qubit_op(space, j, "-").dense() for j in range(N)]
-    sz_ops = [build_qubit_op(space, j, "z").dense() for j in range(N)]
-    gam, phi = noise.qubit_rates(N)
+    M = space.dims.M
     sched = hamiltonian.schedule
-    kappa_c_names = [f"kappa_c_{i+1}" for i in range(M)]
-    has_kc = [name in sched.curves for name in kappa_c_names]
-    N_tot = sum(n_ops)
-
     d2 = dim * dim
-    n_extra = M + 2  # per-line emission integrals + kappa outflow + exchange
+    terms = lindblad_generator(hamiltonian, noise)
 
     def rhs(t, y):
-        rho = y[:d2].reshape(dim, dim)
-        H = hamiltonian.at_dense(t)
-        drho = -1j * (H @ rho - rho @ H)
-        extras = np.zeros(n_extra, dtype=complex)
-        kappa_out = 0.0
-        for i in range(M):
-            kc = sched.value(kappa_c_names[i], t) if has_kc[i] else 0.0
-            kappa = noise.kappa_in + kc
-            n_exp = float(np.real(np.sum(n_diag[i] * np.diag(rho).real)))
-            if kappa > 0:
-                L = a_ops[i]
-                Lr = L @ rho
-                drho += kappa / 2 * (2 * (Lr @ L.conj().T) - (L.conj().T @ Lr) - (rho @ n_ops[i]))
-                kappa_out += kappa * n_exp
-            extras[i] = kc * n_exp
-        for j in range(N):
-            if gam[j] > 0:
-                L = sm_ops[j]
-                Lr = L @ rho
-                LdL = L.conj().T @ L
-                drho += gam[j] / 2 * (2 * (Lr @ L.conj().T) - (L.conj().T @ Lr) - (rho @ LdL))
-            if phi[j] > 0:
-                drho += phi[j] * (sz_ops[j] @ rho @ sz_ops[j] - rho)
-        extras[M] = kappa_out
-        extras[M + 1] = -1j * np.trace(N_tot @ (H @ rho - rho @ H))
-        return np.concatenate([drho.ravel(), extras])
+        return _apply(term_coefficients(sched, terms, t), terms, y[:d2])
 
-    y0 = np.concatenate([rho0.ravel(), np.zeros(n_extra, dtype=complex)])
-    T = sched.duration
-    t_eval = np.linspace(0.0, T, n_samples)
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    ys = sol.y.T
+    y0 = np.concatenate([rho0.ravel(), np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
+    t_eval, ys, stats = _integrate(rhs, y0, sched.duration, n_samples, rtol, atol)
+    gc.collect()  # solve_ivp leaves a solver/rhs reference cycle holding the generator
     rhos = ys[:, :d2].reshape(-1, dim, dim)
     final = rhos[-1]
     min_eig = float(np.linalg.eigvalsh((final + final.conj().T) / 2).min())
@@ -449,16 +446,18 @@ def evolve_lindblad(
 
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
     diag = np.real(np.einsum("tii->ti", rhos))
+    n_diag = [build_mode_number(space, i).matrix.diagonal().real for i in range(M)]
     for i in range(M):
+        name = f"kappa_c_{i+1}"
         obs[f"n_{i+1}"] = diag @ n_diag[i]
-        kc_t = np.array([sched.value(kappa_c_names[i], t) if has_kc[i] else 0.0 for t in t_eval])
+        kc_t = sched.curves[name](t_eval) if name in sched.curves else 0.0
         obs[f"emission_rate_{i+1}"] = kc_t * obs[f"n_{i+1}"]
         obs[f"emitted_{i+1}"] = np.real(ys[:, d2 + i])
-    obs["total_photons"] = diag @ np.real(np.diag(N_tot))
+    obs["total_photons"] = diag @ sum(n_diag)
     obs["kappa_outflow_integral"] = np.real(ys[:, d2 + M])
     obs["exchange_integral"] = np.real(ys[:, d2 + M + 1])
     obs["purity"] = np.real(np.einsum("tij,tji->t", rhos, rhos))
-    return Trajectory(times=t_eval, states=rhos, observables=obs, metadata={"rtol": rtol})
+    return Trajectory(times=t_eval, states=rhos, observables=obs, metadata=stats)
 
 
 def photon_ledger_defect(traj: Trajectory) -> float:
@@ -532,15 +531,13 @@ def evolve_eigenbasis_markovian(
         drho -= 0.5 * (out_rate[None, :] + out_rate[:, None]) * rho
         return drho.ravel()
 
-    t_eval = np.linspace(0.0, T, n_samples)
-    sol = solve_ivp(rhs, (0.0, T), rho0_e.ravel(), method="DOP853", rtol=rtol, atol=1e-10,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    rhos_e = sol.y.T.reshape(-1, dim, dim)
+    t_eval, ys, stats = _integrate(rhs, rho0_e.ravel(), T, n_samples, rtol, 1e-10)
+    rhos_e = ys.reshape(-1, dim, dim)
     rhos = np.einsum("ab,tbc,dc->tad", U, rhos_e, U.conj())
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
-    return Trajectory(times=t_eval, states=rhos, observables=obs, metadata={"basis": "dressed"})
+    return Trajectory(
+        times=t_eval, states=rhos, observables=obs, metadata={"basis": "dressed", **stats}
+    )
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -31,8 +31,9 @@ class SpectrumTable:
 def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool = True):
     """Lowest eigenpairs, ascending.
 
-    Dense below DENSE_THRESHOLD, shift-invert Lanczos above.  Returns
-    (energies, vectors) with vectors as columns, or energies alone.
+    Dense below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``, smallest
+    algebraic) above.  Returns (energies, vectors) with vectors as
+    columns, or energies alone.
     """
     dim = H.dim
     if n_levels is None:

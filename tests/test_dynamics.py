@@ -13,14 +13,16 @@ from mmrabi.dynamics import (
     evolve_schrodinger,
     fidelity,
     gap_monitor,
+    lindblad_generator,
     make_catch_release_schedule,
     make_w_generation_schedule,
     photon_ledger_defect,
+    term_coefficients,
     trace_distance,
 )
 from mmrabi.errors import InvalidSchedule
 from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
-from mmrabi.operators import RabiParams
+from mmrabi.operators import RabiParams, build_hamiltonian, build_mode_lowering, build_qubit_op
 from mmrabi.solutions import dark_state_2q
 
 
@@ -42,6 +44,17 @@ def frozen_schedule(M, duration, delta=(0.5, 0.5), g=0.25):
     for i in range(M):
         curves[f"g_{i+1}"] = PiecewiseLinear.constant(g, duration)
     return ProtocolSchedule(duration=duration, curves=curves)
+
+
+def release_schedule():
+    # generation on [0, 60], hold on [60, 65], release from 65
+    return make_catch_release_schedule(
+        2, T_gen=60.0, hold_time=5.0, release=ReleaseConfig(delays=(0.0, 0.0), duration=60.0)
+    )
+
+
+# one time inside each catch-release phase, away from every breakpoint
+PHASE_TIMES = (30.3, 62.7, 90.1)
 
 
 # --------------------------------------------------------------------------
@@ -76,6 +89,62 @@ def test_schedule_validation():
         make_w_generation_schedule(2, 10.0, weights=[1.0])
     with pytest.raises(InvalidSchedule):
         make_w_generation_schedule(2, 10.0, delta_split_initial=1.5)
+
+
+# --------------------------------------------------------------------------
+# scheduled operator
+
+
+def test_operator_views_agree():
+    space = w_space()
+    ht = ScheduledHamiltonian(space, release_schedule())
+    y = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, space.dim))
+    for t in PHASE_TIMES:
+        H = ht.at(t)
+        reference = build_hamiltonian(ht.params_at(t), space).dense()
+        assert np.max(np.abs(H.toarray() - reference)) < 1e-14
+        assert np.allclose(ht.apply(t, y), H @ y, rtol=0.0, atol=1e-14)
+        assert np.array_equal(ht.at_dense(t), H.toarray())
+        h = 1e-4
+        central = (ht.at(t + h) - ht.at(t - h)).toarray() / (2 * h)
+        assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-8
+
+
+def test_lindblad_generator_matches_dense_master_equation():
+    space = w_space()
+    M, N = space.dims.M, space.dims.N
+    sched = release_schedule()
+    ht = ScheduledHamiltonian(space, sched)
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    terms = lindblad_generator(ht, noise)
+    a = [build_mode_lowering(space, i).dense() for i in range(M)]
+    n = [op.conj().T @ op for op in a]
+    N_tot = sum(n)
+    sm = [build_qubit_op(space, j, "-").dense() for j in range(N)]
+    sz = [build_qubit_op(space, j, "z").dense() for j in range(N)]
+
+    def D(L, rho):
+        return L @ rho @ L.conj().T - 0.5 * (L.conj().T @ L @ rho + rho @ L.conj().T @ L)
+
+    rng = np.random.default_rng(7)
+    for t in PHASE_TIMES:
+        A = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        rho = A @ A.conj().T
+        rho /= np.trace(rho)
+        H = build_hamiltonian(ht.params_at(t), space).dense()
+        kc = [sched.value(f"kappa_c_{i+1}", t) for i in range(M)]
+        drho = -1j * (H @ rho - rho @ H)
+        drho += sum((noise.kappa_in + kc[i]) * D(a[i], rho) for i in range(M))
+        drho += sum(noise.gamma[j] * D(sm[j], rho) for j in range(N))
+        drho += sum(noise.gamma_phi[j] * (sz[j] @ rho @ sz[j] - rho) for j in range(N))
+        ledger = [kc[i] * np.trace(n[i] @ rho) for i in range(M)]
+        ledger.append(sum((noise.kappa_in + kc[i]) * np.trace(n[i] @ rho) for i in range(M)))
+        ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
+        reference = np.concatenate([drho.ravel(), ledger])
+
+        c = term_coefficients(sched, terms, t)
+        lifted = sum(ck * (Ak @ rho.ravel()) for ck, (_, Ak) in zip(c, terms))
+        assert np.max(np.abs(lifted - reference)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -115,6 +184,26 @@ def test_reversibility():
         ScheduledHamiltonian(space, back), out.conj(), n_samples=3
     ).final_state
     assert abs(fidelity(restored.conj(), psi0) - 1.0) < 1e-8
+
+
+def test_integrator_statistics_repeat():
+    space = w_space(M=2, n_max=2)
+    sched = make_w_generation_schedule(2, 20.0)
+    psi0 = vacuum_up(space)
+    rho0 = np.outer(psi0, psi0.conj())
+    H0 = ScheduledHamiltonian(space, sched).at_dense(0.0)
+    runs = {
+        "schrodinger": lambda: evolve_schrodinger(
+            ScheduledHamiltonian(space, sched), psi0, n_samples=3),
+        "lindblad": lambda: evolve_lindblad(
+            ScheduledHamiltonian(space, sched), NoiseModel(kappa_in=1e-3), rho0, n_samples=3),
+        "eigenbasis": lambda: evolve_eigenbasis_markovian(
+            H0, space, NoiseModel(kappa_in=1e-3), 0.0, rho0, T=20.0, n_samples=3),
+    }
+    for name, run in runs.items():
+        first, second = run().metadata, run().metadata
+        assert first["nfev"] > 0 and first["nfev"] == second["nfev"], name
+        assert first["status"] == second["status"] == 0, name
 
 
 def test_tolerance_halving_converged():
