@@ -140,7 +140,7 @@ class EffectiveRabiParams:
             g[RESONATOR_OF[k], QUBIT_OF[k]] = self.rabi_couplings[k]
         return g
 
-    def to_rabi_params(self, n_max: int | None = None) -> RabiParams:
+    def to_rabi_params(self) -> RabiParams:
         """Two-qubit two-mode model parameters with Delta_j = omega_q_j / 2.
 
         The factor 1/2 converts the qubit term omega_q sigma_z / 2 to the

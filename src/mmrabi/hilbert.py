@@ -11,6 +11,18 @@ vectors with mode 1 filled first (descending lexicographic), then spin
 configurations ordered as a bitstring with up = 0 and qubit 1 as the
 most significant bit.  This makes the block-tridiagonal structure of
 the parity-sector Hamiltonian contiguous in index space.
+
+Besides the tuple of ``BasisState`` objects, a ``HilbertSpace`` holds the
+same basis as integer arrays, ``occupations`` (dim x M) and ``spins``
+(dim x N), row k being state k.  ``HilbertSpace.indices`` maps arrays of
+target occupations and spins back to canonical indices by arithmetic:
+the occupation vector is ranked in the combinatorial number system (the
+number of occupation vectors that precede it in the canonical order),
+and the spins are read as the bitstring above.  Within a parity sector
+the last spin bit is fixed by the others, so the sector index drops it.
+Targets outside the space (negative occupations, above the cutoff or in
+the other parity sector) map to -1.  Operator builders work on these
+arrays instead of looping over states.
 """
 
 from __future__ import annotations
@@ -18,6 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+
+import numpy as np
 
 from .errors import StateNotInSpace
 
@@ -116,18 +130,36 @@ class HilbertSpace:
     """Enumerated, ordered truncated basis, optionally parity-restricted.
 
     Immutable after construction; index <-> state lookups are mutually
-    inverse bijections over the enumerated members.
+    inverse bijections over the enumerated members.  ``occupations`` and
+    ``spins`` are read-only integer arrays of the basis, one row per state.
     """
 
     dims: ModelDims
     sector: ParitySector | None
     states: tuple[BasisState, ...]
     _index: dict = field(repr=False, hash=False, compare=False, default=None)
+    occupations: np.ndarray = field(init=False, repr=False, compare=False)
+    spins: np.ndarray = field(init=False, repr=False, compare=False)
+    _binomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        M, N, n_max = self.dims.M, self.dims.N, self.dims.n_max
         object.__setattr__(
             self, "_index", {s: i for i, s in enumerate(self.states)}
         )
+        occ = np.array([s.occupations for s in self.states], dtype=np.int64)
+        spins = np.array([s.spins for s in self.states], dtype=np.int64)
+        # _binomial[r, n] = C(n, r) for every rank term: r <= M, n < n_max + M
+        binomial = np.array(
+            [[comb(n, r) for n in range(n_max + M)] for r in range(M + 1)], dtype=np.int64
+        )
+        for name, arr in (
+            ("occupations", occ.reshape(self.dim, M)),
+            ("spins", spins.reshape(self.dim, N)),
+            ("_binomial", binomial),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -145,17 +177,49 @@ class HilbertSpace:
     def state(self, i: int) -> BasisState:
         return self.states[i]
 
+    def indices(self, occupations, spins) -> np.ndarray:
+        """Canonical indices of the states given as rows of ``occupations`` and ``spins``.
+
+        ``occupations`` has shape (n, M) and ``spins`` (n, N) with entries
+        +1/-1.  Rows outside the space (a negative occupation, more than
+        n_max photons, or the other parity sector) give -1.
+        """
+        M, N, n_max = self.dims.M, self.dims.N, self.dims.n_max
+        occ = np.asarray(occupations, dtype=np.int64)
+        spins = np.asarray(spins, dtype=np.int64)
+        if occ.ndim != 2 or spins.ndim != 2 or occ.shape[1] != M or spins.shape[1] != N:
+            raise ValueError(
+                f"expected (n, {M}) occupations and (n, {N}) spins, "
+                f"got {occ.shape} and {spins.shape}"
+            )
+        if len(occ) != len(spins):
+            raise ValueError(f"{len(occ)} occupation rows but {len(spins)} spin rows")
+        total = occ.sum(axis=1)
+        down = spins == DOWN
+        inside = (total <= n_max) & (occ >= 0).all(axis=1) & (down | (spins == UP)).all(axis=1)
+        if self.sector is not None:
+            inside &= 1 - 2 * ((total + down.sum(axis=1)) % 2) == self.sector.sign
+        # rank = occupation vectors with fewer photons plus those of the same
+        # total that precede in the mode-1-first order, position by position;
+        # rows outside the space may index past the table, so the lookups clip
+        # and np.where discards those rows
+        rank = np.take(self._binomial[M], total + M - 1, mode="clip")
+        remaining = total
+        for p in range(M - 1):
+            remaining = remaining - occ[:, p]
+            rank += np.take(self._binomial[M - p - 1], remaining + M - p - 2, mode="clip")
+        bits = down @ (1 << np.arange(N - 1, -1, -1))
+        if self.sector is None:
+            found = (rank << N) + bits
+        else:
+            found = (rank << (N - 1)) + (bits >> 1)
+        return np.where(inside, found, -1)
+
     def photon_block_slices(self) -> list[slice]:
         """Index ranges of the k-photon blocks, k = 0..n_max."""
-        slices = []
-        start = 0
-        for k in range(self.dims.n_max + 1):
-            n = start
-            while n < self.dim and self.states[n].total_photons == k:
-                n += 1
-            slices.append(slice(start, n))
-            start = n
-        return slices
+        totals = self.occupations.sum(axis=1)
+        edges = np.searchsorted(totals, np.arange(self.dims.n_max + 2)).tolist()
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def enumerate_basis(dims: ModelDims, sector: ParitySector | None = None) -> HilbertSpace:

@@ -13,12 +13,20 @@ photon-number-block decomposition of a parity-sector Hamiltonian.
 Truncation is hard: matrix elements that would exceed the total-photon
 cutoff are dropped.  All builders are pure functions of immutable
 inputs.
+
+The builders are whole-array operations on the basis arrays of
+``HilbertSpace`` (``occupations``, ``spins``): for each term they shift a
+copy of the arrays (one photon added to or removed from mode i, qubit j
+flipped), map the shifted rows back to canonical indices with one
+``HilbertSpace.indices`` call, and keep the targets inside the space
+(index >= 0) together with one array of matrix elements.  The diagonal
+sums sum_i omega_i n_i and sum_j delta_j s_j are each accumulated in
+mode (qubit) order and added at the end, which fixes their rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +40,6 @@ from .hilbert import (
     ModelDims,
     ParitySector,
     enumerate_basis,
-    parity_of,
 )
 
 DENSE_THRESHOLD = 4096
@@ -102,117 +109,99 @@ class SparseOperator:
             yield f"{r} {c} {v.real:.17g} {v.imag:.17g}"
 
 
-def _build(space: HilbertSpace, triplets) -> SparseOperator:
-    rows, cols, vals = [], [], []
-    for r, c, v in triplets:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+def _assemble(space: HilbertSpace, rows, cols, vals) -> SparseOperator:
+    """CSR operator from matrix-element arrays; explicit zeros are kept."""
     m = sp.coo_matrix(
         (np.asarray(vals, dtype=complex), (rows, cols)),
         shape=(space.dim, space.dim),
     ).tocsr()
-    m.sum_duplicates()
     return SparseOperator(space=space, matrix=m)
 
 
-def _flip_spin(state: BasisState, j: int) -> BasisState:
-    spins = list(state.spins)
-    spins[j] = -spins[j]
-    return BasisState(state.occupations, tuple(spins))
+def _diagonal(space: HilbertSpace, diag) -> SparseOperator:
+    """Diagonal operator; zero entries are not stored."""
+    return SparseOperator(space=space, matrix=sp.diags(np.asarray(diag, dtype=complex)).tocsr())
 
 
-def _shift_mode(state: BasisState, i: int, dn: int) -> BasisState:
-    occ = list(state.occupations)
-    occ[i] += dn
-    return BasisState(tuple(occ), state.spins)
+def _targets(space: HilbertSpace, i: int | None = None, dn: int = 0, j: int | None = None):
+    """Index of every basis state after n_i += dn and a flip of qubit j; -1 outside the space."""
+    occ, spins = space.occupations, space.spins
+    if i is not None:
+        occ = occ.copy()
+        occ[:, i] += dn
+    if j is not None:
+        spins = spins.copy()
+        spins[:, j] *= -1
+    return space.indices(occ, spins)
+
+
+def _bare_diagonal(params: RabiParams, space: HilbertSpace) -> np.ndarray:
+    """sum_i omega_i n_i + sum_j delta_j s_j, each sum accumulated in index order."""
+    photons = np.zeros(space.dim)
+    for i in range(params.M):
+        photons = photons + params.omega[i] * space.occupations[:, i]
+    qubits = np.zeros(space.dim)
+    for j in range(params.N):
+        qubits = qubits + params.delta[j] * space.spins[:, j]
+    return photons + qubits
+
+
+def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
+    """Rabi (sigma_x coupling) or JC (rotating-wave) Hamiltonian from the basis arrays."""
+    params.check_space(space)
+    states = np.arange(space.dim)
+    rows, cols, vals = [states], [states], [_bare_diagonal(params, space)]
+    for i in range(params.M):
+        n_i = space.occupations[:, i]
+        # a_i^dag (dn = +1) with sqrt(n_i + 1) and a_i (dn = -1) with sqrt(n_i);
+        # the rotating wave keeps a_i^dag sigma_j^- (from up) and a_i sigma_j^+ (from down)
+        ladders = ((+1, np.sqrt(n_i + 1), UP), (-1, np.sqrt(n_i), DOWN))
+        for j in range(params.N):
+            gij = params.g[i, j]
+            if gij == 0.0:
+                continue
+            for dn, amplitude, spin in ladders:
+                tgt = _targets(space, i, dn, j)
+                keep = tgt >= 0
+                if rotating_wave:
+                    keep &= space.spins[:, j] == spin
+                rows.append(tgt[keep])
+                cols.append(states[keep])
+                vals.append(gij * amplitude[keep])
+    return _assemble(space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 def build_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
     """Rabi Hamiltonian with sigma_x coupling, hard-truncated at n_max."""
-    params.check_space(space)
-    n_max = space.dims.n_max
-
-    def triplets():
-        for col, st in enumerate(space.states):
-            diag = sum(params.omega[i] * n for i, n in enumerate(st.occupations))
-            diag += sum(params.delta[j] * s for j, s in enumerate(st.spins))
-            yield col, col, diag
-            for i in range(params.M):
-                for j in range(params.N):
-                    gij = params.g[i, j]
-                    if gij == 0.0:
-                        continue
-                    flipped = _flip_spin(st, j)
-                    n_i = st.occupations[i]
-                    if st.total_photons < n_max:
-                        up = _shift_mode(flipped, i, +1)
-                        yield space.index(up), col, gij * sqrt(n_i + 1)
-                    if n_i > 0:
-                        down = _shift_mode(flipped, i, -1)
-                        yield space.index(down), col, gij * sqrt(n_i)
-
-    return _build(space, triplets())
+    return _hamiltonian(params, space, rotating_wave=False)
 
 
 def build_jc_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
     """Rotating-wave variant: only a_i sigma_j^+ + a_i^dag sigma_j^- retained."""
-    params.check_space(space)
-    n_max = space.dims.n_max
-
-    def triplets():
-        for col, st in enumerate(space.states):
-            diag = sum(params.omega[i] * n for i, n in enumerate(st.occupations))
-            diag += sum(params.delta[j] * s for j, s in enumerate(st.spins))
-            yield col, col, diag
-            for i in range(params.M):
-                for j in range(params.N):
-                    gij = params.g[i, j]
-                    if gij == 0.0:
-                        continue
-                    n_i = st.occupations[i]
-                    if st.spins[j] == DOWN and n_i > 0:
-                        # a_i sigma_j^+
-                        tgt = _shift_mode(_flip_spin(st, j), i, -1)
-                        yield space.index(tgt), col, gij * sqrt(n_i)
-                    if st.spins[j] == UP and st.total_photons < n_max:
-                        # a_i^dag sigma_j^-
-                        tgt = _shift_mode(_flip_spin(st, j), i, +1)
-                        yield space.index(tgt), col, gij * sqrt(n_i + 1)
-
-    return _build(space, triplets())
+    return _hamiltonian(params, space, rotating_wave=True)
 
 
 def build_parity_operator(space: HilbertSpace) -> SparseOperator:
     """Z2 generator exp(i pi sum a^dag a) * prod_j sigma_jz, diagonal +-1."""
-    diag = np.array([parity_of(st).sign for st in space.states], dtype=complex)
-    return SparseOperator(space=space, matrix=sp.diags(diag).tocsr())
+    photon_sign = 1 - 2 * (space.occupations.sum(axis=1) % 2)
+    return _diagonal(space, photon_sign * space.spins.prod(axis=1))
 
 
 def build_excitation_operator(space: HilbertSpace) -> SparseOperator:
     """Excitation number sum_i a_i^dag a_i + sum_j sigma_jz/2 + N/2 (diagonal)."""
     N = space.dims.N
-    diag = np.array(
-        [st.total_photons + sum(st.spins) / 2 + N / 2 for st in space.states],
-        dtype=complex,
-    )
-    return SparseOperator(space=space, matrix=sp.diags(diag).tocsr())
+    return _diagonal(space, space.occupations.sum(axis=1) + space.spins.sum(axis=1) / 2 + N / 2)
 
 
 def build_mode_lowering(space: HilbertSpace, i: int) -> SparseOperator:
     """Annihilation operator a_i (only closed on a full, unsectored space)."""
     if not 0 <= i < space.dims.M:
         raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
-
-    def triplets():
-        for col, st in enumerate(space.states):
-            n_i = st.occupations[i]
-            if n_i > 0:
-                tgt = _shift_mode(st, i, -1)
-                if tgt in space:
-                    yield space.index(tgt), col, sqrt(n_i)
-
-    return _build(space, triplets())
+    tgt = _targets(space, i, -1)
+    keep = tgt >= 0
+    return _assemble(
+        space, tgt[keep], np.flatnonzero(keep), np.sqrt(space.occupations[keep, i])
+    )
 
 
 def build_qubit_op(space: HilbertSpace, j: int, axis: str) -> SparseOperator:
@@ -225,37 +214,26 @@ def build_qubit_op(space: HilbertSpace, j: int, axis: str) -> SparseOperator:
         raise IndexOutOfRange(f"qubit index {j} for N={space.dims.N}")
     if axis not in ("x", "y", "z", "+", "-"):
         raise ValueError(f"unknown axis {axis!r}")
-
-    def triplets():
-        for col, st in enumerate(space.states):
-            s = st.spins[j]
-            if axis == "z":
-                yield col, col, float(s)
-                continue
-            flipped = _flip_spin(st, j)
-            if axis == "x":
-                if flipped in space:
-                    yield space.index(flipped), col, 1.0
-            elif axis == "y":
-                if flipped in space:
-                    # sigma_y |up> = i|down>, sigma_y |down> = -i|up>
-                    yield space.index(flipped), col, 1j if s == UP else -1j
-            elif axis == "+":
-                if s == DOWN and flipped in space:
-                    yield space.index(flipped), col, 1.0
-            elif axis == "-":
-                if s == UP and flipped in space:
-                    yield space.index(flipped), col, 1.0
-
-    return _build(space, triplets())
+    s = space.spins[:, j]
+    cols = np.arange(space.dim)
+    if axis == "z":
+        return _assemble(space, cols, cols, s)
+    tgt = _targets(space, j=j)
+    keep = tgt >= 0
+    if axis == "+":
+        keep &= s == DOWN
+    elif axis == "-":
+        keep &= s == UP
+    # sigma_y |up> = i|down>, sigma_y |down> = -i|up>
+    vals = np.where(s == UP, 1j, -1j) if axis == "y" else np.ones(space.dim)
+    return _assemble(space, tgt[keep], cols[keep], vals[keep])
 
 
 def build_mode_number(space: HilbertSpace, i: int) -> SparseOperator:
     """Photon number a_i^dag a_i (diagonal)."""
     if not 0 <= i < space.dims.M:
         raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
-    diag = np.array([st.occupations[i] for st in space.states], dtype=complex)
-    return SparseOperator(space=space, matrix=sp.diags(diag).tocsr())
+    return _diagonal(space, space.occupations[:, i])
 
 
 @dataclass(frozen=True)

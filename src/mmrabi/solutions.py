@@ -10,7 +10,7 @@ linear system on the kept blocks, without assuming a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class DarkState:
     energy: float
     space: HilbertSpace
     conditions: tuple[str, ...]
-    raw_coefficients: dict = field(default=None, compare=False)
 
     def max_photon_support(self) -> int:
         nz = np.flatnonzero(np.abs(self.vector) > 0)
@@ -113,13 +112,11 @@ def dark_state_2q(params: RabiParams, space: HilbertSpace) -> DarkState:
         occ = _one_photon_occ(M, i)
         _put(vec, space, occ, (DOWN, UP), g[i])
         _put(vec, space, occ, (UP, DOWN), -g[i])
-    raw = {"vacuum": params.delta[0] - params.delta[1], "w_weights": g.copy()}
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
         space=space,
         conditions=tuple(name for name, _ in pairs),
-        raw_coefficients=raw,
     )
 
 
@@ -153,13 +150,11 @@ def dark_state_2q_odd(params: RabiParams, space: HilbertSpace, variant: str) -> 
         occ = _one_photon_occ(M, i)
         _put(vec, space, occ, (DOWN, DOWN), g[i])
         _put(vec, space, occ, (UP, UP), -g[i])
-    raw = {"vacuum": params.delta[0] + params.delta[1], "w_weights": g.copy()}
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
         space=space,
         conditions=tuple(name for name, _ in pairs),
-        raw_coefficients=raw,
     )
 
 
@@ -205,13 +200,11 @@ def dark_state_3q(params: RabiParams, space: HilbertSpace) -> DarkState:
     _put(vec, space, zeros, (UP, UP, DOWN), omega * g13 / g12)
     _put(vec, space, zeros, (UP, DOWN, UP), omega * g12 / g13)
     _put(vec, space, zeros, (DOWN, UP, UP), -omega * params.g[0, 0] ** 2 / (g12 * g13))
-    raw = {"w_weights": params.g[:, 0].copy()}
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
         space=space,
         conditions=tuple(name for name, _ in pairs),
-        raw_coefficients=raw,
     )
 
 

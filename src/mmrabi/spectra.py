@@ -32,7 +32,8 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
     """Lowest eigenpairs, ascending.
 
     Dense below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``, smallest
-    algebraic) above.  Returns (energies, vectors) with vectors as
+    algebraic) above.  A dense matrix with no imaginary part is solved as
+    real symmetric.  Returns (energies, vectors) with complex vectors as
     columns, or energies alone.
     """
     dim = H.dim
@@ -42,9 +43,11 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
         raise ValueError(f"requested {n_levels} levels from dim {dim}")
     if dim <= DENSE_THRESHOLD or n_levels >= dim - 1:
         dense = H.dense()
+        if not dense.imag.any():
+            dense = dense.real
         if vectors:
             E, V = np.linalg.eigh(dense)
-            return E[:n_levels], V[:, :n_levels]
+            return E[:n_levels], V[:, :n_levels].astype(complex)
         return np.linalg.eigvalsh(dense)[:n_levels]
     try:
         E, V = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA")

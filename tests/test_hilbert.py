@@ -134,3 +134,34 @@ def test_basis_csv_shape():
     assert len(lines) == space.dim + 1
     first = lines[1].split(",")
     assert first == ["0", "0", "0", "1", "1", "1"]
+
+
+def test_indices_invert_the_enumeration():
+    for M, N, n_max in [(1, 1, 3), (2, 2, 4), (3, 3, 3), (4, 2, 2), (2, 1, 0)]:
+        for sector in (None, EVEN, ODD):
+            space = enumerate_basis(ModelDims(M, N, n_max), sector)
+            assert space.occupations.shape == (space.dim, M)
+            assert space.spins.shape == (space.dim, N)
+            for k, st in enumerate(space.states):
+                assert tuple(space.occupations[k]) == st.occupations
+                assert tuple(space.spins[k]) == st.spins
+            found = space.indices(space.occupations, space.spins)
+            assert np.array_equal(found, np.arange(space.dim))
+
+
+def test_indices_outside_the_space_are_minus_one():
+    full = enumerate_basis(ModelDims(2, 2, 2))
+    # above the cutoff (one mode, then the total), a negative occupation,
+    # a spin that is not +-1, and one member
+    occ = [[3, 0], [2, 1], [-1, 1], [1, 0], [1, 0]]
+    spins = [[UP, UP], [UP, UP], [UP, UP], [UP, 0], [UP, DOWN]]
+    assert full.indices(occ, spins).tolist() == [
+        -1, -1, -1, -1, full.index(BasisState((1, 0), (UP, DOWN)))
+    ]
+    # the other parity sector
+    even = enumerate_basis(ModelDims(2, 2, 2), EVEN)
+    assert even.indices([[1, 0], [1, 0]], [[UP, UP], [UP, DOWN]]).tolist() == [
+        -1, even.index(BasisState((1, 0), (UP, DOWN)))
+    ]
+    with pytest.raises(ValueError):
+        full.indices([[1, 0, 0]], [[UP, UP]])

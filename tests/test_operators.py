@@ -1,5 +1,9 @@
+import itertools
+from math import sqrt
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmrabi.errors import DimensionMismatch, IndexOutOfRange
 from mmrabi.hilbert import (
@@ -200,3 +204,140 @@ def test_coo_dump_round_trip():
         r, c, re, im = line.split()
         dense[int(r), int(c)] = float(re) + 1j * float(im)
     assert np.allclose(dense, H.dense())
+
+
+# single-qubit matrices in the (up, down) basis, up = sigma_z = +1
+SIGMA = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "+": np.array([[0, 1], [0, 0]], dtype=complex),
+    "-": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("M,N,n_max", [(1, 1, 3), (2, 2, 4), (3, 2, 3), (2, 3, 4)])
+def test_every_builder_matches_kronecker_reference(M, N, n_max):
+    # each operator assembled as explicit Kronecker products with per-mode
+    # cutoff n_max, then projected onto the full space and both sectors
+    # (operators that leave a sector project to zero there)
+    params = random_params(M, N)
+    d = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+    n_op = a.T @ a
+
+    def kron(modes=None, qubits=None):
+        out = np.ones((1, 1))
+        for i in range(M):
+            out = np.kron(out, (modes or {}).get(i, np.eye(d)))
+        for j in range(N):
+            out = np.kron(out, (qubits or {}).get(j, np.eye(2)))
+        return out
+
+    jc = sum(params.omega[i] * kron({i: n_op}) for i in range(M))
+    jc = jc + sum(params.delta[j] * kron(qubits={j: SIGMA["z"]}) for j in range(N))
+    for i, j in itertools.product(range(M), range(N)):
+        jc = jc + params.g[i, j] * (
+            kron({i: a}, {j: SIGMA["+"]}) + kron({i: a.T}, {j: SIGMA["-"]})
+        )
+    references = {
+        "jc": (lambda s: build_jc_hamiltonian(params, s), jc),
+        "parity": (
+            build_parity_operator,
+            kron(
+                {i: np.diag((-1.0) ** np.arange(d)) for i in range(M)},
+                {j: SIGMA["z"] for j in range(N)},
+            ),
+        ),
+        "excitation": (
+            build_excitation_operator,
+            sum(kron({i: n_op}) for i in range(M))
+            + sum(kron(qubits={j: SIGMA["z"]}) for j in range(N)) / 2
+            + N / 2 * kron(),
+        ),
+    }
+    for i in range(M):
+        references[f"a_{i}"] = (lambda s, i=i: build_mode_lowering(s, i), kron({i: a}))
+        references[f"n_{i}"] = (lambda s, i=i: build_mode_number(s, i), kron({i: n_op}))
+    for j, axis in itertools.product(range(N), SIGMA):
+        references[f"sigma{axis}_{j}"] = (
+            lambda s, j=j, axis=axis: build_qubit_op(s, j, axis),
+            kron(qubits={j: SIGMA[axis]}),
+        )
+
+    shape = (d,) * M + (2,) * N
+    for sector in (None, EVEN, ODD):
+        space = enumerate_basis(ModelDims(M, N, n_max), sector)
+        sel = [
+            np.ravel_multi_index(st.occupations + tuple((1 - s) // 2 for s in st.spins), shape)
+            for st in space.states
+        ]
+        for name, (build, full) in references.items():
+            diff = np.max(np.abs(build(space).dense() - full[np.ix_(sel, sel)]))
+            assert diff < 1e-12, (name, sector, diff)
+
+
+def test_sector_hamiltonian_is_principal_submatrix_of_full():
+    for M, N, n_max in [(2, 2, 4), (3, 2, 3), (2, 3, 4)]:
+        dims = ModelDims(M, N, n_max)
+        params = random_params(M, N)
+        full = enumerate_basis(dims)
+        H = build_hamiltonian(params, full).dense()
+        for sector in (EVEN, ODD):
+            space = enumerate_basis(dims, sector)
+            sel = full.indices(space.occupations, space.spins)
+            assert np.all(sel >= 0)
+            assert np.array_equal(build_hamiltonian(params, space).dense(), H[np.ix_(sel, sel)])
+
+
+def per_state_hamiltonian(params, space):
+    """Loop reference: the Rabi matrix elements state by state, in basis order."""
+    n_max = space.dims.n_max
+    rows, cols, vals = [], [], []
+
+    def add(target_occ, target_spins, col, value):
+        rows.append(space.index(BasisState(tuple(target_occ), tuple(target_spins))))
+        cols.append(col)
+        vals.append(value)
+
+    for col, st in enumerate(space.states):
+        diag = sum(params.omega[i] * n for i, n in enumerate(st.occupations))
+        diag += sum(params.delta[j] * s for j, s in enumerate(st.spins))
+        add(st.occupations, st.spins, col, diag)
+        for i, j in itertools.product(range(params.M), range(params.N)):
+            gij = params.g[i, j]
+            if gij == 0.0:
+                continue
+            n_i = st.occupations[i]
+            spins = list(st.spins)
+            spins[j] = -spins[j]
+            for dn, allowed, amplitude in (
+                (+1, st.total_photons < n_max, sqrt(n_i + 1)),
+                (-1, n_i > 0, sqrt(n_i)),
+            ):
+                if allowed:
+                    occ = list(st.occupations)
+                    occ[i] += dn
+                    add(occ, spins, col, gij * amplitude)
+    m = sp.coo_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(space.dim,) * 2)
+    return m.tocsr()
+
+
+def test_hamiltonian_csr_arrays_equal_per_state_reference():
+    # same indptr, indices and data bit for bit, explicit zeros included:
+    # delta_1 = sum of the other delta_j puts exact zeros on the vacuum
+    # diagonal, and g[0, -1] = 0 drops one coupling term
+    for M, N, n_max in [(2, 2, 3), (3, 2, 2), (1, 3, 4), (3, 3, 3)]:
+        g = RNG.uniform(-1.0, 1.0, (M, N))
+        g[0, -1] = 0.0
+        params = RabiParams(
+            omega=RNG.uniform(0.5, 1.5, M), delta=[0.5] + [0.5 / (N - 1)] * (N - 1), g=g
+        )
+        for sector in (None, EVEN, ODD):
+            space = enumerate_basis(ModelDims(M, N, n_max), sector)
+            got = build_hamiltonian(params, space).matrix
+            ref = per_state_hamiltonian(params, space)
+            assert sector is not None or np.any(ref.data == 0)
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(got, name), getattr(ref, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (M, N, sector, name)

@@ -5,7 +5,7 @@ import pytest
 
 import mmrabi.spectra as spectra
 from mmrabi.hilbert import EVEN, ODD, ModelDims, enumerate_basis
-from mmrabi.operators import RabiParams, build_hamiltonian, build_jc_hamiltonian
+from mmrabi.operators import RabiParams, build_hamiltonian, build_jc_hamiltonian, build_qubit_op
 from mmrabi.spectra import (
     SpectrumTable,
     convergence_report,
@@ -159,3 +159,33 @@ def test_find_level_crossings_locates_dark_line():
     hits = find_level_crossings(table, energy=1.0, window=2e-3)
     # a second even level crosses the dark line inside this window
     assert any(count >= 2 for g, sign, count in hits)
+
+
+def test_real_dense_eigensolve_keeps_degenerate_multiplicities():
+    # uniform couplings at (3, 3, 6): mode permutations make degenerate
+    # levels among the lowest 14 of both sectors
+    dims = ModelDims(3, 3, 6)
+    params = RabiParams(omega=np.ones(3), delta=[0.8, 0.5, 0.3], g=np.full((3, 3), 0.3))
+
+    def multiplicities(levels):
+        breaks = np.flatnonzero(np.diff(levels) > 1e-6)
+        return np.diff(np.concatenate([[0], breaks + 1, [len(levels)]])).tolist()
+
+    for sector in (EVEN, ODD):
+        H = build_hamiltonian(params, enumerate_basis(dims, sector))
+        E, V = eigenspectrum(H, 14)
+        ref = np.linalg.eigvalsh(H.dense())[:14]
+        assert np.max(np.abs(E - ref)) < 1e-12
+        assert multiplicities(E) == multiplicities(ref)
+        assert max(multiplicities(ref)) > 1
+        assert V.dtype == np.complex128
+        assert np.max(np.linalg.norm(H.matrix @ V - V * E, axis=0)) < 1e-10
+
+
+def test_complex_hermitian_dense_eigensolve():
+    # sigma_y has only imaginary entries; its spectrum is +-1
+    space = enumerate_basis(ModelDims(1, 2, 2))
+    Y = build_qubit_op(space, 1, "y")
+    E, V = eigenspectrum(Y)
+    assert np.allclose(E, np.repeat([-1.0, 1.0], space.dim // 2), atol=1e-12)
+    assert np.max(np.linalg.norm(Y.matrix @ V - V * E, axis=0)) < 1e-12
