@@ -14,7 +14,10 @@ generators of the bare-basis Lindblad equation
 
 with kappa_i(t) = kappa_in + kappa_c_i(t).  Per-mode emission into the
 transmission lines is the input-output flux kappa_c_i(t) <a_i^dag a_i>(t),
-accumulated inside the ODE alongside the photon-ledger integrals.  A
+accumulated inside the ODE alongside the photon-ledger integrals.  Every
+term preserves the parity class p_r p_c of a density-matrix entry (r, c),
+so open runs integrate only the classes the initial state populates:
+rho_ee + rho_oo, half of the entries, for an even or odd initial state.  A
 dressed-basis amplitude-damping master equation over instantaneous
 eigenstates is an independent cross-check for static Hamiltonians.
 """
@@ -356,6 +359,24 @@ class NoiseModel:
         return gam, phi
 
 
+def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks, tol: float = 1e-6):
+    """Raise PositivityLoss at the first sample whose density matrix has an eigenvalue below -tol.
+
+    ``rhos`` is a (n_t, dim, dim) stack and ``blocks`` index arrays that
+    partition the basis with no coherence between them, so the eigenvalues
+    of each sample's Hermitian part are those of its blocks.
+    """
+    min_eig = np.full(len(times), np.inf)
+    for b in blocks:
+        sub = rhos[:, b[:, None], b]
+        sub += sub.conj().transpose(0, 2, 1)  # twice the Hermitian part
+        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(sub)[:, 0] / 2)
+    bad = np.flatnonzero(min_eig < -tol)
+    if bad.size:
+        k = bad[0]
+        raise PositivityLoss(f"density matrix at t={times[k]} has eigenvalue {min_eig[k]}")
+
+
 def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> list:
     """(curve name or None, A_k) pairs with d/dt [vec rho, ledger] = sum_k c_k(t) A_k vec rho.
 
@@ -405,6 +426,25 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
     return list(generator.items())
 
 
+def restricted_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel, rho0: np.ndarray):
+    """``lindblad_generator`` restricted to the parity classes rho0 populates.
+
+    Returns (p, keep, terms): the parity of each basis state, the kept
+    row-major vec-rho indices (entry (r, c) has class p_r p_c, and the
+    classes among rho0's nonzero entries are kept), and each block A_k
+    sliced to the kept columns and to the kept rows plus the M + 2 ledger
+    rows.
+    """
+    space = hamiltonian.space
+    d2 = space.dim * space.dim
+    p = build_parity_operator(space).matrix.diagonal().real
+    cls = np.outer(p, p).ravel()
+    keep = np.flatnonzero(np.isin(cls, cls[np.asarray(rho0).ravel() != 0]))
+    rows = np.concatenate([keep, d2 + np.arange(space.dims.M + 2)])
+    terms = [(name, A[rows][:, keep]) for name, A in lindblad_generator(hamiltonian, noise)]
+    return p, keep, terms
+
+
 def evolve_lindblad(
     hamiltonian: ScheduledHamiltonian,
     noise: NoiseModel,
@@ -414,6 +454,16 @@ def evolve_lindblad(
     n_samples: int = 201,
 ) -> Trajectory:
     """Bare-basis Lindblad evolution of ``lindblad_generator`` over [0, T].
+
+    Only the vec-rho entries in the parity classes p_r p_c that rho0
+    populates are integrated (``restricted_generator``): rho_ee + rho_oo for
+    an even or odd rho0, every entry when rho0 has even-odd coherence.  H,
+    a_i rho a_i^dag, s_j^- rho s_j^+ and dephasing map each class to itself,
+    so no kept entry reads a dropped one and the dropped entries, zero in
+    rho0, stay exactly zero: on the kept entries the right-hand side is the
+    same sum, in the same order, as on all of vec rho.  The returned states
+    are full (n_t, dim, dim) matrices.  Every sample is checked for
+    positivity, one parity block at a time (PositivityLoss below -1e-6).
 
     The returned trajectory carries per-mode populations, per-line
     emission rates and their running integrals, plus the photon-ledger
@@ -430,19 +480,22 @@ def evolve_lindblad(
     M = space.dims.M
     sched = hamiltonian.schedule
     d2 = dim * dim
-    terms = lindblad_generator(hamiltonian, noise)
+    parity, keep, terms = restricted_generator(hamiltonian, noise, rho0)
+    n = keep.size
 
     def rhs(t, y):
-        return _apply(term_coefficients(sched, terms, t), terms, y[:d2])
+        return _apply(term_coefficients(sched, terms, t), terms, y[:n])
 
-    y0 = np.concatenate([rho0.ravel(), np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
+    y0 = np.concatenate([rho0.ravel()[keep], np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
     t_eval, ys, stats = _integrate(rhs, y0, sched.duration, n_samples, rtol, atol)
     gc.collect()  # solve_ivp leaves a solver/rhs reference cycle holding the generator
-    rhos = ys[:, :d2].reshape(-1, dim, dim)
-    final = rhos[-1]
-    min_eig = float(np.linalg.eigvalsh((final + final.conj().T) / 2).min())
-    if min_eig < -1e-6:
-        raise PositivityLoss(f"final density matrix has eigenvalue {min_eig}")
+    ledger = ys[:, n:].real.copy()  # a view would keep all of ys alive
+    rhos = np.zeros((t_eval.size, d2), dtype=complex)
+    rhos[:, keep] = ys[:, :n]
+    del ys  # before the positivity check, which peaks the memory of a run
+    rhos = rhos.reshape(-1, dim, dim)
+    blocks = [np.flatnonzero(parity == s) for s in (1, -1)] if n < d2 else [np.arange(dim)]
+    check_positivity(t_eval, rhos, blocks)
 
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
     diag = np.real(np.einsum("tii->ti", rhos))
@@ -452,10 +505,10 @@ def evolve_lindblad(
         obs[f"n_{i+1}"] = diag @ n_diag[i]
         kc_t = sched.curves[name](t_eval) if name in sched.curves else 0.0
         obs[f"emission_rate_{i+1}"] = kc_t * obs[f"n_{i+1}"]
-        obs[f"emitted_{i+1}"] = np.real(ys[:, d2 + i])
+        obs[f"emitted_{i+1}"] = ledger[:, i]
     obs["total_photons"] = diag @ sum(n_diag)
-    obs["kappa_outflow_integral"] = np.real(ys[:, d2 + M])
-    obs["exchange_integral"] = np.real(ys[:, d2 + M + 1])
+    obs["kappa_outflow_integral"] = ledger[:, M]
+    obs["exchange_integral"] = ledger[:, M + 1]
     obs["purity"] = np.real(np.einsum("tij,tji->t", rhos, rhos))
     return Trajectory(times=t_eval, states=rhos, observables=obs, metadata=stats)
 

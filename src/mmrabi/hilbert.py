@@ -21,7 +21,8 @@ number of occupation vectors that precede it in the canonical order),
 and the spins are read as the bitstring above.  Within a parity sector
 the last spin bit is fixed by the others, so the sector index drops it.
 Targets outside the space (negative occupations, above the cutoff or in
-the other parity sector) map to -1.  Operator builders work on these
+the other parity sector) map to -1.  ``HilbertSpace.index`` and ``in``
+look single states up through it, and operator builders work on these
 arrays instead of looping over states.
 """
 
@@ -137,16 +138,12 @@ class HilbertSpace:
     dims: ModelDims
     sector: ParitySector | None
     states: tuple[BasisState, ...]
-    _index: dict = field(repr=False, hash=False, compare=False, default=None)
     occupations: np.ndarray = field(init=False, repr=False, compare=False)
     spins: np.ndarray = field(init=False, repr=False, compare=False)
     _binomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M, N, n_max = self.dims.M, self.dims.N, self.dims.n_max
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.states)}
-        )
         occ = np.array([s.occupations for s in self.states], dtype=np.int64)
         spins = np.array([s.spins for s in self.states], dtype=np.int64)
         # _binomial[r, n] = C(n, r) for every rank term: r <= M, n < n_max + M
@@ -165,14 +162,20 @@ class HilbertSpace:
     def dim(self) -> int:
         return len(self.states)
 
+    def _lookup(self, state: BasisState) -> int:
+        """Canonical index of ``state``, -1 when it is not in the space."""
+        if len(state.occupations) != self.dims.M or len(state.spins) != self.dims.N:
+            return -1
+        return int(self.indices([state.occupations], [state.spins])[0])
+
     def index(self, state: BasisState) -> int:
-        try:
-            return self._index[state]
-        except KeyError:
+        i = self._lookup(state)
+        if i < 0:
             raise StateNotInSpace(f"{state} not in space {self.dims}, sector={self.sector}")
+        return i
 
     def __contains__(self, state: BasisState) -> bool:
-        return state in self._index
+        return self._lookup(state) >= 0
 
     def state(self, i: int) -> BasisState:
         return self.states[i]

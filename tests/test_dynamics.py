@@ -7,7 +7,10 @@ from mmrabi.dynamics import (
     ProtocolSchedule,
     ReleaseConfig,
     ScheduledHamiltonian,
+    _apply,
+    _integrate,
     catch_release,
+    check_positivity,
     evolve_eigenbasis_markovian,
     evolve_lindblad,
     evolve_schrodinger,
@@ -17,12 +20,19 @@ from mmrabi.dynamics import (
     make_catch_release_schedule,
     make_w_generation_schedule,
     photon_ledger_defect,
+    restricted_generator,
     term_coefficients,
     trace_distance,
 )
-from mmrabi.errors import InvalidSchedule
+from mmrabi.errors import InvalidSchedule, PositivityLoss
 from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
-from mmrabi.operators import RabiParams, build_hamiltonian, build_mode_lowering, build_qubit_op
+from mmrabi.operators import (
+    RabiParams,
+    build_hamiltonian,
+    build_mode_lowering,
+    build_parity_operator,
+    build_qubit_op,
+)
 from mmrabi.solutions import dark_state_2q
 
 
@@ -145,6 +155,116 @@ def test_lindblad_generator_matches_dense_master_equation():
         c = term_coefficients(sched, terms, t)
         lifted = sum(ck * (Ak @ rho.ravel()) for ck, (_, Ak) in zip(c, terms))
         assert np.max(np.abs(lifted - reference)) < 1e-12
+
+
+def test_restricted_generator_matches_dense_master_equation():
+    # a block-diagonal rho (even-odd blocks zeroed) against the dense
+    # master equation, on the kept entries and the M + 2 ledger rows
+    space = w_space()
+    M, N = space.dims.M, space.dims.N
+    sched = release_schedule()
+    ht = ScheduledHamiltonian(space, sched)
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    a = [build_mode_lowering(space, i).dense() for i in range(M)]
+    n = [op.conj().T @ op for op in a]
+    N_tot = sum(n)
+    sm = [build_qubit_op(space, j, "-").dense() for j in range(N)]
+    sz = [build_qubit_op(space, j, "z").dense() for j in range(N)]
+    p = build_parity_operator(space).matrix.diagonal().real
+
+    def D(L, rho):
+        return L @ rho @ L.conj().T - 0.5 * (L.conj().T @ L @ rho + rho @ L.conj().T @ L)
+
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    rho = A @ A.conj().T
+    rho[np.outer(p, p) < 0] = 0.0
+    rho /= np.trace(rho)
+    parity, keep, terms = restricted_generator(ht, noise, rho)
+    assert np.array_equal(parity, p)
+    assert keep.size == space.dim**2 // 2
+    for t in PHASE_TIMES:
+        H = build_hamiltonian(ht.params_at(t), space).dense()
+        kc = [sched.value(f"kappa_c_{i+1}", t) for i in range(M)]
+        drho = -1j * (H @ rho - rho @ H)
+        drho += sum((noise.kappa_in + kc[i]) * D(a[i], rho) for i in range(M))
+        drho += sum(noise.gamma[j] * D(sm[j], rho) for j in range(N))
+        drho += sum(noise.gamma_phi[j] * (sz[j] @ rho @ sz[j] - rho) for j in range(N))
+        ledger = [kc[i] * np.trace(n[i] @ rho) for i in range(M)]
+        ledger.append(sum((noise.kappa_in + kc[i]) * np.trace(n[i] @ rho) for i in range(M)))
+        ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
+        reference = np.concatenate([drho.ravel()[keep], ledger])
+
+        restricted = _apply(term_coefficients(sched, terms, t), terms, rho.ravel()[keep])
+        assert np.max(np.abs(restricted - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("M,n_max", [(2, 3), (3, 2)])
+def test_parity_classes_closed_under_generator(M, n_max):
+    space = enumerate_basis(ModelDims(M, 2, n_max))
+    sched = make_catch_release_schedule(
+        M, T_gen=20.0, hold_time=2.0, release=ReleaseConfig(duration=10.0)
+    )
+    ht = ScheduledHamiltonian(space, sched)
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    psi0 = vacuum_up(space)
+    _, keep, _ = restricted_generator(ht, noise, np.outer(psi0, psi0.conj()))
+    d2 = space.dim**2
+    assert keep.size == d2 // 2
+    kept_rows = np.concatenate([keep, d2 + np.arange(M + 2)])
+    dropped = np.setdiff1d(np.arange(d2), keep)
+    for name, A in lindblad_generator(ht, noise):
+        # no dropped column feeds a kept or ledger row, no kept column a dropped row
+        assert A[kept_rows][:, dropped].count_nonzero() == 0, name
+        assert A[dropped][:, keep].count_nonzero() == 0, name
+
+
+def test_coherent_start_keeps_every_entry():
+    # (|0,0,uu> + |1,0,uu>)/sqrt(2) has even-odd coherence: nothing is
+    # dropped, and the run equals a direct integration of the full generator
+    space = w_space(M=2, n_max=2)
+    M, d2 = space.dims.M, space.dim**2
+    sched = make_catch_release_schedule(
+        2, T_gen=10.0, hold_time=2.0, release=ReleaseConfig(delays=(0.0, 1.0), duration=10.0)
+    )
+    ht = ScheduledHamiltonian(space, sched)
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    psi0 = vacuum_up(space)
+    psi0[space.index(BasisState((1, 0), (UP, UP)))] = 1.0
+    psi0 /= np.linalg.norm(psi0)
+    rho0 = np.outer(psi0, psi0.conj())
+    _, keep, _ = restricted_generator(ht, noise, rho0)
+    assert np.array_equal(keep, np.arange(d2))
+
+    traj = evolve_lindblad(ht, noise, rho0, n_samples=5)
+    terms = lindblad_generator(ht, noise)
+
+    def rhs(t, y):
+        return _apply(term_coefficients(sched, terms, t), terms, y[:d2])
+
+    y0 = np.concatenate([rho0.ravel(), np.zeros(M + 2, dtype=complex)])
+    _, ys, stats = _integrate(rhs, y0, sched.duration, 5, 1e-8, 1e-10)
+    assert traj.metadata["nfev"] == stats["nfev"]
+    assert np.array_equal(traj.states, ys[:, :d2].reshape(-1, space.dim, space.dim))
+    for i in range(M):
+        assert np.array_equal(traj.observables[f"emitted_{i+1}"], ys[:, d2 + i].real)
+    assert np.array_equal(traj.observables["exchange_integral"], ys[:, d2 + M + 1].real)
+
+
+def test_positivity_checked_on_every_sample():
+    times = np.array([0.0, 1.0, 2.0])
+    rhos = np.array([np.diag([0.5, 0.5]), np.diag([1.1, -0.1]), np.diag([0.5, 0.5])])
+    for blocks in ([np.array([0]), np.array([1])], [np.arange(2)]):
+        check_positivity(times[::2], rhos[::2], blocks)
+        with pytest.raises(PositivityLoss, match=r"t=1\.0 has eigenvalue -0\.1"):
+            check_positivity(times, rhos, blocks)
+    # the first failing sample is the one reported
+    rhos[2] = np.diag([1.3, -0.3])
+    with pytest.raises(PositivityLoss, match=r"t=1\.0 "):
+        check_positivity(times, rhos, [np.arange(2)])
+    # below the -1e-6 gate only
+    rhos[1:] = np.diag([1.0 + 5e-7, -5e-7])
+    check_positivity(times, rhos, [np.arange(2)])
 
 
 # --------------------------------------------------------------------------
