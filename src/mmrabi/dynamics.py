@@ -359,8 +359,8 @@ class NoiseModel:
         return gam, phi
 
 
-def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks, tol: float = 1e-6):
-    """Raise PositivityLoss at the first sample whose density matrix has an eigenvalue below -tol.
+def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks):
+    """Raise PositivityLoss at the first sample whose density matrix has an eigenvalue below -1e-6.
 
     ``rhos`` is a (n_t, dim, dim) stack and ``blocks`` index arrays that
     partition the basis with no coherence between them, so the eigenvalues
@@ -371,7 +371,7 @@ def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks, tol: float = 1
         sub = rhos[:, b[:, None], b]
         sub += sub.conj().transpose(0, 2, 1)  # twice the Hermitian part
         min_eig = np.minimum(min_eig, np.linalg.eigvalsh(sub)[:, 0] / 2)
-    bad = np.flatnonzero(min_eig < -tol)
+    bad = np.flatnonzero(min_eig < -1e-6)
     if bad.size:
         k = bad[0]
         raise PositivityLoss(f"density matrix at t={times[k]} has eigenvalue {min_eig[k]}")
@@ -429,20 +429,24 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
 def restricted_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel, rho0: np.ndarray):
     """``lindblad_generator`` restricted to the parity classes rho0 populates.
 
-    Returns (p, keep, terms): the parity of each basis state, the kept
-    row-major vec-rho indices (entry (r, c) has class p_r p_c, and the
-    classes among rho0's nonzero entries are kept), and each block A_k
-    sliced to the kept columns and to the kept rows plus the M + 2 ledger
-    rows.
+    Entry (r, c) of rho has class p_r p_c, with p the parity of each basis
+    state, and the classes among rho0's nonzero entries are kept.  Returns
+    (blocks, keep, terms): index arrays of the basis blocks with no
+    coherence between them (the even and the odd states when the even-odd
+    class is dropped, else all states), the kept row-major vec-rho indices,
+    and each block A_k sliced to the kept columns and to the kept rows plus
+    the M + 2 ledger rows.
     """
     space = hamiltonian.space
     d2 = space.dim * space.dim
     p = build_parity_operator(space).matrix.diagonal().real
     cls = np.outer(p, p).ravel()
-    keep = np.flatnonzero(np.isin(cls, cls[np.asarray(rho0).ravel() != 0]))
+    kept_cls = cls[np.asarray(rho0).ravel() != 0]
+    keep = np.flatnonzero(np.isin(cls, kept_cls))
+    blocks = [np.arange(space.dim)] if -1 in kept_cls else [np.flatnonzero(p == s) for s in (1, -1)]
     rows = np.concatenate([keep, d2 + np.arange(space.dims.M + 2)])
     terms = [(name, A[rows][:, keep]) for name, A in lindblad_generator(hamiltonian, noise)]
-    return p, keep, terms
+    return blocks, keep, terms
 
 
 def evolve_lindblad(
@@ -480,7 +484,7 @@ def evolve_lindblad(
     M = space.dims.M
     sched = hamiltonian.schedule
     d2 = dim * dim
-    parity, keep, terms = restricted_generator(hamiltonian, noise, rho0)
+    blocks, keep, terms = restricted_generator(hamiltonian, noise, rho0)
     n = keep.size
 
     def rhs(t, y):
@@ -494,7 +498,6 @@ def evolve_lindblad(
     rhos[:, keep] = ys[:, :n]
     del ys  # before the positivity check, which peaks the memory of a run
     rhos = rhos.reshape(-1, dim, dim)
-    blocks = [np.flatnonzero(parity == s) for s in (1, -1)] if n < d2 else [np.arange(dim)]
     check_positivity(t_eval, rhos, blocks)
 
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}

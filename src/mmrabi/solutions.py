@@ -78,8 +78,15 @@ def _qubit_independent_couplings(params: RabiParams):
     return g, pairs
 
 
-def _put(vec, space, occ, spins, amp):
-    vec[space.index(BasisState(tuple(occ), tuple(spins)))] += amp
+def _vector(space: HilbertSpace, entries) -> np.ndarray:
+    """Vector with each (occupations, spins, amplitude) entry added at its state, in order."""
+    occ, spins, amps = zip(*entries)
+    idx = space.indices(occ, spins)
+    for k in np.flatnonzero(idx < 0):
+        space.index(BasisState(tuple(occ[k]), tuple(spins[k])))  # raises StateNotInSpace
+    vec = np.zeros(space.dim, dtype=complex)
+    np.add.at(vec, idx, amps)
+    return vec
 
 
 def _one_photon_occ(M: int, i: int):
@@ -105,13 +112,11 @@ def dark_state_2q(params: RabiParams, space: HilbertSpace) -> DarkState:
     _check_conditions(pairs, omega)
 
     M = params.M
-    vec = np.zeros(space.dim, dtype=complex)
-    zeros = (0,) * M
-    _put(vec, space, zeros, (UP, UP), params.delta[0] - params.delta[1])
+    entries = [((0,) * M, (UP, UP), params.delta[0] - params.delta[1])]
     for i in range(M):
         occ = _one_photon_occ(M, i)
-        _put(vec, space, occ, (DOWN, UP), g[i])
-        _put(vec, space, occ, (UP, DOWN), -g[i])
+        entries += [(occ, (DOWN, UP), g[i]), (occ, (UP, DOWN), -g[i])]
+    vec = _vector(space, entries)
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
@@ -144,12 +149,11 @@ def dark_state_2q_odd(params: RabiParams, space: HilbertSpace, variant: str) -> 
     _check_conditions(pairs, omega)
 
     M = params.M
-    vec = np.zeros(space.dim, dtype=complex)
-    _put(vec, space, (0,) * M, vac_spins, params.delta[0] + params.delta[1])
+    entries = [((0,) * M, vac_spins, params.delta[0] + params.delta[1])]
     for i in range(M):
         occ = _one_photon_occ(M, i)
-        _put(vec, space, occ, (DOWN, DOWN), g[i])
-        _put(vec, space, occ, (UP, UP), -g[i])
+        entries += [(occ, (DOWN, DOWN), g[i]), (occ, (UP, UP), -g[i])]
+    vec = _vector(space, entries)
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
@@ -188,18 +192,23 @@ def dark_state_3q(params: RabiParams, space: HilbertSpace) -> DarkState:
     _check_conditions(pairs, omega)
 
     M = params.M
-    vec = np.zeros(space.dim, dtype=complex)
+    entries = []
     for i in range(M):
         occ = _one_photon_occ(M, i)
         gi1 = params.g[i, 0]
-        _put(vec, space, occ, (UP, DOWN, DOWN), gi1)
-        _put(vec, space, occ, (DOWN, UP, DOWN), -gi1)
-        _put(vec, space, occ, (DOWN, DOWN, UP), -gi1)
-        _put(vec, space, occ, (UP, UP, UP), gi1)
+        entries += [
+            (occ, (UP, DOWN, DOWN), gi1),
+            (occ, (DOWN, UP, DOWN), -gi1),
+            (occ, (DOWN, DOWN, UP), -gi1),
+            (occ, (UP, UP, UP), gi1),
+        ]
     zeros = (0,) * M
-    _put(vec, space, zeros, (UP, UP, DOWN), omega * g13 / g12)
-    _put(vec, space, zeros, (UP, DOWN, UP), omega * g12 / g13)
-    _put(vec, space, zeros, (DOWN, UP, UP), -omega * params.g[0, 0] ** 2 / (g12 * g13))
+    entries += [
+        (zeros, (UP, UP, DOWN), omega * g13 / g12),
+        (zeros, (UP, DOWN, UP), omega * g12 / g13),
+        (zeros, (DOWN, UP, UP), -omega * params.g[0, 0] ** 2 / (g12 * g13)),
+    ]
+    vec = _vector(space, entries)
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=float(omega),
@@ -245,7 +254,7 @@ def product_dark_state(
             )
     _check_conditions(pairs, base.energy)
 
-    vec = np.zeros(space.dim, dtype=complex)
+    entries = []
     singlet = [((DOWN, UP), 1 / np.sqrt(2)), ((UP, DOWN), -1 / np.sqrt(2))]
     base_space = base.space
     for idx in np.flatnonzero(np.abs(base.vector) > 0):
@@ -254,12 +263,13 @@ def product_dark_state(
 
         def extend(spins, a, p=0):
             if p == n_extra_pairs:
-                _put(vec, space, st.occupations, spins, a)
+                entries.append((st.occupations, spins, a))
                 return
             for pair_spins, w in singlet:
                 extend(spins + pair_spins, a * w, p + 1)
 
         extend(st.spins, amp)
+    vec = _vector(space, entries)
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=base.energy,

@@ -157,44 +157,29 @@ def test_lindblad_generator_matches_dense_master_equation():
         assert np.max(np.abs(lifted - reference)) < 1e-12
 
 
-def test_restricted_generator_matches_dense_master_equation():
-    # a block-diagonal rho (even-odd blocks zeroed) against the dense
-    # master equation, on the kept entries and the M + 2 ledger rows
+def test_restricted_generator_matches_full_generator():
+    # on a block-diagonal rho (even-odd blocks zeroed) the restricted blocks
+    # give the kept and ledger rows of the full generator, which
+    # test_lindblad_generator_matches_dense_master_equation pins to the
+    # dense master equation
     space = w_space()
-    M, N = space.dims.M, space.dims.N
+    M = space.dims.M
     sched = release_schedule()
     ht = ScheduledHamiltonian(space, sched)
     noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
-    a = [build_mode_lowering(space, i).dense() for i in range(M)]
-    n = [op.conj().T @ op for op in a]
-    N_tot = sum(n)
-    sm = [build_qubit_op(space, j, "-").dense() for j in range(N)]
-    sz = [build_qubit_op(space, j, "z").dense() for j in range(N)]
     p = build_parity_operator(space).matrix.diagonal().real
-
-    def D(L, rho):
-        return L @ rho @ L.conj().T - 0.5 * (L.conj().T @ L @ rho + rho @ L.conj().T @ L)
-
     rng = np.random.default_rng(11)
     A = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
     rho = A @ A.conj().T
     rho[np.outer(p, p) < 0] = 0.0
     rho /= np.trace(rho)
-    parity, keep, terms = restricted_generator(ht, noise, rho)
-    assert np.array_equal(parity, p)
+    blocks, keep, terms = restricted_generator(ht, noise, rho)
+    assert [b.tolist() for b in blocks] == [np.flatnonzero(p == s).tolist() for s in (1, -1)]
     assert keep.size == space.dim**2 // 2
+    full = lindblad_generator(ht, noise)
+    rows = np.concatenate([keep, space.dim**2 + np.arange(M + 2)])
     for t in PHASE_TIMES:
-        H = build_hamiltonian(ht.params_at(t), space).dense()
-        kc = [sched.value(f"kappa_c_{i+1}", t) for i in range(M)]
-        drho = -1j * (H @ rho - rho @ H)
-        drho += sum((noise.kappa_in + kc[i]) * D(a[i], rho) for i in range(M))
-        drho += sum(noise.gamma[j] * D(sm[j], rho) for j in range(N))
-        drho += sum(noise.gamma_phi[j] * (sz[j] @ rho @ sz[j] - rho) for j in range(N))
-        ledger = [kc[i] * np.trace(n[i] @ rho) for i in range(M)]
-        ledger.append(sum((noise.kappa_in + kc[i]) * np.trace(n[i] @ rho) for i in range(M)))
-        ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
-        reference = np.concatenate([drho.ravel()[keep], ledger])
-
+        reference = _apply(term_coefficients(sched, full, t), full, rho.ravel())[rows]
         restricted = _apply(term_coefficients(sched, terms, t), terms, rho.ravel()[keep])
         assert np.max(np.abs(restricted - reference)) < 1e-12
 
@@ -233,8 +218,9 @@ def test_coherent_start_keeps_every_entry():
     psi0[space.index(BasisState((1, 0), (UP, UP)))] = 1.0
     psi0 /= np.linalg.norm(psi0)
     rho0 = np.outer(psi0, psi0.conj())
-    _, keep, _ = restricted_generator(ht, noise, rho0)
+    blocks, keep, _ = restricted_generator(ht, noise, rho0)
     assert np.array_equal(keep, np.arange(d2))
+    assert [b.tolist() for b in blocks] == [list(range(space.dim))]
 
     traj = evolve_lindblad(ht, noise, rho0, n_samples=5)
     terms = lindblad_generator(ht, noise)
