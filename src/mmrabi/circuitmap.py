@@ -64,8 +64,8 @@ class CircuitParams:
     capacitance C_J, junction energy E_J.  Per-resonator values
     (length 2): capacitance C_r, inductance L_r.  Scalars: coupler
     capacitance C_c, SQUID shunt capacitance C_s, SQUID junction energy
-    E_Js.  Per-coupler values (length 4): DC flux bias phi_DC, AC drive
-    amplitude, frequency and phase.
+    E_Js.  Per-coupler values (length 4): DC flux bias phi_DC and AC drive
+    amplitude.
     """
 
     C_g: tuple
@@ -78,8 +78,6 @@ class CircuitParams:
     E_Js: float
     phi_DC: tuple
     drive_amplitude: tuple = (0.0, 0.0, 0.0, 0.0)
-    drive_frequency: tuple = (0.0, 0.0, 0.0, 0.0)
-    drive_phase: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "C_g", _pair("C_g", self.C_g))
@@ -89,8 +87,6 @@ class CircuitParams:
         object.__setattr__(self, "E_J", _pair("E_J", self.E_J))
         object.__setattr__(self, "phi_DC", _quad("phi_DC", self.phi_DC))
         object.__setattr__(self, "drive_amplitude", _quad("drive_amplitude", self.drive_amplitude))
-        object.__setattr__(self, "drive_frequency", _quad("drive_frequency", self.drive_frequency))
-        object.__setattr__(self, "drive_phase", _quad("drive_phase", self.drive_phase))
         positives = {
             "C_g": self.C_g,
             "C_J": self.C_J,

@@ -11,7 +11,6 @@ failure (a diagnostic JSON is still written when possible).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -308,7 +307,7 @@ def cmd_catch_release(cfg: ExperimentConfig, out: Path) -> dict:
         rtol=cfg["solver.rtol"],
         n_samples=cfg["solver.n_samples"],
     )
-    target = dark_state_2q(sched.params_at(T_gen, cfg["dims.M"], cfg["dims.N"]), space)
+    target = dark_state_2q(ScheduledHamiltonian(space, sched).params_at(T_gen), space)
     k_gen = int(np.argmin(np.abs(traj.times - T_gen)))
     _write_trajectory_csv(out / "catch_release.csv", traj)
     total = report.total_emitted
@@ -441,24 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("RABI_MM_THREADS")
-    if not cap:
-        return
-    # best effort: BLAS pools honor these when not already initialized
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap()
     out = args.out
     try:
         if args.command == "schema":

@@ -77,8 +77,6 @@ SCHEMA = {
     "circuit.E_Js": Key("float", 3.0),
     "circuit.phi_DC": Key("floats", (0.9, 0.9, 0.9, 0.9)),
     "circuit.drive_amplitude": Key("floats", (0.05, 0.05, 0.05, 0.05)),
-    "circuit.drive_frequency": Key("floats", (0.0, 0.0, 0.0, 0.0)),
-    "circuit.drive_phase": Key("floats", (0.0, 0.0, 0.0, 0.0)),
     "seed": Key("int", 0, minimum=0, help="seed recorded in summaries"),
 }
 
@@ -243,8 +241,6 @@ class ExperimentConfig:
                 E_Js=self["circuit.E_Js"],
                 phi_DC=self["circuit.phi_DC"],
                 drive_amplitude=self["circuit.drive_amplitude"],
-                drive_frequency=self["circuit.drive_frequency"],
-                drive_phase=self["circuit.drive_phase"],
             )
         except ValueError as exc:
             raise ConfigError(f"circuit.*: {exc}") from exc

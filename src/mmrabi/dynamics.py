@@ -85,7 +85,6 @@ class ProtocolSchedule:
 
     duration: float
     curves: dict
-    constraint_tags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -103,13 +102,6 @@ class ProtocolSchedule:
     def breakpoints(self) -> np.ndarray:
         ts = np.concatenate([c.ts for c in self.curves.values()])
         return np.unique(np.clip(ts, 0.0, self.duration))
-
-    def params_at(self, t: float, M: int, N: int, omega: float = 1.0) -> RabiParams:
-        delta = [self.value(f"delta_{j+1}", t) for j in range(N)]
-        g = np.zeros((M, N))
-        for i in range(M):
-            g[i, :] = self.value(f"g_{i+1}", t)
-        return RabiParams(omega=np.full(M, omega), delta=np.array(delta), g=g)
 
 
 def _piecewise(points) -> PiecewiseLinear:
@@ -179,21 +171,12 @@ def make_w_generation_schedule(
         curves[f"g_{i+1}"] = _piecewise(
             [(0.0, 0.0), (t_g, g_max * weights[i]), (T, g_max * weights[i])]
         )
-    sched = ProtocolSchedule(duration=T, curves=curves, constraint_tags=("delta_sum_omega",))
-    check_constraint_tags(sched, omega)
+    sched = ProtocolSchedule(duration=T, curves=curves)
+    for t in sched.breakpoints():
+        s = sched.value("delta_1", t) + sched.value("delta_2", t)
+        if abs(s - omega) > 1e-12:
+            raise InvalidSchedule(f"delta_1 + delta_2 = {s} != omega at t={t}")
     return sched
-
-
-def check_constraint_tags(schedule: ProtocolSchedule, omega: float = 1.0, tol: float = 1e-12):
-    """Verify tagged constraints at every breakpoint."""
-    for tag in schedule.constraint_tags:
-        if tag == "delta_sum_omega":
-            for t in schedule.breakpoints():
-                s = schedule.value("delta_1", t) + schedule.value("delta_2", t)
-                if abs(s - omega) > tol:
-                    raise InvalidSchedule(f"delta_1 + delta_2 = {s} != omega at t={t}")
-        else:
-            raise InvalidSchedule(f"unknown constraint tag {tag!r}")
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +246,12 @@ class ScheduledHamiltonian:
         return _combine(self.slopes(t), self.terms)
 
     def params_at(self, t: float) -> RabiParams:
-        return self.schedule.params_at(t, self.space.dims.M, self.space.dims.N, self.omega)
+        M, N = self.space.dims.M, self.space.dims.N
+        delta = [self.schedule.value(f"delta_{j+1}", t) for j in range(N)]
+        g = np.zeros((M, N))
+        for i in range(M):
+            g[i, :] = self.schedule.value(f"g_{i+1}", t)
+        return RabiParams(omega=np.full(M, self.omega), delta=np.array(delta), g=g)
 
 
 # --------------------------------------------------------------------------
@@ -690,12 +678,11 @@ def make_catch_release_schedule(
     omega: float = 1.0,
     split_hold_fraction: float = 0.15,
     g_ramp_fraction: float = 0.35,
-    detach_couplings: bool = True,
 ) -> ProtocolSchedule:
     """Three-phase schedule: generate / hold (kappa_c off) / release.
 
-    With ``detach_couplings`` (default) the drive-controlled couplings
-    ramp to zero across the hold window.  The generated state is already
+    The drive-controlled couplings ramp to zero across the hold window,
+    so ``hold_time`` must be positive.  The generated state is already
     decoupled, so this leaves it untouched, but it stops residual
     non-singlet population (truncation leakage, dephasing-generated
     triplet) from converting qubit excitation into extra line photons
@@ -710,11 +697,11 @@ def make_catch_release_schedule(
     delays = list(release.delays) or [0.0] * M
     if len(delays) != M:
         raise InvalidSchedule(f"need {M} release delays, got {len(delays)}")
-    if detach_couplings and hold_time <= 0:
-        raise InvalidSchedule("detach_couplings needs a positive hold_time to ramp over")
+    if hold_time <= 0:
+        raise InvalidSchedule("the couplings need a positive hold_time to ramp to zero over")
     curves = {}
     for name, c in gen.curves.items():
-        if detach_couplings and name.startswith("g_"):
+        if name.startswith("g_"):
             curves[name] = PiecewiseLinear(
                 np.concatenate([c.ts, [t_release, total]]),
                 np.concatenate([c.vs, [0.0, 0.0]]),
@@ -730,7 +717,7 @@ def make_catch_release_schedule(
             np.array([0.0, t_on, t_on + release.ramp_width, total]),
             np.array([0.0, 0.0, release.kappa_c, release.kappa_c]),
         )
-    return ProtocolSchedule(duration=total, curves=curves, constraint_tags=gen.constraint_tags)
+    return ProtocolSchedule(duration=total, curves=curves)
 
 
 def catch_release(

@@ -12,23 +12,23 @@ configurations ordered as a bitstring with up = 0 and qubit 1 as the
 most significant bit.  This makes the block-tridiagonal structure of
 the parity-sector Hamiltonian contiguous in index space.
 
-Besides the tuple of ``BasisState`` objects, a ``HilbertSpace`` holds the
-same basis as integer arrays, ``occupations`` (dim x M) and ``spins``
-(dim x N), row k being state k.  ``HilbertSpace.indices`` maps arrays of
-target occupations and spins back to canonical indices by arithmetic:
-the occupation vector is ranked in the combinatorial number system (the
-number of occupation vectors that precede it in the canonical order),
-and the spins are read as the bitstring above.  Within a parity sector
-the last spin bit is fixed by the others, so the sector index drops it.
-Targets outside the space (negative occupations, above the cutoff or in
-the other parity sector) map to -1.  ``HilbertSpace.index`` and ``in``
+A ``HilbertSpace`` stores the basis only as integer arrays,
+``occupations`` (dim x M) and ``spins`` (dim x N), row k being state k;
+``enumerate_basis`` builds them whole-array, and ``states``/``state(i)``
+are ``BasisState`` views made from them on demand.  ``HilbertSpace.indices``
+maps arrays of target occupations and spins back to canonical indices by
+arithmetic: the occupation vector is ranked in the combinatorial number
+system (the number of occupation vectors that precede it in the canonical
+order), and the spins are read as the bitstring above.  Within a parity
+sector the last spin bit is fixed by the others, so the sector index drops
+it.  Targets outside the space (negative occupations, above the cutoff or
+in the other parity sector) map to -1.  ``HilbertSpace.index`` and ``in``
 look single states up through it, and operator builders work on these
 arrays instead of looping over states.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -121,9 +121,9 @@ def _occupation_vectors(M: int, k: int):
             yield (n1,) + rest
 
 
-def _spin_vectors(N: int):
-    # product order = ascending bitstring with up=0, qubit 1 most significant
-    return itertools.product((UP, DOWN), repeat=N)
+def _parity_signs(occupations: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """Parity of each row, as ``parity_of`` gives it for one state."""
+    return 1 - 2 * ((occupations.sum(axis=1) + (spins == DOWN).sum(axis=1)) % 2)
 
 
 @dataclass(frozen=True)
@@ -133,34 +133,37 @@ class HilbertSpace:
     Immutable after construction; index <-> state lookups are mutually
     inverse bijections over the enumerated members.  ``occupations`` and
     ``spins`` are read-only integer arrays of the basis, one row per state.
+    ``enumerate_basis`` is the only constructor, so ``dims`` and ``sector``
+    fix the basis and alone decide equality.
     """
 
     dims: ModelDims
     sector: ParitySector | None
-    states: tuple[BasisState, ...]
-    occupations: np.ndarray = field(init=False, repr=False, compare=False)
-    spins: np.ndarray = field(init=False, repr=False, compare=False)
+    occupations: np.ndarray = field(repr=False, compare=False)
+    spins: np.ndarray = field(repr=False, compare=False)
     _binomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M, N, n_max = self.dims.M, self.dims.N, self.dims.n_max
-        occ = np.array([s.occupations for s in self.states], dtype=np.int64)
-        spins = np.array([s.spins for s in self.states], dtype=np.int64)
+        M, n_max = self.dims.M, self.dims.n_max
         # _binomial[r, n] = C(n, r) for every rank term: r <= M, n < n_max + M
         binomial = np.array(
             [[comb(n, r) for n in range(n_max + M)] for r in range(M + 1)], dtype=np.int64
         )
-        for name, arr in (
-            ("occupations", occ.reshape(self.dim, M)),
-            ("spins", spins.reshape(self.dim, N)),
-            ("_binomial", binomial),
-        ):
+        object.__setattr__(self, "_binomial", binomial)
+        for arr in (self.occupations, self.spins, binomial):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
+
+    @property
+    def states(self) -> tuple[BasisState, ...]:
+        """The basis as ``BasisState`` objects, built from the arrays."""
+        return tuple(
+            BasisState(tuple(occ), tuple(spins))
+            for occ, spins in zip(self.occupations.tolist(), self.spins.tolist())
+        )
 
     def _lookup(self, state: BasisState) -> int:
         """Canonical index of ``state``, -1 when it is not in the space."""
@@ -178,7 +181,7 @@ class HilbertSpace:
         return self._lookup(state) >= 0
 
     def state(self, i: int) -> BasisState:
-        return self.states[i]
+        return BasisState(tuple(self.occupations[i].tolist()), tuple(self.spins[i].tolist()))
 
     def indices(self, occupations, spins) -> np.ndarray:
         """Canonical indices of the states given as rows of ``occupations`` and ``spins``.
@@ -201,7 +204,7 @@ class HilbertSpace:
         down = spins == DOWN
         inside = (total <= n_max) & (occ >= 0).all(axis=1) & (down | (spins == UP)).all(axis=1)
         if self.sector is not None:
-            inside &= 1 - 2 * ((total + down.sum(axis=1)) % 2) == self.sector.sign
+            inside &= _parity_signs(occ, spins) == self.sector.sign
         # rank = occupation vectors with fewer photons plus those of the same
         # total that precede in the mode-1-first order, position by position;
         # rows outside the space may index past the table, so the lookups clip
@@ -227,19 +230,18 @@ class HilbertSpace:
 
 def enumerate_basis(dims: ModelDims, sector: ParitySector | None = None) -> HilbertSpace:
     """Enumerate all basis states with total photons <= n_max in canonical order."""
-    states = []
-    for k in range(dims.n_max + 1):
-        for occ in _occupation_vectors(dims.M, k):
-            for spins in _spin_vectors(dims.N):
-                st = BasisState(occ, spins)
-                if sector is None or parity_of(st) == sector:
-                    states.append(st)
-    return HilbertSpace(dims=dims, sector=sector, states=tuple(states))
-
-
-def state_index(space: HilbertSpace, state: BasisState) -> int:
-    """Index of ``state`` in the canonical ordering; raises StateNotInSpace."""
-    return space.index(state)
+    M, N = dims.M, dims.N
+    photons = np.array(
+        [occ for k in range(dims.n_max + 1) for occ in _occupation_vectors(M, k)], dtype=np.int64
+    )
+    # row b is the bitstring of b with up = 0 and qubit 1 as the most significant bit
+    bits = (np.arange(2**N)[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    occupations = np.repeat(photons, 2**N, axis=0)
+    spins = np.tile(1 - 2 * bits, (len(photons), 1))
+    if sector is not None:
+        keep = _parity_signs(occupations, spins) == sector.sign
+        occupations, spins = occupations[keep], spins[keep]
+    return HilbertSpace(dims=dims, sector=sector, occupations=occupations, spins=spins)
 
 
 def basis_csv_lines(space: HilbertSpace):
@@ -251,7 +253,10 @@ def basis_csv_lines(space: HilbertSpace):
         + ",".join(f"s_{j+1}" for j in range(space.dims.N))
         + ",parity"
     )
-    for i, st in enumerate(space.states):
-        occ = ",".join(str(n) for n in st.occupations)
-        spn = ",".join("1" if s == UP else "-1" for s in st.spins)
-        yield f"{i},{occ},{spn},{parity_of(st).sign}"
+    rows = zip(
+        space.occupations.tolist(),
+        space.spins.tolist(),
+        _parity_signs(space.occupations, space.spins).tolist(),
+    )
+    for i, (occ, spins, parity) in enumerate(rows):
+        yield f"{i},{','.join(map(str, occ))},{','.join(map(str, spins))},{parity}"

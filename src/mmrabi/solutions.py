@@ -41,7 +41,7 @@ class DarkState:
 
     def max_photon_support(self) -> int:
         nz = np.flatnonzero(np.abs(self.vector) > 0)
-        return max(self.space.state(i).total_photons for i in nz)
+        return int(self.space.occupations[nz].sum(axis=1).max())
 
 
 @dataclass
@@ -254,22 +254,16 @@ def product_dark_state(
             )
     _check_conditions(pairs, base.energy)
 
-    entries = []
-    singlet = [((DOWN, UP), 1 / np.sqrt(2)), ((UP, DOWN), -1 / np.sqrt(2))]
-    base_space = base.space
-    for idx in np.flatnonzero(np.abs(base.vector) > 0):
-        st = base_space.state(idx)
-        amp = base.vector[idx]
-
-        def extend(spins, a, p=0):
-            if p == n_extra_pairs:
-                entries.append((st.occupations, spins, a))
-                return
-            for pair_spins, w in singlet:
-                extend(spins + pair_spins, a * w, p + 1)
-
-        extend(st.spins, amp)
-    vec = _vector(space, entries)
+    nz = np.flatnonzero(np.abs(base.vector) > 0)
+    occ, spins, amps = base.space.occupations[nz], base.space.spins[nz], base.vector[nz]
+    singlet_spins = np.array([[DOWN, UP], [UP, DOWN]])
+    singlet_amps = np.array([1 / np.sqrt(2), -1 / np.sqrt(2)])
+    for _ in range(n_extra_pairs):
+        # every row splits into its two singlet terms, kept next to each other
+        occ = np.repeat(occ, 2, axis=0)
+        spins = np.hstack([np.repeat(spins, 2, axis=0), np.tile(singlet_spins, (len(amps), 1))])
+        amps = np.repeat(amps, 2) * np.tile(singlet_amps, len(amps))
+    vec = _vector(space, zip(occ, spins, amps))
     return DarkState(
         vector=vec / np.linalg.norm(vec),
         energy=base.energy,
@@ -290,7 +284,7 @@ def verify_eigenstate(H: SparseOperator, v: np.ndarray, E: float) -> float:
     if norm == 0:
         raise ValueError("zero vector")
     nz = np.flatnonzero(np.abs(v) > 1e-300)
-    max_support = max(H.space.state(i).total_photons for i in nz)
+    max_support = int(H.space.occupations[nz].sum(axis=1).max())
     if max_support >= H.space.dims.n_max:
         raise CutoffTooSmall(
             f"state has support at {max_support} photons, cutoff {H.space.dims.n_max}"

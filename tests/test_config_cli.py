@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,12 @@ def test_schema_lines_round_trip():
     # the rendered schema is itself a valid config
     cfg = parse_config("\n".join(schema_lines()))
     assert cfg.dims().M == 2
+
+
+def test_checked_in_schema_is_current():
+    # config-schema.txt is the output of `mmrabi schema`
+    path = Path(__file__).resolve().parents[1] / "config-schema.txt"
+    assert path.read_text() == "\n".join(schema_lines()) + "\n"
 
 
 def test_format_json_deterministic():

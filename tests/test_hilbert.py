@@ -16,7 +16,6 @@ from mmrabi.hilbert import (
     basis_csv_lines,
     enumerate_basis,
     parity_of,
-    state_index,
 )
 
 
@@ -65,22 +64,22 @@ def test_parity_values():
 def test_index_state_bijection():
     space = enumerate_basis(ModelDims(2, 2, 2))
     for i, st in enumerate(space.states):
-        assert state_index(space, st) == i
+        assert space.index(st) == i
         assert space.state(i) == st
 
 
 def test_first_state_is_index_zero():
     space = enumerate_basis(ModelDims(3, 2, 2))
-    assert state_index(space, BasisState((0, 0, 0), (UP, UP))) == 0
+    assert space.index(BasisState((0, 0, 0), (UP, UP))) == 0
 
 
 def test_out_of_space_raises():
     space = enumerate_basis(ModelDims(2, 2, 1))
     with pytest.raises(StateNotInSpace):
-        state_index(space, BasisState((2, 0), (UP, UP)))
+        space.index(BasisState((2, 0), (UP, UP)))
     even = enumerate_basis(ModelDims(2, 2, 1), EVEN)
     with pytest.raises(StateNotInSpace):
-        state_index(even, BasisState((1, 0), (UP, UP)))
+        even.index(BasisState((1, 0), (UP, UP)))
 
 
 def test_sector_partition():
@@ -147,6 +146,49 @@ def test_indices_invert_the_enumeration():
                 assert tuple(space.spins[k]) == st.spins
             found = space.indices(space.occupations, space.spins)
             assert np.array_equal(found, np.arange(space.dim))
+
+
+def _reference_basis(M, N, n_max, sector):
+    """Per-state enumeration: photon blocks, mode 1 filled first, spins in product order."""
+
+    def occupation_vectors(M, k):
+        if M == 1:
+            return [(k,)]
+        return [(n1,) + rest for n1 in range(k, -1, -1) for rest in occupation_vectors(M - 1, k - n1)]
+
+    states = [
+        BasisState(occ, spins)
+        for k in range(n_max + 1)
+        for occ in occupation_vectors(M, k)
+        for spins in itertools.product((UP, DOWN), repeat=N)
+    ]
+    return [st for st in states if sector is None or parity_of(st) == sector]
+
+
+def test_enumeration_matches_per_state_reference():
+    for M, N, n_max in [(1, 1, 3), (1, 3, 2), (2, 2, 4), (3, 3, 3), (4, 2, 2), (2, 3, 0), (2, 1, 0)]:
+        for sector in (None, EVEN, ODD):
+            reference = _reference_basis(M, N, n_max, sector)
+            space = enumerate_basis(ModelDims(M, N, n_max), sector)
+            expected_occ = np.array([st.occupations for st in reference], dtype=np.int64)
+            expected_spins = np.array([st.spins for st in reference], dtype=np.int64)
+            for arr, expected in ((space.occupations, expected_occ), (space.spins, expected_spins)):
+                assert arr.dtype == np.int64
+                assert np.array_equal(arr, expected)
+                assert not arr.flags.writeable
+            assert space.dim == len(reference)
+            assert space.states == tuple(reference)
+            assert [space.state(i) for i in range(space.dim)] == reference
+
+
+def test_equality_follows_dims_and_sector():
+    dims = ModelDims(2, 2, 2)
+    even = enumerate_basis(dims, EVEN)
+    again = enumerate_basis(ModelDims(2, 2, 2), EVEN)
+    assert even == again and hash(even) == hash(again)
+    assert even != enumerate_basis(dims, ODD)
+    assert even != enumerate_basis(dims)
+    assert even != enumerate_basis(ModelDims(2, 2, 3), EVEN)
 
 
 def test_indices_outside_the_space_are_minus_one():
