@@ -20,11 +20,14 @@ so open runs integrate only the classes the initial state populates:
 rho_ee + rho_oo, half of the entries, for an even or odd initial state.  A
 dressed-basis amplitude-damping master equation over instantaneous
 eigenstates is an independent cross-check for static Hamiltonians.
+
+Everything here works on whatever space and schedule it is given; the
+CLI commands first rewrite a problem on its bright modes
+(``modes.reduce_modes``), which is the same problem with fewer modes.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,12 +249,18 @@ class ScheduledHamiltonian:
         return _combine(self.slopes(t), self.terms)
 
     def params_at(self, t: float) -> RabiParams:
-        M, N = self.space.dims.M, self.space.dims.N
-        delta = [self.schedule.value(f"delta_{j+1}", t) for j in range(N)]
-        g = np.zeros((M, N))
-        for i in range(M):
-            g[i, :] = self.schedule.value(f"g_{i+1}", t)
-        return RabiParams(omega=np.full(M, self.omega), delta=np.array(delta), g=g)
+        return rabi_params_at(self.schedule, self.space.dims.M, self.space.dims.N, t, self.omega)
+
+
+def rabi_params_at(
+    schedule: ProtocolSchedule, M: int, N: int, t: float, omega: float = 1.0
+) -> RabiParams:
+    """The static RabiParams of ``ScheduledHamiltonian`` H(t) on M modes and N qubits."""
+    delta = [schedule.value(f"delta_{j+1}", t) for j in range(N)]
+    g = np.zeros((M, N))
+    for i in range(M):
+        g[i, :] = schedule.value(f"g_{i+1}", t)
+    return RabiParams(omega=np.full(M, omega), delta=np.array(delta), g=g)
 
 
 # --------------------------------------------------------------------------
@@ -286,12 +295,27 @@ def fidelity(a, b: np.ndarray) -> float:
 
 
 def _integrate(rhs, y0, T: float, n_samples: int, rtol: float, atol: float):
-    """DOP853 over [0, T]: sample times, sampled states as rows, solver statistics."""
+    """DOP853 over [0, T]: sample times, sampled states as rows, solver statistics.
+
+    solve_ivp's solver and its wrapped right-hand side refer to each other,
+    so the solver would keep ``rhs`` and the operators it closes over alive
+    until the next cyclic garbage collection.  The solver gets a forwarder
+    instead, and the forwarder's reference to ``rhs`` is dropped on return.
+    """
+    holder = [rhs]
+
+    def forward(t, y):
+        return holder[0](t, y)
+
     t_eval = np.linspace(0.0, T, n_samples)
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
+    try:
+        sol = solve_ivp(forward, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
+    finally:
+        holder.clear()
     if not sol.success:
         raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
-    return t_eval, sol.y.T, {"rtol": rtol, "nfev": int(sol.nfev), "status": int(sol.status)}
+    stats = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev), "status": int(sol.status)}
+    return t_eval, sol.y.T, stats
 
 
 def evolve_schrodinger(
@@ -480,7 +504,6 @@ def evolve_lindblad(
 
     y0 = np.concatenate([rho0.ravel()[keep], np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
     t_eval, ys, stats = _integrate(rhs, y0, sched.duration, n_samples, rtol, atol)
-    gc.collect()  # solve_ivp leaves a solver/rhs reference cycle holding the generator
     ledger = ys[:, n:].real.copy()  # a view would keep all of ys alive
     rhos = np.zeros((t_eval.size, d2), dtype=complex)
     rhos[:, keep] = ys[:, :n]
@@ -720,25 +743,29 @@ def make_catch_release_schedule(
     return ProtocolSchedule(duration=total, curves=curves)
 
 
+def emission_report(traj: Trajectory, M: int) -> EmissionReport:
+    """Emission rates and emitted populations of lines 1..M of an open run."""
+    rates = {i + 1: traj.observables[f"emission_rate_{i+1}"] for i in range(M)}
+    emitted = {i + 1: float(traj.observables[f"emitted_{i+1}"][-1]) for i in range(M)}
+    return EmissionReport(
+        times=traj.times,
+        rates=rates,
+        emitted_per_line=emitted,
+        total_emitted=float(sum(emitted.values())),
+    )
+
+
 def catch_release(
     space: HilbertSpace,
     noise: NoiseModel,
     schedule: ProtocolSchedule,
     rho0: np.ndarray,
     rtol: float = 1e-8,
+    atol: float = 1e-10,
     n_samples: int = 401,
     omega: float = 1.0,
 ):
     """Run the full generate/hold/release protocol; returns (Trajectory, EmissionReport)."""
     ht = ScheduledHamiltonian(space, schedule, omega=omega)
-    traj = evolve_lindblad(ht, noise, rho0, rtol=rtol, n_samples=n_samples)
-    M = space.dims.M
-    rates = {i + 1: traj.observables[f"emission_rate_{i+1}"] for i in range(M)}
-    emitted = {i + 1: float(traj.observables[f"emitted_{i+1}"][-1]) for i in range(M)}
-    report = EmissionReport(
-        times=traj.times,
-        rates=rates,
-        emitted_per_line=emitted,
-        total_emitted=float(sum(emitted.values())),
-    )
-    return traj, report
+    traj = evolve_lindblad(ht, noise, rho0, rtol=rtol, atol=atol, n_samples=n_samples)
+    return traj, emission_report(traj, space.dims.M)

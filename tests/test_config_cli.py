@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmrabi.cli import format_json, main
+from mmrabi import dynamics
+from mmrabi.cli import cmd_catch_release, format_json, main
 from mmrabi.config import default_config, parse_config, schema_lines
 from mmrabi.errors import ConfigError
 
@@ -111,3 +112,20 @@ def test_cli_circuit_map(tmp_path):
     assert main(["--out", str(out), "--quiet", "circuit-map"]) == 0
     text = (out / "summary.json").read_text()
     assert '"rabi_couplings"' in text
+
+
+def test_catch_release_reads_solver_atol(tmp_path, monkeypatch):
+    seen = []
+    solve_ivp = dynamics.solve_ivp
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["atol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", spy)
+    cfg = default_config().with_overrides({
+        "dims.n_max": 1, "schedule.T": 10.0, "release.duration": 10.0,
+        "solver.n_samples": 5, "solver.atol": 1e-7,
+    })
+    cmd_catch_release(cfg, tmp_path)
+    assert seen == [1e-7]

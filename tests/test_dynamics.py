@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from mmrabi import dynamics
 from mmrabi.dynamics import (
     NoiseModel,
     PiecewiseLinear,
@@ -312,6 +316,39 @@ def test_integrator_statistics_repeat():
         assert first["status"] == second["status"] == 0, name
 
 
+def test_solver_releases_operators_on_return(monkeypatch):
+    # solve_ivp's solver and right-hand side form a reference cycle; with the
+    # cyclic collector off, the operators must still be freed on return
+    space = w_space(M=2, n_max=2)
+    sched = make_w_generation_schedule(2, 5.0)
+    psi0 = vacuum_up(space)
+    terms = []
+    restrict = dynamics.restricted_generator
+
+    def spy(*args):
+        blocks, keep, generator = restrict(*args)
+        terms.extend(weakref.ref(A) for _, A in generator)
+        return blocks, keep, generator
+
+    monkeypatch.setattr(dynamics, "restricted_generator", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        ht = ScheduledHamiltonian(space, sched)
+        ref = weakref.ref(ht)
+        evolve_schrodinger(ht, psi0, n_samples=3)
+        del ht
+        assert ref() is None
+        ht = ScheduledHamiltonian(space, sched)
+        ref = weakref.ref(ht)
+        evolve_lindblad(ht, NoiseModel(kappa_in=1e-3), np.outer(psi0, psi0.conj()), n_samples=3)
+        del ht
+        assert ref() is None
+        assert terms and all(r() is None for r in terms)
+    finally:
+        gc.enable()
+
+
 def test_tolerance_halving_converged():
     space = w_space()
     sched = make_w_generation_schedule(2, 50.0)
@@ -496,3 +533,15 @@ def test_detach_requires_hold_window():
     with pytest.raises(InvalidSchedule):
         make_catch_release_schedule(2, T_gen=10.0, hold_time=0.0,
                                     release=ReleaseConfig(delays=(0.0, 0.0)))
+
+
+def test_catch_release_passes_atol_to_the_integrator():
+    space = w_space(M=1, n_max=1)
+    sched = make_catch_release_schedule(
+        1, T_gen=5.0, hold_time=1.0, release=ReleaseConfig(duration=5.0)
+    )
+    psi0 = vacuum_up(space)
+    for atol in (1e-10, 1e-9):
+        traj, _ = catch_release(space, NoiseModel(), sched, np.outer(psi0, psi0.conj()),
+                                atol=atol, n_samples=3)
+        assert traj.metadata["atol"] == atol and traj.metadata["rtol"] == 1e-8

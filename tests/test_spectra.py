@@ -1,10 +1,11 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
 import mmrabi.spectra as spectra
-from mmrabi.hilbert import EVEN, ODD, ModelDims, enumerate_basis
+from mmrabi.hilbert import EVEN, ODD, ModelDims, ParitySector, enumerate_basis
 from mmrabi.operators import RabiParams, build_hamiltonian, build_jc_hamiltonian, build_qubit_op
 from mmrabi.spectra import (
     SpectrumTable,
@@ -189,3 +190,32 @@ def test_complex_hermitian_dense_eigensolve():
     E, V = eigenspectrum(Y)
     assert np.allclose(E, np.repeat([-1.0, 1.0], space.dim // 2), atol=1e-12)
     assert np.max(np.linalg.norm(Y.matrix @ V - V * E, axis=0)) < 1e-12
+
+
+def _multiplicities(levels, gap=1e-9):
+    breaks = np.flatnonzero(np.diff(levels) > gap)
+    return np.diff(np.concatenate([[0], breaks + 1, [len(levels)]])).tolist()
+
+
+@pytest.mark.parametrize("sector", [EVEN, ODD])
+def test_rank_one_coupling_spectrum_from_single_mode_spectra(sector):
+    # equal omega and g_ij = w_i g_j: the bright mode sum_i w_i a_i / |w| couples
+    # with |w| g_j, and k photons in the M - 1 dark modes (C(k+M-2, M-2) ways)
+    # shift the single-mode spectrum at cutoff n_max - k by k omega, in sector
+    # s (-1)^k
+    M, N, n_max = 3, 2, 5
+    w, g, delta = np.array([1.0, 0.5, 2.0]), np.array([1.0, 0.7]), np.array([0.9, 0.1])
+    params = RabiParams(omega=np.ones(M), delta=delta, g=np.outer(w, g))
+    bright = RabiParams(omega=np.ones(1), delta=delta, g=np.linalg.norm(w) * g[None, :])
+    space = enumerate_basis(ModelDims(M, N, n_max), sector)
+    levels = eigenspectrum(build_hamiltonian(params, space), vectors=False)
+    union = []
+    for k in range(n_max + 1):
+        sub = enumerate_basis(ModelDims(1, N, n_max - k), ParitySector(sector.sign * (-1) ** k))
+        one = eigenspectrum(build_hamiltonian(bright, sub), vectors=False) + k
+        union += list(one) * comb(k + M - 2, M - 2)
+    union = np.sort(union)
+    assert levels.shape == union.shape == (space.dim,)
+    assert np.max(np.abs(levels - union)) < 1e-12
+    assert _multiplicities(levels) == _multiplicities(union)
+    assert max(_multiplicities(levels)) > 1
