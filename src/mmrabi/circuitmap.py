@@ -19,7 +19,7 @@ only coupling magnitudes are emitted here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class EffectiveRabiParams:
     g0: tuple
     g1: tuple
     rabi_couplings: tuple
-    dressed_inductance: tuple = field(default=())
 
     def coupling_matrix(self) -> np.ndarray:
         """Rabi couplings arranged as g[mode i, qubit j]."""
@@ -209,7 +208,6 @@ def effective_couplings(circuit: CircuitParams) -> EffectiveRabiParams:
         g0=tuple(g0),
         g1=tuple(g1),
         rabi_couplings=tuple(rabi),
-        dressed_inductance=tuple(l_bar),
     )
 
 

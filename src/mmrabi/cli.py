@@ -7,13 +7,14 @@ significant digits so identical config and seed give byte-identical
 summaries.  Exit codes: 0 success, 2 configuration error, 3 numerical
 failure (a diagnostic JSON is still written when possible).
 
-``adiabatic``, ``lindblad`` and ``catch-release`` start from the photon
-vacuum and integrate the bright-mode problem of ``modes.reduce_modes``:
-one mode per group of modes with equal ``kappa_c`` and proportional
-couplings, which is exact from that start.  Per-line CSV columns are
-mapped back to every mode, and the headline fidelity compares the
-embedded state with the full-space dark state.  When no modes merge, the
-reduced problem is the original one and the output is unchanged.
+``adiabatic``, ``lindblad`` and ``catch-release`` share one protocol run
+(``_protocol_run``): it starts from the photon vacuum and integrates the
+bright-mode problem of ``modes.reduce_modes``, one mode per group of
+modes with equal ``kappa_c`` and proportional couplings, which is exact
+from that start.  Per-line CSV columns are mapped back to every mode,
+and the headline fidelity compares the embedded state with the
+full-space dark state.  ``reproduce`` refuses a config or ``--cutoff``
+value that its figure preset would replace.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .circuitmap import effective_couplings, validate_regime
 from .config import ExperimentConfig, default_config, load_config, schema_lines
 from .dynamics import (
     ScheduledHamiltonian,
-    catch_release,
-    emission_report,
     evolve_lindblad,
     evolve_schrodinger,
     fidelity,
@@ -121,6 +120,7 @@ def _vacuum_up_state(space) -> np.ndarray:
 
 
 def _generation_schedule(cfg: ExperimentConfig):
+    _require_two_qubits(cfg)
     return make_w_generation_schedule(
         M=cfg["dims.M"],
         T=cfg["schedule.T"],
@@ -132,14 +132,26 @@ def _generation_schedule(cfg: ExperimentConfig):
     )
 
 
-def _vacuum_up_density(space) -> np.ndarray:
-    psi0 = _vacuum_up_state(space)
-    return np.outer(psi0, psi0.conj())
+def _protocol_run(cfg: ExperimentConfig, sched, t_target: float, noise=None):
+    """(trajectory, fidelity) of ``sched`` from |0_M, up, up>, closed or with ``noise``.
 
-
-def _target(space, sched, t: float):
-    """The two-qubit dark state of the full-space H(t)."""
-    return dark_state_2q(rabi_params_at(sched, space.dims.M, space.dims.N, t), space)
+    Observables are mapped back to every mode; states stay reduced.  The
+    fidelity is that of the embedded state at the sample nearest
+    ``t_target`` to the full-space two-qubit dark state of H(t_target).
+    """
+    space = enumerate_basis(cfg.dims())
+    red = reduce_modes(space, sched)
+    hamiltonian = ScheduledHamiltonian(red.space, red.schedule)
+    psi0 = _vacuum_up_state(red.space)
+    solver = dict(rtol=cfg["solver.rtol"], atol=cfg["solver.atol"], n_samples=cfg["solver.n_samples"])
+    if noise is None:
+        traj = evolve_schrodinger(hamiltonian, psi0, **solver)
+    else:
+        traj = evolve_lindblad(hamiltonian, noise, np.outer(psi0, psi0.conj()), **solver)
+    traj.observables = red.observables(traj.observables)
+    k = int(np.argmin(np.abs(traj.times - t_target)))
+    target = dark_state_2q(rabi_params_at(sched, space.dims.M, space.dims.N, t_target), space)
+    return traj, fidelity(red.embed(traj.states[k]), target.vector)
 
 
 def _require_two_qubits(cfg: ExperimentConfig):
@@ -254,19 +266,8 @@ def cmd_solve_one_photon(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_adiabatic(cfg: ExperimentConfig, out: Path) -> dict:
-    _require_two_qubits(cfg)
-    space = enumerate_basis(cfg.dims())
     sched = _generation_schedule(cfg)
-    red = reduce_modes(space, sched)
-    traj = evolve_schrodinger(
-        ScheduledHamiltonian(red.space, red.schedule),
-        _vacuum_up_state(red.space),
-        rtol=cfg["solver.rtol"],
-        atol=cfg["solver.atol"],
-        n_samples=cfg["solver.n_samples"],
-    )
-    target = _target(space, sched, sched.duration)
-    F = fidelity(red.embed(traj.final_state), target.vector)
+    traj, F = _protocol_run(cfg, sched, sched.duration)
     _write_trajectory_csv(out / "adiabatic.csv", traj)
     return {
         "T": sched.duration,
@@ -278,24 +279,12 @@ def cmd_adiabatic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_lindblad(cfg: ExperimentConfig, out: Path) -> dict:
-    _require_two_qubits(cfg)
-    space = enumerate_basis(cfg.dims())
     sched = _generation_schedule(cfg)
-    red = reduce_modes(space, sched)
-    traj = evolve_lindblad(
-        ScheduledHamiltonian(red.space, red.schedule),
-        cfg.noise_model(),
-        _vacuum_up_density(red.space),
-        rtol=cfg["solver.rtol"],
-        atol=cfg["solver.atol"],
-        n_samples=cfg["solver.n_samples"],
-    )
-    traj.observables = red.observables(traj.observables)
-    target = _target(space, sched, sched.duration)
+    traj, F = _protocol_run(cfg, sched, sched.duration, cfg.noise_model())
     _write_trajectory_csv(out / "lindblad.csv", traj)
     return {
         "T": sched.duration,
-        "fidelity": fidelity(red.embed(traj.final_state), target.vector),
+        "fidelity": F,
         "final_trace": float(traj.observables["trace"][-1]),
         "final_purity": float(traj.observables["purity"][-1]),
         "photon_ledger_defect": photon_ledger_defect(traj),
@@ -303,44 +292,19 @@ def cmd_lindblad(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_catch_release(cfg: ExperimentConfig, out: Path) -> dict:
-    _require_two_qubits(cfg)
-    space = enumerate_basis(cfg.dims())
-    T_gen = cfg["schedule.T"]
-    sched = make_catch_release_schedule(
-        M=cfg["dims.M"],
-        T_gen=T_gen,
-        hold_time=cfg["schedule.hold_time"],
-        release=cfg.release_config(),
-        g_max=cfg["schedule.g_max"],
-        delta_split_initial=cfg["schedule.delta_split"],
-        weights=cfg.schedule_weights(),
-        split_hold_fraction=cfg["schedule.split_hold_fraction"],
-        g_ramp_fraction=cfg["schedule.g_ramp_fraction"],
-    )
-    red = reduce_modes(space, sched)
-    traj, _ = catch_release(
-        red.space,
-        cfg.noise_model(),
-        red.schedule,
-        _vacuum_up_density(red.space),
-        rtol=cfg["solver.rtol"],
-        atol=cfg["solver.atol"],
-        n_samples=cfg["solver.n_samples"],
-    )
-    traj.observables = red.observables(traj.observables)  # states stay reduced
-    report = emission_report(traj, space.dims.M)
-    target = _target(space, sched, T_gen)
-    k_gen = int(np.argmin(np.abs(traj.times - T_gen)))
+    gen = _generation_schedule(cfg)
+    sched = make_catch_release_schedule(gen, cfg["schedule.hold_time"], cfg.release_config())
+    traj, F = _protocol_run(cfg, sched, gen.duration, cfg.noise_model())
     _write_trajectory_csv(out / "catch_release.csv", traj)
-    total = report.total_emitted
-    shares = {
-        str(i): (e / total if total > 0 else 0.0) for i, e in report.emitted_per_line.items()
+    emitted = {
+        str(i): float(traj.observables[f"emitted_{i}"][-1]) for i in range(1, cfg["dims.M"] + 1)
     }
+    total = float(sum(emitted.values()))
     return {
-        "T_gen": T_gen,
-        "generation_fidelity": fidelity(red.embed(traj.states[k_gen]), target.vector),
-        "emitted_per_line": {str(i): e for i, e in report.emitted_per_line.items()},
-        "emitted_shares": shares,
+        "T_gen": gen.duration,
+        "generation_fidelity": F,
+        "emitted_per_line": emitted,
+        "emitted_shares": {i: (e / total if total > 0 else 0.0) for i, e in emitted.items()},
         "total_emitted": total,
     }
 
@@ -415,7 +379,11 @@ FIGURE_COMMANDS = {
 
 
 def cmd_reproduce(cfg: ExperimentConfig, out: Path, figure: str) -> dict:
-    cfg = cfg.with_overrides(FIGURE_PRESETS[figure])
+    preset, defaults = FIGURE_PRESETS[figure], default_config()
+    for key, value in preset.items():
+        if cfg[key] != value and cfg[key] != defaults[key]:
+            raise ConfigError(f"reproduce {figure} fixes {key} = {value}, got {cfg[key]}")
+    cfg = cfg.with_overrides(preset)
     summary = FIGURE_COMMANDS[figure](cfg, out)
     summary["figure"] = figure
     if figure == "fig1b":

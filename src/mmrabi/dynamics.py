@@ -21,6 +21,7 @@ rho_ee + rho_oo, half of the entries, for an even or odd initial state.  A
 dressed-basis amplitude-damping master equation over instantaneous
 eigenstates is an independent cross-check for static Hamiltonians.
 
+Energies and times are in units of the common mode frequency, omega = 1.
 Everything here works on whatever space and schedule it is given; the
 CLI commands first rewrite a problem on its bright modes
 (``modes.reduce_modes``), which is the same problem with fewer modes.
@@ -122,7 +123,6 @@ def make_w_generation_schedule(
     g_max: float = 0.25,
     delta_split_initial: float = 0.8,
     weights=None,
-    omega: float = 1.0,
     split_hold_fraction: float = 0.15,
     g_ramp_fraction: float = 0.35,
 ) -> ProtocolSchedule:
@@ -130,7 +130,7 @@ def make_w_generation_schedule(
 
     The qubit splitting delta_1 - delta_2 holds at its initial value d0
     until split_hold_fraction*T and then closes linearly, keeping
-    delta_1 + delta_2 = omega throughout; coupling i ramps 0 -> g_max*w_i
+    delta_1 + delta_2 = omega = 1 throughout; coupling i ramps 0 -> g_max*w_i
     over [0, g_ramp_fraction*T] and then holds.  Ramping the couplings up
     while the splitting is still open keeps the instantaneous gap wide on
     both segments, which is what makes the default fractions fast.
@@ -146,8 +146,8 @@ def make_w_generation_schedule(
         raise InvalidSchedule(f"T must be positive, got {T}")
     if g_max <= 0:
         raise InvalidSchedule(f"g_max must be positive, got {g_max}")
-    if not 0 < delta_split_initial <= omega:
-        raise InvalidSchedule(f"initial splitting {delta_split_initial} outside (0, omega]")
+    if not 0 < delta_split_initial <= 1.0:
+        raise InvalidSchedule(f"initial splitting {delta_split_initial} outside (0, 1]")
     if not 0 <= split_hold_fraction < 1:
         raise InvalidSchedule(f"split_hold_fraction {split_hold_fraction} outside [0, 1)")
     if not 0 < g_ramp_fraction <= 1:
@@ -164,10 +164,10 @@ def make_w_generation_schedule(
     t_g = g_ramp_fraction * T
     curves = {
         "delta_1": _piecewise(
-            [(0.0, (omega + d0) / 2), (t_hold, (omega + d0) / 2), (T, omega / 2)]
+            [(0.0, (1.0 + d0) / 2), (t_hold, (1.0 + d0) / 2), (T, 0.5)]
         ),
         "delta_2": _piecewise(
-            [(0.0, (omega - d0) / 2), (t_hold, (omega - d0) / 2), (T, omega / 2)]
+            [(0.0, (1.0 - d0) / 2), (t_hold, (1.0 - d0) / 2), (T, 0.5)]
         ),
     }
     for i in range(M):
@@ -177,8 +177,8 @@ def make_w_generation_schedule(
     sched = ProtocolSchedule(duration=T, curves=curves)
     for t in sched.breakpoints():
         s = sched.value("delta_1", t) + sched.value("delta_2", t)
-        if abs(s - omega) > 1e-12:
-            raise InvalidSchedule(f"delta_1 + delta_2 = {s} != omega at t={t}")
+        if abs(s - 1.0) > 1e-12:
+            raise InvalidSchedule(f"delta_1 + delta_2 = {s} != 1 at t={t}")
     return sched
 
 
@@ -207,18 +207,17 @@ def _apply(coeffs: np.ndarray, terms, y: np.ndarray) -> np.ndarray:
 class ScheduledHamiltonian:
     """H(t) = sum_k c_k(t) H_k over ``terms``, (curve name or None, H_k) pairs.
 
-    The terms are omega sum_i n_i (c = 1), Sz_j (``delta_j``) and
+    The terms are sum_i n_i (c = 1, omega = 1), Sz_j (``delta_j``) and
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g_i``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
     protocol requires.  Every view of H(t) below reads this one list.
     """
 
-    def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule, omega: float = 1.0):
+    def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
         self.space = space
         self.schedule = schedule
-        self.omega = omega
         M, N = space.dims.M, space.dims.N
-        static = sum(omega * build_mode_number(space, i).matrix for i in range(M))
+        static = sum(build_mode_number(space, i).matrix for i in range(M))
         sx = [build_qubit_op(space, j, "x").matrix for j in range(N)]
         self.terms = [(None, static)]
         self.terms += [(f"delta_{j+1}", build_qubit_op(space, j, "z").matrix) for j in range(N)]
@@ -249,18 +248,16 @@ class ScheduledHamiltonian:
         return _combine(self.slopes(t), self.terms)
 
     def params_at(self, t: float) -> RabiParams:
-        return rabi_params_at(self.schedule, self.space.dims.M, self.space.dims.N, t, self.omega)
+        return rabi_params_at(self.schedule, self.space.dims.M, self.space.dims.N, t)
 
 
-def rabi_params_at(
-    schedule: ProtocolSchedule, M: int, N: int, t: float, omega: float = 1.0
-) -> RabiParams:
+def rabi_params_at(schedule: ProtocolSchedule, M: int, N: int, t: float) -> RabiParams:
     """The static RabiParams of ``ScheduledHamiltonian`` H(t) on M modes and N qubits."""
     delta = [schedule.value(f"delta_{j+1}", t) for j in range(N)]
     g = np.zeros((M, N))
     for i in range(M):
         g[i, :] = schedule.value(f"g_{i+1}", t)
-    return RabiParams(omega=np.full(M, omega), delta=np.array(delta), g=g)
+    return RabiParams(omega=np.ones(M), delta=np.array(delta), g=g)
 
 
 # --------------------------------------------------------------------------
@@ -551,14 +548,13 @@ def evolve_eigenbasis_markovian(
     kappa_c: float,
     rho0: np.ndarray,
     T: float,
-    omega: float = 1.0,
     rtol: float = 1e-8,
     n_samples: int = 201,
 ) -> Trajectory:
     """Amplitude-damping master equation in the eigenbasis of a frozen H.
 
     Jump operators |j><k| over eigenstates with rates
-    rate_m * (eps_k - eps_j)/omega * |<k|C^m|j>|^2, where C^m is
+    rate_m * (eps_k - eps_j) * |<k|C^m|j>|^2 (omega = 1), where C^m is
     a_m + a_m^dag for modes and sigma_mx for qubits.  Defined for
     static Hamiltonians only; serves as an independent cross-check of
     the bare-basis Lindblad route.
@@ -584,7 +580,7 @@ def evolve_eigenbasis_markovian(
             continue
         Cd = np.abs(U.conj().T @ C @ U) ** 2
         dE = eps[None, :] - eps[:, None]  # eps_k - eps_j
-        Gamma += rate * np.where(dE > 1e-12, dE / omega, 0.0) * Cd
+        Gamma += rate * np.where(dE > 1e-12, dE, 0.0) * Cd
 
     rho0_e = U.conj().T @ rho0 @ U
     out_rate = Gamma.sum(axis=0)  # total decay out of level k
@@ -680,30 +676,12 @@ class ReleaseConfig:
     duration: float = 80.0
 
 
-@dataclass
-class EmissionReport:
-    """Per-line emission curves and integrated emitted population."""
-
-    times: np.ndarray
-    rates: dict
-    emitted_per_line: dict
-    total_emitted: float
-
-
 def make_catch_release_schedule(
-    M: int,
-    T_gen: float,
-    hold_time: float,
-    release: ReleaseConfig,
-    g_max: float = 0.25,
-    delta_split_initial: float = 0.8,
-    weights=None,
-    omega: float = 1.0,
-    split_hold_fraction: float = 0.15,
-    g_ramp_fraction: float = 0.35,
+    gen: ProtocolSchedule, hold_time: float, release: ReleaseConfig
 ) -> ProtocolSchedule:
-    """Three-phase schedule: generate / hold (kappa_c off) / release.
+    """The generation schedule ``gen`` followed by a hold (kappa_c off) and a release.
 
+    M is the number of ``g_i`` curves of ``gen`` and T_gen its duration.
     The drive-controlled couplings ramp to zero across the hold window,
     so ``hold_time`` must be positive.  The generated state is already
     decoupled, so this leaves it untouched, but it stops residual
@@ -711,11 +689,8 @@ def make_catch_release_schedule(
     triplet) from converting qubit excitation into extra line photons
     while kappa_c is on.
     """
-    gen = make_w_generation_schedule(
-        M, T_gen, g_max, delta_split_initial, weights, omega,
-        split_hold_fraction, g_ramp_fraction,
-    )
-    t_release = T_gen + hold_time
+    M = sum(name.startswith("g_") for name in gen.curves)
+    t_release = gen.duration + hold_time
     total = t_release + release.duration
     delays = list(release.delays) or [0.0] * M
     if len(delays) != M:
@@ -742,30 +717,3 @@ def make_catch_release_schedule(
         )
     return ProtocolSchedule(duration=total, curves=curves)
 
-
-def emission_report(traj: Trajectory, M: int) -> EmissionReport:
-    """Emission rates and emitted populations of lines 1..M of an open run."""
-    rates = {i + 1: traj.observables[f"emission_rate_{i+1}"] for i in range(M)}
-    emitted = {i + 1: float(traj.observables[f"emitted_{i+1}"][-1]) for i in range(M)}
-    return EmissionReport(
-        times=traj.times,
-        rates=rates,
-        emitted_per_line=emitted,
-        total_emitted=float(sum(emitted.values())),
-    )
-
-
-def catch_release(
-    space: HilbertSpace,
-    noise: NoiseModel,
-    schedule: ProtocolSchedule,
-    rho0: np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    n_samples: int = 401,
-    omega: float = 1.0,
-):
-    """Run the full generate/hold/release protocol; returns (Trajectory, EmissionReport)."""
-    ht = ScheduledHamiltonian(space, schedule, omega=omega)
-    traj = evolve_lindblad(ht, noise, rho0, rtol=rtol, atol=atol, n_samples=n_samples)
-    return traj, emission_report(traj, space.dims.M)

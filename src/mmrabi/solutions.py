@@ -49,7 +49,6 @@ class SolutionReport:
     """Outcome of the generic one-photon search."""
 
     found: list[tuple[float, np.ndarray]]
-    conditions_checked: dict
     rank_data: dict
     space: HilbertSpace
 
@@ -318,8 +317,7 @@ def find_one_photon_solutions(
         "O1_singular_values": svals.tolist(),
         "O1_nullity": null_dim,
     }
-    report = SolutionReport(found=[], conditions_checked={"O1_has_null_space": null_dim > 0},
-                            rank_data=rank_data, space=None)
+    report = SolutionReport(found=[], rank_data=rank_data, space=None)
 
     # verification space: one more photon than the ansatz support
     dims = ModelDims(M=params.M, N=params.N, n_max=2)
@@ -358,5 +356,4 @@ def find_one_photon_solutions(
                 if not dup:
                     seen.append((float(E), v))
     report.found = seen
-    report.conditions_checked["any_solution"] = bool(seen)
     return report

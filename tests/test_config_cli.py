@@ -80,11 +80,16 @@ def test_cli_basis_summary(tmp_path):
     assert (out / "basis.csv").exists()
 
 
-def test_cli_byte_identical_reruns(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [["dark-verify"], ["reproduce", "fig2"], ["reproduce", "fig4"], ["reproduce", "fig5"]],
+    ids=["dark-verify", "fig2", "fig4", "fig5"],
+)
+def test_cli_byte_identical_reruns(tmp_path, command):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["--out", str(out), "--quiet", "--seed", "7", "dark-verify"]) == 0
+        assert main(["--out", str(out), "--quiet", "--seed", "7", *command]) == 0
         outs.append((out / "summary.json").read_bytes())
     assert outs[0] == outs[1]
     assert b'"seed": 7' in outs[0]
@@ -94,6 +99,21 @@ def test_cli_cutoff_flag(tmp_path):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--quiet", "--cutoff", "1", "basis"]) == 0
     assert '"dim": 12' in (out / "summary.json").read_text()
+
+
+def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--cutoff", "4", "reproduce", "fig4"]) == 2
+    assert "dims.n_max" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("schedule.T = 50\n")
+    assert main(["--config", str(cfg), "--out", str(out), "reproduce", "fig2"]) == 2
+    assert "schedule.T" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    # a value equal to the preset's is no override
+    assert main(["--out", str(out), "--quiet", "--cutoff", "3", "reproduce", "fig4"]) == 0
+    assert (out / "summary.json").exists()
 
 
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):

@@ -13,7 +13,6 @@ from mmrabi.dynamics import (
     ScheduledHamiltonian,
     _apply,
     _integrate,
-    catch_release,
     check_positivity,
     evolve_eigenbasis_markovian,
     evolve_lindblad,
@@ -63,7 +62,8 @@ def frozen_schedule(M, duration, delta=(0.5, 0.5), g=0.25):
 def release_schedule():
     # generation on [0, 60], hold on [60, 65], release from 65
     return make_catch_release_schedule(
-        2, T_gen=60.0, hold_time=5.0, release=ReleaseConfig(delays=(0.0, 0.0), duration=60.0)
+        make_w_generation_schedule(2, 60.0), hold_time=5.0,
+        release=ReleaseConfig(delays=(0.0, 0.0), duration=60.0),
     )
 
 
@@ -192,7 +192,7 @@ def test_restricted_generator_matches_full_generator():
 def test_parity_classes_closed_under_generator(M, n_max):
     space = enumerate_basis(ModelDims(M, 2, n_max))
     sched = make_catch_release_schedule(
-        M, T_gen=20.0, hold_time=2.0, release=ReleaseConfig(duration=10.0)
+        make_w_generation_schedule(M, 20.0), hold_time=2.0, release=ReleaseConfig(duration=10.0)
     )
     ht = ScheduledHamiltonian(space, sched)
     noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
@@ -214,7 +214,8 @@ def test_coherent_start_keeps_every_entry():
     space = w_space(M=2, n_max=2)
     M, d2 = space.dims.M, space.dim**2
     sched = make_catch_release_schedule(
-        2, T_gen=10.0, hold_time=2.0, release=ReleaseConfig(delays=(0.0, 1.0), duration=10.0)
+        make_w_generation_schedule(2, 10.0), hold_time=2.0,
+        release=ReleaseConfig(delays=(0.0, 1.0), duration=10.0),
     )
     ht = ScheduledHamiltonian(space, sched)
     noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
@@ -519,29 +520,31 @@ def test_hold_phase_populations_constant():
 def test_catch_release_emits_photon():
     space = w_space(M=2, n_max=3)
     sched = make_catch_release_schedule(
-        2, T_gen=60.0, hold_time=5.0, release=ReleaseConfig(delays=(0.0, 0.0), duration=60.0)
+        make_w_generation_schedule(2, 60.0), hold_time=5.0,
+        release=ReleaseConfig(delays=(0.0, 0.0), duration=60.0),
     )
     psi0 = vacuum_up(space)
-    traj, report = catch_release(space, NoiseModel(), sched, np.outer(psi0, psi0.conj()),
-                                 n_samples=101)
-    assert abs(report.total_emitted - 1.0) < 0.05
-    shares = np.array(list(report.emitted_per_line.values())) / report.total_emitted
+    traj = evolve_lindblad(ScheduledHamiltonian(space, sched), NoiseModel(),
+                           np.outer(psi0, psi0.conj()), n_samples=101)
+    emitted = np.array([traj.observables[f"emitted_{i}"][-1] for i in (1, 2)])
+    assert abs(emitted.sum() - 1.0) < 0.05
+    shares = emitted / emitted.sum()
     assert np.allclose(shares, 0.5, atol=0.01)
 
 
 def test_detach_requires_hold_window():
     with pytest.raises(InvalidSchedule):
-        make_catch_release_schedule(2, T_gen=10.0, hold_time=0.0,
+        make_catch_release_schedule(make_w_generation_schedule(2, 10.0), hold_time=0.0,
                                     release=ReleaseConfig(delays=(0.0, 0.0)))
 
 
 def test_catch_release_passes_atol_to_the_integrator():
     space = w_space(M=1, n_max=1)
     sched = make_catch_release_schedule(
-        1, T_gen=5.0, hold_time=1.0, release=ReleaseConfig(duration=5.0)
+        make_w_generation_schedule(1, 5.0), hold_time=1.0, release=ReleaseConfig(duration=5.0)
     )
     psi0 = vacuum_up(space)
     for atol in (1e-10, 1e-9):
-        traj, _ = catch_release(space, NoiseModel(), sched, np.outer(psi0, psi0.conj()),
-                                atol=atol, n_samples=3)
+        traj = evolve_lindblad(ScheduledHamiltonian(space, sched), NoiseModel(),
+                               np.outer(psi0, psi0.conj()), atol=atol, n_samples=3)
         assert traj.metadata["atol"] == atol and traj.metadata["rtol"] == 1e-8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmrabi.cli import cmd_lindblad
+from mmrabi.cli import cmd_adiabatic, cmd_catch_release, cmd_lindblad
 from mmrabi.config import default_config
 from mmrabi.dynamics import (
     NoiseModel,
@@ -9,7 +9,6 @@ from mmrabi.dynamics import (
     ProtocolSchedule,
     ReleaseConfig,
     ScheduledHamiltonian,
-    catch_release,
     evolve_lindblad,
     evolve_schrodinger,
     make_catch_release_schedule,
@@ -33,7 +32,7 @@ def vacuum_up(space):
 
 def release_schedule(weights=None, delays=(0.0, 0.0, 0.0)):
     return make_catch_release_schedule(
-        3, T_gen=30.0, hold_time=2.0, weights=weights,
+        make_w_generation_schedule(3, 30.0, weights=weights), hold_time=2.0,
         release=ReleaseConfig(delays=delays, duration=25.0),
     )
 
@@ -139,15 +138,17 @@ def test_catch_release_reduced_matches_full(weights, delays):
     red = reduce_modes(space, sched)
     psi, psi_red = vacuum_up(space), vacuum_up(red.space)
     kw = dict(rtol=RTOL, atol=1e-12, n_samples=31)
-    full, full_report = catch_release(space, NOISE, sched, np.outer(psi, psi.conj()), **kw)
-    reduced, _ = catch_release(red.space, NOISE, red.schedule, np.outer(psi_red, psi_red.conj()), **kw)
+    full = evolve_lindblad(ScheduledHamiltonian(space, sched), NOISE,
+                           np.outer(psi, psi.conj()), **kw)
+    reduced = evolve_lindblad(ScheduledHamiltonian(red.space, red.schedule), NOISE,
+                              np.outer(psi_red, psi_red.conj()), **kw)
     obs = red.observables(reduced.observables)
     assert set(obs) == set(full.observables)
     for name, values in full.observables.items():
         assert np.max(np.abs(obs[name] - values)) < TOL, name
     for rho_red, rho in zip(reduced.states, full.states):
         assert np.max(np.abs(red.embed(rho_red) - rho)) < TOL
-    assert full_report.total_emitted > 0.5
+    assert sum(full.observables[f"emitted_{i}"][-1] for i in (1, 2, 3)) > 0.5
 
 
 @pytest.mark.parametrize("g3", [SHAPE, NEAR, None], ids=["shape", "near", "weights"])
@@ -168,21 +169,67 @@ def test_generation_reduced_matches_full(g3):
         assert np.max(np.abs(red.embed(psi_red) - psi)) < TOL
 
 
-def test_lindblad_command_matches_full_run(tmp_path):
-    cfg = default_config().with_overrides({
-        "dims.M": 3, "dims.n_max": 2, "schedule.T": 15.0, "schedule.weights": (1.0, 2.0, 0.5),
-        "solver.rtol": RTOL, "solver.atol": 1e-12, "solver.n_samples": 11,
-    })
-    summary = cmd_lindblad(cfg, tmp_path)
+GEN = {"dims.M": 3, "dims.n_max": 2, "schedule.T": 15.0, "solver.rtol": RTOL, "solver.atol": 1e-12}
+COMMANDS = {
+    "adiabatic": (cmd_adiabatic, "adiabatic.csv", {
+        "schedule.weights": (1.0, 2.0, 0.5), "solver.n_samples": 11,
+    }),
+    "lindblad": (cmd_lindblad, "lindblad.csv", {
+        "schedule.weights": (1.0, 2.0, 0.5), "solver.n_samples": 11,
+    }),
+    # fig5-like: modes 1 and 2 merge, mode 3 releases 5 earlier; T_gen = 15 is the 16th sample
+    "catch-release": (cmd_catch_release, "catch_release.csv", {
+        "schedule.weights": (1.0, 1.0, np.sqrt(2.0)), "schedule.hold_time": 2.0,
+        "release.delays": (5.0, 5.0, 0.0), "release.duration": 10.0, "solver.n_samples": 28,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_matches_full_run(tmp_path, name):
+    cmd, csv, overrides = COMMANDS[name]
+    cfg = default_config().with_overrides({**GEN, **overrides})
+    summary = cmd(cfg, tmp_path)
     space = enumerate_basis(cfg.dims())
-    sched = make_w_generation_schedule(3, 15.0, weights=(1.0, 2.0, 0.5))
+    gen = make_w_generation_schedule(3, 15.0, weights=overrides["schedule.weights"])
     psi = vacuum_up(space)
-    full = evolve_lindblad(ScheduledHamiltonian(space, sched), cfg.noise_model(),
-                           np.outer(psi, psi.conj()), rtol=RTOL, atol=1e-12, n_samples=11)
-    target = dark_state_2q(rabi_params_at(sched, 3, 2, 15.0), space).vector
-    assert abs(summary["fidelity"] - np.real(target.conj() @ full.final_state @ target)) < TOL
-    assert abs(summary["final_purity"] - full.observables["purity"][-1]) < TOL
-    lines = (tmp_path / "lindblad.csv").read_text().splitlines()
+    kw = dict(rtol=RTOL, atol=1e-12, n_samples=overrides["solver.n_samples"])
+    target = dark_state_2q(rabi_params_at(gen, 3, 2, 15.0), space).vector
+    if name == "adiabatic":
+        full = evolve_schrodinger(ScheduledHamiltonian(space, gen), psi, **kw)
+        expected = {
+            "fidelity": abs(np.vdot(target, full.final_state)) ** 2,
+            "final_norm": full.observables["norm"][-1],
+            "final_parity": full.observables["parity"][-1],
+        }
+    elif name == "lindblad":
+        full = evolve_lindblad(ScheduledHamiltonian(space, gen), cfg.noise_model(),
+                               np.outer(psi, psi.conj()), **kw)
+        expected = {
+            "fidelity": np.real(target.conj() @ full.final_state @ target),
+            "final_purity": full.observables["purity"][-1],
+        }
+    else:
+        sched = make_catch_release_schedule(gen, 2.0, cfg.release_config())
+        full = evolve_lindblad(ScheduledHamiltonian(space, sched), cfg.noise_model(),
+                               np.outer(psi, psi.conj()), **kw)
+        rho_gen = full.states[np.argmin(np.abs(full.times - 15.0))]
+        emitted = {str(i): full.observables[f"emitted_{i}"][-1] for i in (1, 2, 3)}
+        total = sum(emitted.values())
+        expected = {
+            "generation_fidelity": np.real(target.conj() @ rho_gen @ target),
+            "emitted_per_line": emitted,
+            "emitted_shares": {i: e / total for i, e in emitted.items()},
+            "total_emitted": total,
+        }
+    for key, value in expected.items():
+        if isinstance(value, dict):
+            assert set(summary[key]) == set(value), key
+            for i, v in value.items():
+                assert abs(summary[key][i] - v) < TOL, (key, i)
+        else:
+            assert abs(summary[key] - value) < TOL, key
+    lines = (tmp_path / csv).read_text().splitlines()
     assert lines[0] == "t," + ",".join(sorted(full.observables))
     data = np.loadtxt(lines[1:], delimiter=",")
     expected = np.column_stack([full.times] + [full.observables[n] for n in sorted(full.observables)])
