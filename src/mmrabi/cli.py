@@ -4,8 +4,9 @@ Every subcommand reads an optional flat config file, writes CSV
 artifacts plus a ``summary.json`` into the output directory, and prints
 the summary path.  Floating-point values in JSON are serialized with 17
 significant digits so identical config and seed give byte-identical
-summaries.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure (a diagnostic JSON is still written when possible).
+summaries.  Exit codes: 0 success, 2 configuration error (a config value
+the schedule builders reject included), 3 numerical failure (a diagnostic
+JSON is still written when possible).
 
 ``adiabatic``, ``lindblad`` and ``catch-release`` share one protocol run
 (``_protocol_run``): it starts from the photon vacuum and integrates the
@@ -35,9 +36,8 @@ from .dynamics import (
     make_catch_release_schedule,
     make_w_generation_schedule,
     photon_ledger_defect,
-    rabi_params_at,
 )
-from .errors import ConfigError, MMRabiError
+from .errors import ConfigError, InvalidSchedule, MMRabiError
 from .hilbert import EVEN, ODD, UP, BasisState, basis_csv_lines, enumerate_basis
 from .modes import reduce_modes
 from .operators import build_hamiltonian
@@ -150,7 +150,7 @@ def _protocol_run(cfg: ExperimentConfig, sched, t_target: float, noise=None):
         traj = evolve_lindblad(hamiltonian, noise, np.outer(psi0, psi0.conj()), **solver)
     traj.observables = red.observables(traj.observables)
     k = int(np.argmin(np.abs(traj.times - t_target)))
-    target = dark_state_2q(rabi_params_at(sched, space.dims.M, space.dims.N, t_target), space)
+    target = dark_state_2q(sched.params_at(t_target), space)
     return traj, fidelity(red.embed(traj.states[k]), target.vector)
 
 
@@ -457,7 +457,7 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(path)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, InvalidSchedule) as exc:  # schedules are built from config values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MMRabiError, np.linalg.LinAlgError) as exc:

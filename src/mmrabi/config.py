@@ -25,7 +25,7 @@ from .operators import RabiParams
 class Key:
     """One schema entry: value kind, default, optional constraints."""
 
-    kind: str  # "int", "float", "floats", "str", "choice"
+    kind: str  # "int", "float", "floats", "choice"
     default: object
     choices: tuple = ()
     minimum: float | None = None
@@ -91,7 +91,7 @@ def _parse_value(key: str, spec: Key, raw: str):
         elif spec.kind == "floats":
             parts = [p for p in raw.split(",") if p.strip()]
             value = tuple(float(p) for p in parts)
-        elif spec.kind in ("str", "choice"):
+        elif spec.kind == "choice":
             value = raw
         else:
             raise ConfigError(f"schema bug: unknown kind {spec.kind!r} for {key}")

@@ -2,8 +2,9 @@
 
 Every time-dependent operator is a fixed list of sparse terms times scalar
 coefficients read from the schedule, H(t) = sum_k c_k(t) H_k, where each
-term names the piecewise-linear curve (``delta_j``, ``g_i``, ``kappa_c_i``,
-1-based) that weights it.  Closed runs integrate i d/dt psi = H(t) psi with
+term carries the piecewise-linear curve that weights it: a qubit's
+delta_j(t), a mode's g_i(t) or kappa_c_i(t), or none for a constant
+term.  Closed runs integrate i d/dt psi = H(t) psi with
 an adaptive explicit Runge-Kutta; open runs lift the same terms to sparse
 generators of the bare-basis Lindblad equation
 
@@ -85,27 +86,44 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Named piecewise-linear parameter curves on [0, T]."""
+    """Piecewise-linear parameter curves on [0, T], held by role.
+
+    ``delta`` has one curve per qubit, delta_j(t), and ``g`` one per mode,
+    g_i(t), the coupling of mode i to every qubit; ``kappa_c`` is empty
+    (no line coupling) or has one line-coupling curve per mode.  The
+    tuple lengths are the schedule's qubit and mode counts.
+    """
 
     duration: float
-    curves: dict
+    delta: tuple
+    g: tuple
+    kappa_c: tuple = ()
 
     def __post_init__(self):
         if self.duration <= 0:
             raise InvalidSchedule(f"duration must be positive, got {self.duration}")
-        for name, c in self.curves.items():
-            if c.ts[0] < 0 or c.ts[-1] > self.duration + 1e-12:
-                raise InvalidSchedule(f"curve {name} leaves [0, T]")
-
-    def value(self, name: str, t: float) -> float:
-        return float(self.curves[name](t))
-
-    def derivative(self, name: str, t: float) -> float:
-        return float(self.curves[name].slope(t))
+        if len(self.kappa_c) not in (0, len(self.g)):
+            raise InvalidSchedule(f"{len(self.kappa_c)} kappa_c curves for {len(self.g)} modes")
+        for role in ("delta", "g", "kappa_c"):
+            for j, c in enumerate(getattr(self, role)):
+                if c.ts[0] < 0 or c.ts[-1] > self.duration + 1e-12:
+                    raise InvalidSchedule(f"{role} curve {j + 1} leaves [0, T]")
 
     def breakpoints(self) -> np.ndarray:
-        ts = np.concatenate([c.ts for c in self.curves.values()])
+        ts = np.concatenate([c.ts for c in (*self.delta, *self.g, *self.kappa_c)])
         return np.unique(np.clip(ts, 0.0, self.duration))
+
+    def params_at(self, t: float) -> RabiParams:
+        """The static RabiParams of H(t): omega = 1 and g_ij = g_i(t) for every qubit j."""
+        delta = np.array([float(c(t)) for c in self.delta])
+        g = np.array([float(c(t)) for c in self.g])
+        return RabiParams(omega=np.ones(g.size), delta=delta, g=np.outer(g, np.ones(delta.size)))
+
+    def check_space(self, space: HilbertSpace):
+        """SpaceMismatch unless ``space`` has a mode per ``g`` and a qubit per ``delta`` curve."""
+        found, need = (len(self.g), len(self.delta)), (space.dims.M, space.dims.N)
+        if found != need:
+            raise SpaceMismatch(f"schedule for (M, N) = {found} on a space with (M, N) = {need}")
 
 
 def _piecewise(points) -> PiecewiseLinear:
@@ -162,21 +180,14 @@ def make_w_generation_schedule(
     d0 = delta_split_initial
     t_hold = split_hold_fraction * T
     t_g = g_ramp_fraction * T
-    curves = {
-        "delta_1": _piecewise(
-            [(0.0, (1.0 + d0) / 2), (t_hold, (1.0 + d0) / 2), (T, 0.5)]
-        ),
-        "delta_2": _piecewise(
-            [(0.0, (1.0 - d0) / 2), (t_hold, (1.0 - d0) / 2), (T, 0.5)]
-        ),
-    }
-    for i in range(M):
-        curves[f"g_{i+1}"] = _piecewise(
-            [(0.0, 0.0), (t_g, g_max * weights[i]), (T, g_max * weights[i])]
-        )
-    sched = ProtocolSchedule(duration=T, curves=curves)
+    delta = (
+        _piecewise([(0.0, (1.0 + d0) / 2), (t_hold, (1.0 + d0) / 2), (T, 0.5)]),
+        _piecewise([(0.0, (1.0 - d0) / 2), (t_hold, (1.0 - d0) / 2), (T, 0.5)]),
+    )
+    g = tuple(_piecewise([(0.0, 0.0), (t_g, g_max * w), (T, g_max * w)]) for w in weights)
+    sched = ProtocolSchedule(duration=T, delta=delta, g=g)
     for t in sched.breakpoints():
-        s = sched.value("delta_1", t) + sched.value("delta_2", t)
+        s = float(delta[0](t)) + float(delta[1](t))
         if abs(s - 1.0) > 1e-12:
             raise InvalidSchedule(f"delta_1 + delta_2 = {s} != 1 at t={t}")
     return sched
@@ -186,9 +197,9 @@ def make_w_generation_schedule(
 # scheduled Hamiltonian
 
 
-def term_coefficients(schedule: ProtocolSchedule, terms, t: float) -> np.ndarray:
-    """c_k(t) of (curve name, term) pairs: the named curve's value, 1 when unnamed."""
-    return np.array([1.0 if name is None else schedule.value(name, t) for name, _ in terms])
+def term_coefficients(terms, t: float) -> np.ndarray:
+    """c_k(t) of (curve, term) pairs: the curve's value, 1 for a term without one."""
+    return np.array([1.0 if c is None else float(c(t)) for c, _ in terms])
 
 
 def _combine(coeffs: np.ndarray, terms) -> sp.csr_matrix:
@@ -205,34 +216,36 @@ def _apply(coeffs: np.ndarray, terms, y: np.ndarray) -> np.ndarray:
 
 
 class ScheduledHamiltonian:
-    """H(t) = sum_k c_k(t) H_k over ``terms``, (curve name or None, H_k) pairs.
+    """H(t) = sum_k c_k(t) H_k over ``terms``, (curve or None, H_k) pairs.
 
-    The terms are sum_i n_i (c = 1, omega = 1), Sz_j (``delta_j``) and
-    X_i = (a_i + a_i^dag) sum_j sigma_jx (``g_i``): mode i couples
+    The terms are sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
+    X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
-    protocol requires.  Every view of H(t) below reads this one list.
+    protocol requires.  Every view of H(t) below reads this one list.  A
+    schedule whose mode or qubit count differs from the space's raises
+    SpaceMismatch.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
+        schedule.check_space(space)
         self.space = space
         self.schedule = schedule
         M, N = space.dims.M, space.dims.N
         static = sum(build_mode_number(space, i).matrix for i in range(M))
         sx = [build_qubit_op(space, j, "x").matrix for j in range(N)]
         self.terms = [(None, static)]
-        self.terms += [(f"delta_{j+1}", build_qubit_op(space, j, "z").matrix) for j in range(N)]
-        for i in range(M):
+        for j, c in enumerate(schedule.delta):
+            self.terms.append((c, build_qubit_op(space, j, "z").matrix))
+        for i, c in enumerate(schedule.g):
             a = build_mode_lowering(space, i).matrix
-            self.terms.append((f"g_{i+1}", sum((a + a.getH()) @ x for x in sx)))
+            self.terms.append((c, sum((a + a.getH()) @ x for x in sx)))
 
     def coefficients(self, t: float) -> np.ndarray:
-        return term_coefficients(self.schedule, self.terms, t)
+        return term_coefficients(self.terms, t)
 
     def slopes(self, t: float) -> np.ndarray:
         """dc_k/dt, right-sided at breakpoints."""
-        return np.array(
-            [0.0 if name is None else self.schedule.derivative(name, t) for name, _ in self.terms]
-        )
+        return np.array([0.0 if c is None else float(c.slope(t)) for c, _ in self.terms])
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y without assembling H(t)."""
@@ -248,16 +261,7 @@ class ScheduledHamiltonian:
         return _combine(self.slopes(t), self.terms)
 
     def params_at(self, t: float) -> RabiParams:
-        return rabi_params_at(self.schedule, self.space.dims.M, self.space.dims.N, t)
-
-
-def rabi_params_at(schedule: ProtocolSchedule, M: int, N: int, t: float) -> RabiParams:
-    """The static RabiParams of ``ScheduledHamiltonian`` H(t) on M modes and N qubits."""
-    delta = [schedule.value(f"delta_{j+1}", t) for j in range(N)]
-    g = np.zeros((M, N))
-    for i in range(M):
-        g[i, :] = schedule.value(f"g_{i+1}", t)
-    return RabiParams(omega=np.ones(M), delta=np.array(delta), g=g)
+        return self.schedule.params_at(t)
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +325,6 @@ def evolve_schrodinger(
     rtol: float = 1e-9,
     atol: float = 1e-11,
     n_samples: int = 201,
-    observables: dict | None = None,
 ) -> Trajectory:
     """Adaptive integration of the closed-system dynamics over [0, T]."""
     T = hamiltonian.schedule.duration
@@ -336,9 +339,6 @@ def evolve_schrodinger(
     obs = {"norm": np.linalg.norm(states, axis=1)}
     R = build_parity_operator(hamiltonian.space).matrix
     obs["parity"] = np.real(np.einsum("ti,ti->t", states.conj(), (R @ states.T).T))
-    for name, op in (observables or {}).items():
-        m = op.matrix if hasattr(op, "matrix") else op
-        obs[name] = np.real(np.einsum("ti,ti->t", states.conj(), (m @ states.T).T))
     return Trajectory(times=t_eval, states=states, observables=obs, metadata=stats)
 
 
@@ -387,12 +387,14 @@ def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks):
 
 
 def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> list:
-    """(curve name or None, A_k) pairs with d/dt [vec rho, ledger] = sum_k c_k(t) A_k vec rho.
+    """(curve or None, A_k) pairs with d/dt [vec rho, ledger] = sum_k c_k(t) A_k vec rho.
 
     vec rho is row-major.  Each A_k stacks a superoperator over M + 2 ledger
     rows: emission kappa_c_i <n_i> per line, kappa <n> outflow and exchange
-    -i tr(N [H, rho]).  H_k lifts to -i[H_k, .], D[a_i] takes ``kappa_c_i``,
-    and the constant kappa_in, gamma and gamma_phi terms join the static block.
+    -i tr(N [H, rho]).  Each H_k lifts to -i[H_k, .] with H_k's curve, the
+    constant kappa_in, gamma and gamma_phi terms join the block without a
+    curve, and D[a_i] follows with the schedule's ``kappa_c[i]``, in mode
+    order, when the schedule has line couplings.
     """
     space = hamiltonian.space
     dim, M, N = space.dim, space.dims.M, space.dims.N
@@ -416,23 +418,19 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
             rows[r] = A.T.reshape(1, dim * dim)
         return sp.vstack([superop, *rows], format="csr")
 
-    generator = {}
-
-    def add(name, blk):
-        generator[name] = generator[name] + blk if name in generator else blk
-
-    for name, h in hamiltonian.terms:
-        add(name, block(commutator(h), {M + 1: -1j * (N_tot @ h - h @ N_tot)}))
+    terms = [
+        (c, block(commutator(h), {M + 1: -1j * (N_tot @ h - h @ N_tot)}))
+        for c, h in hamiltonian.terms
+    ]
     static = sum(noise.kappa_in * dissipator(a) for a in a_ops)
     for j in range(N):
         sz = build_qubit_op(space, j, "z").matrix
         static = static + gam[j] * dissipator(build_qubit_op(space, j, "-").matrix)
         static = static + phi[j] * (sp.kron(sz, sz.T) - sp.identity(dim * dim))
-    add(None, block(static, {M: noise.kappa_in * N_tot}))
-    for i in range(M):
-        if f"kappa_c_{i+1}" in hamiltonian.schedule.curves:
-            add(f"kappa_c_{i+1}", block(dissipator(a_ops[i]), {i: n_ops[i], M: n_ops[i]}))
-    return list(generator.items())
+    terms[0] = (None, terms[0][1] + block(static, {M: noise.kappa_in * N_tot}))  # H's constant term
+    for i, c in enumerate(hamiltonian.schedule.kappa_c):
+        terms.append((c, block(dissipator(a_ops[i]), {i: n_ops[i], M: n_ops[i]})))
+    return terms
 
 
 def restricted_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel, rho0: np.ndarray):
@@ -454,7 +452,7 @@ def restricted_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel, r
     keep = np.flatnonzero(np.isin(cls, kept_cls))
     blocks = [np.arange(space.dim)] if -1 in kept_cls else [np.flatnonzero(p == s) for s in (1, -1)]
     rows = np.concatenate([keep, d2 + np.arange(space.dims.M + 2)])
-    terms = [(name, A[rows][:, keep]) for name, A in lindblad_generator(hamiltonian, noise)]
+    terms = [(c, A[rows][:, keep]) for c, A in lindblad_generator(hamiltonian, noise)]
     return blocks, keep, terms
 
 
@@ -497,7 +495,7 @@ def evolve_lindblad(
     n = keep.size
 
     def rhs(t, y):
-        return _apply(term_coefficients(sched, terms, t), terms, y[:n])
+        return _apply(term_coefficients(terms, t), terms, y[:n])
 
     y0 = np.concatenate([rho0.ravel()[keep], np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
     t_eval, ys, stats = _integrate(rhs, y0, sched.duration, n_samples, rtol, atol)
@@ -512,9 +510,8 @@ def evolve_lindblad(
     diag = np.real(np.einsum("tii->ti", rhos))
     n_diag = [build_mode_number(space, i).matrix.diagonal().real for i in range(M)]
     for i in range(M):
-        name = f"kappa_c_{i+1}"
         obs[f"n_{i+1}"] = diag @ n_diag[i]
-        kc_t = sched.curves[name](t_eval) if name in sched.curves else 0.0
+        kc_t = sched.kappa_c[i](t_eval) if sched.kappa_c else 0.0
         obs[f"emission_rate_{i+1}"] = kc_t * obs[f"n_{i+1}"]
         obs[f"emitted_{i+1}"] = ledger[:, i]
     obs["total_photons"] = diag @ sum(n_diag)
@@ -681,15 +678,17 @@ def make_catch_release_schedule(
 ) -> ProtocolSchedule:
     """The generation schedule ``gen`` followed by a hold (kappa_c off) and a release.
 
-    M is the number of ``g_i`` curves of ``gen`` and T_gen its duration.
-    The drive-controlled couplings ramp to zero across the hold window,
+    M is the number of ``gen.g`` curves and T_gen its duration; the result
+    has one ``kappa_c`` curve per mode, off until mode i's release delay
+    after the hold and then ramping to ``release.kappa_c``.  The
+    drive-controlled couplings ramp to zero across the hold window,
     so ``hold_time`` must be positive.  The generated state is already
     decoupled, so this leaves it untouched, but it stops residual
     non-singlet population (truncation leakage, dephasing-generated
     triplet) from converting qubit excitation into extra line photons
     while kappa_c is on.
     """
-    M = sum(name.startswith("g_") for name in gen.curves)
+    M = len(gen.g)
     t_release = gen.duration + hold_time
     total = t_release + release.duration
     delays = list(release.delays) or [0.0] * M
@@ -697,23 +696,18 @@ def make_catch_release_schedule(
         raise InvalidSchedule(f"need {M} release delays, got {len(delays)}")
     if hold_time <= 0:
         raise InvalidSchedule("the couplings need a positive hold_time to ramp to zero over")
-    curves = {}
-    for name, c in gen.curves.items():
-        if name.startswith("g_"):
-            curves[name] = PiecewiseLinear(
-                np.concatenate([c.ts, [t_release, total]]),
-                np.concatenate([c.vs, [0.0, 0.0]]),
-            )
-            continue
-        # extend each generation curve as constant through hold + release
-        curves[name] = PiecewiseLinear(
-            np.concatenate([c.ts, [total]]), np.concatenate([c.vs, [c.vs[-1]]])
-        )
-    for i in range(M):
-        t_on = t_release + delays[i]
-        curves[f"kappa_c_{i+1}"] = PiecewiseLinear(
-            np.array([0.0, t_on, t_on + release.ramp_width, total]),
+
+    def extend(c, ts, vs):
+        return PiecewiseLinear(np.concatenate([c.ts, ts]), np.concatenate([c.vs, vs]))
+
+    # the splittings hold their final values through hold + release
+    delta = tuple(extend(c, [total], [c.vs[-1]]) for c in gen.delta)
+    g = tuple(extend(c, [t_release, total], [0.0, 0.0]) for c in gen.g)
+    kappa_c = tuple(
+        PiecewiseLinear(
+            np.array([0.0, t_release + d, t_release + d + release.ramp_width, total]),
             np.array([0.0, 0.0, release.kappa_c, release.kappa_c]),
         )
-    return ProtocolSchedule(duration=total, curves=curves)
-
+        for d in delays
+    )
+    return ProtocolSchedule(duration=total, delta=delta, g=g, kappa_c=kappa_c)

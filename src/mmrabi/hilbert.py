@@ -165,20 +165,13 @@ class HilbertSpace:
             for occ, spins in zip(self.occupations.tolist(), self.spins.tolist())
         )
 
-    def _lookup(self, state: BasisState) -> int:
-        """Canonical index of ``state``, -1 when it is not in the space."""
-        if len(state.occupations) != self.dims.M or len(state.spins) != self.dims.N:
-            return -1
-        return int(self.indices([state.occupations], [state.spins])[0])
-
     def index(self, state: BasisState) -> int:
-        i = self._lookup(state)
+        """Canonical index of ``state``; StateNotInSpace when it is not in the space."""
+        fits = len(state.occupations) == self.dims.M and len(state.spins) == self.dims.N
+        i = int(self.indices([state.occupations], [state.spins])[0]) if fits else -1
         if i < 0:
             raise StateNotInSpace(f"{state} not in space {self.dims}, sector={self.sector}")
         return i
-
-    def __contains__(self, state: BasisState) -> bool:
-        return self._lookup(state) >= 0
 
     def state(self, i: int) -> BasisState:
         return BasisState(tuple(self.occupations[i].tolist()), tuple(self.spins[i].tolist()))

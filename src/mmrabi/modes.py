@@ -2,16 +2,19 @@
 
 Every mode of a ``ScheduledHamiltonian`` has the same frequency omega and
 every mode of a ``NoiseModel`` the same intrinsic loss kappa_in.  Modes
-whose ``kappa_c_i`` curves are equal (or all absent) and whose ``g_i``
-curves are proportional, g_i(t) = u_i f(t) with sum_i u_i^2 = 1, form a
-group G.  Rotating the group's modes to the bright mode
-b_G = sum_{i in G} u_i a_i plus orthogonal dark modes leaves omega sum n_i,
-the cutoff on the total photon number and sum_{i in G} D[a_i] unchanged,
-and only b_G couples to the qubits, with strength f(t).  From a start in
-which every dark mode is empty (the photon vacuum, for example) the dark
-modes stay empty, so the run is exactly the run of one mode per group,
-with g_G = f the pointwise norm sqrt(sum_{i in G} g_i^2) and the group's
-common kappa_c curve.
+whose line-coupling curves ``schedule.kappa_c[i]`` are equal (or the
+schedule has none) and whose coupling curves ``schedule.g[i]`` are
+proportional, g_i(t) = u_i f(t) with sum_i u_i^2 = 1, form a group G.
+Rotating the group's modes to the bright mode b_G = sum_{i in G} u_i a_i
+plus orthogonal dark modes leaves omega sum n_i, the cutoff on the total
+photon number and sum_{i in G} D[a_i] unchanged, and only b_G couples to
+the qubits, with strength f(t).  From a start in which every dark mode
+is empty (the photon vacuum, for example) the dark modes stay empty, so
+the run is exactly the run of one mode per group, with g_G = f the
+pointwise norm sqrt(sum_{i in G} g_i^2) and the group's common kappa_c
+curve.  The reduced schedule keeps the ``delta`` curves and has one
+``g`` curve (and one ``kappa_c`` curve, if any) per group, groups in
+order of their first mode.
 
 Mapped back to the modes, <a_i^dag a_i> = u_i^2 <b_G^dag b_G>, because
 every coherence with an empty dark mode vanishes; per-line emission rates
@@ -48,26 +51,25 @@ def _close(a: np.ndarray, b: np.ndarray, scale: float) -> bool:
 
 
 def _same_kappa(schedule: ProtocolSchedule, i: int, k: int) -> bool:
-    a = schedule.curves.get(f"kappa_c_{i+1}")
-    b = schedule.curves.get(f"kappa_c_{k+1}")
-    if a is None or b is None:
-        return a is b
+    if not schedule.kappa_c:
+        return True
+    a, b = schedule.kappa_c[i], schedule.kappa_c[k]
     scale = max(np.abs(a.vs).max(), np.abs(b.vs).max())
     return _close(a.ts, b.ts, schedule.duration) and _close(a.vs, b.vs, scale)
 
 
 def _proportional(schedule: ProtocolSchedule, i: int, k: int) -> bool:
-    a, b = schedule.curves[f"g_{i+1}"], schedule.curves[f"g_{k+1}"]
+    a, b = schedule.g[i], schedule.g[k]
     if not _close(a.ts, b.ts, schedule.duration):
         return False
     minors = np.outer(a.vs, b.vs) - np.outer(b.vs, a.vs)
     return bool(np.all(np.abs(minors) <= TOL * np.abs(a.vs).max() * np.abs(b.vs).max()))
 
 
-def mode_groups(schedule: ProtocolSchedule, M: int) -> list[list[int]]:
+def mode_groups(schedule: ProtocolSchedule) -> list[list[int]]:
     """0-based modes grouped by equal ``kappa_c`` and proportional ``g``, in order of first member."""
     groups = []
-    for i in range(M):
+    for i in range(len(schedule.g)):
         for group in groups:
             if all(_same_kappa(schedule, i, k) and _proportional(schedule, i, k) for k in group):
                 group.append(i)
@@ -115,25 +117,22 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     """The bright-mode problem of ``schedule`` on ``space`` (see the module docstring).
 
     Exact for a start in the range of the isometry, for example the photon
-    vacuum times any qubit state.
+    vacuum times any qubit state.  SpaceMismatch unless ``schedule`` has a
+    ``g`` curve per mode and a ``delta`` curve per qubit of ``space``.
     """
+    schedule.check_space(space)
     M, N, n_max = space.dims.M, space.dims.N, space.dims.n_max
-    groups = mode_groups(schedule, M)
+    groups = mode_groups(schedule)
     weights = np.zeros(M)
-    curves = {
-        name: c for name, c in schedule.curves.items() if not name.startswith(("g_", "kappa_c_"))
-    }
-    for g, group in enumerate(groups):
-        first = schedule.curves[f"g_{group[0]+1}"]
-        A = np.array([schedule.curves[f"g_{i+1}"].vs for i in group])
+    g = []
+    for group in groups:
+        A = np.array([schedule.g[i].vs for i in group])
         norms = np.linalg.norm(A, axis=0)
         u = A[:, np.argmax(norms)] / norms.max() if norms.max() > 0 else np.eye(len(group))[0]
         u = u * np.sign(u[np.flatnonzero(u)[0]])  # first nonzero weight positive
         weights[group] = u
-        curves[f"g_{g+1}"] = PiecewiseLinear(first.ts, np.copysign(norms, u @ A))
-        kappa = schedule.curves.get(f"kappa_c_{group[0]+1}")
-        if kappa is not None:
-            curves[f"kappa_c_{g+1}"] = kappa
+        g.append(PiecewiseLinear(schedule.g[group[0]].ts, np.copysign(norms, u @ A)))
+    kappa_c = tuple(schedule.kappa_c[group[0]] for group in groups) if schedule.kappa_c else ()
     reduced = enumerate_basis(ModelDims(len(groups), N, n_max), space.sector)
 
     # full state |k; s> lies in reduced state |n_G = sum_{i in G} k_i; s> with
@@ -146,7 +145,7 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     V = sp.csr_matrix((amp, (np.arange(space.dim), cols)), shape=(space.dim, reduced.dim))
     return ModeReduction(
         space=reduced,
-        schedule=ProtocolSchedule(duration=schedule.duration, curves=curves),
+        schedule=ProtocolSchedule(schedule.duration, schedule.delta, tuple(g), kappa_c),
         groups=tuple(tuple(group) for group in groups),
         weights=weights,
         isometry=V,

@@ -18,7 +18,6 @@ class SpectrumTable:
 
     sweep_values: np.ndarray
     levels: dict  # parity sign -> array of shape (n_points, n_levels)
-    metadata: dict
 
     def csv_lines(self):
         yield "g,parity,level_index,energy"
@@ -85,8 +84,7 @@ def sweep_coupling(
             except ConvergenceFailure as exc:
                 raise ConvergenceFailure(f"at grid index {ig} (g={g}): {exc}") from exc
             levels[sign][ig] = E
-    meta = {"dims": (dims.M, dims.N, dims.n_max), "n_levels": n_levels}
-    return SpectrumTable(sweep_values=g_grid, levels=levels, metadata=meta)
+    return SpectrumTable(sweep_values=g_grid, levels=levels)
 
 
 def degeneracy_count(H: SparseOperator, E_target: float, window: float = 1e-6) -> int:

@@ -326,11 +326,10 @@ def test_criterion_9_oracle_equivalences():
     # storage run: bare-basis Lindblad vs dressed amplitude damping
     space = enumerate_basis(ModelDims(2, 2, 3))
     T = 100.0
-    curves = {"delta_1": PiecewiseLinear.constant(0.5, T),
-              "delta_2": PiecewiseLinear.constant(0.5, T),
-              "g_1": PiecewiseLinear.constant(0.25, T),
-              "g_2": PiecewiseLinear.constant(0.25, T)}
-    ht = ScheduledHamiltonian(space, ProtocolSchedule(duration=T, curves=curves))
+    storage = ProtocolSchedule(duration=T,
+                               delta=(PiecewiseLinear.constant(0.5, T),) * 2,
+                               g=(PiecewiseLinear.constant(0.25, T),) * 2)
+    ht = ScheduledHamiltonian(space, storage)
     noise = NoiseModel(kappa_in=1e-4, gamma=(1e-5, 1e-5), gamma_phi=(0.0, 0.0))
     psi = dark_state_2q(ht.params_at(0.0), space).vector
     rho0 = np.outer(psi, psi.conj())

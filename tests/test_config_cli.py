@@ -127,6 +127,22 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert (out / "error.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["release.ramp_width = 0", "schedule.hold_time = 0", "schedule.T = 0", "release.delays = 0, 80"],
+    ids=["ramp-width", "hold-time", "T", "delay-at-end"],
+)
+def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
+    # the schema accepts these values, but no schedule can be built from them
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--out", str(out), "catch-release"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
 def test_cli_circuit_map(tmp_path):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--quiet", "circuit-map"]) == 0

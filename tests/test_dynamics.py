@@ -27,7 +27,7 @@ from mmrabi.dynamics import (
     term_coefficients,
     trace_distance,
 )
-from mmrabi.errors import InvalidSchedule, PositivityLoss
+from mmrabi.errors import InvalidSchedule, PositivityLoss, SpaceMismatch
 from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
 from mmrabi.operators import (
     RabiParams,
@@ -50,13 +50,11 @@ def vacuum_up(space):
 
 
 def frozen_schedule(M, duration, delta=(0.5, 0.5), g=0.25):
-    curves = {
-        "delta_1": PiecewiseLinear.constant(delta[0], duration),
-        "delta_2": PiecewiseLinear.constant(delta[1], duration),
-    }
-    for i in range(M):
-        curves[f"g_{i+1}"] = PiecewiseLinear.constant(g, duration)
-    return ProtocolSchedule(duration=duration, curves=curves)
+    return ProtocolSchedule(
+        duration=duration,
+        delta=tuple(PiecewiseLinear.constant(d, duration) for d in delta),
+        g=(PiecewiseLinear.constant(g, duration),) * M,
+    )
 
 
 def release_schedule():
@@ -86,12 +84,12 @@ def test_piecewise_linear_interpolation():
 def test_schedule_constraint_and_normalized_weights():
     sched = make_w_generation_schedule(3, 50.0)
     for t in sched.breakpoints():
-        assert abs(sched.value("delta_1", t) + sched.value("delta_2", t) - 1.0) < 1e-12
-    g_end = np.array([sched.value(f"g_{i+1}", 50.0) for i in range(3)])
+        assert abs(float(sched.delta[0](t)) + float(sched.delta[1](t)) - 1.0) < 1e-12
+    g_end = np.array([float(sched.g[i](50.0)) for i in range(3)])
     # collective coupling normalized to sqrt(2) * g_max independent of M
     assert abs(np.linalg.norm(g_end) - 0.25 * np.sqrt(2.0)) < 1e-12
     two = make_w_generation_schedule(2, 50.0)
-    assert abs(two.value("g_1", 50.0) - 0.25) < 1e-12
+    assert abs(float(two.g[0](50.0)) - 0.25) < 1e-12
 
 
 def test_schedule_validation():
@@ -103,10 +101,20 @@ def test_schedule_validation():
         make_w_generation_schedule(2, 10.0, weights=[1.0])
     with pytest.raises(InvalidSchedule):
         make_w_generation_schedule(2, 10.0, delta_split_initial=1.5)
+    gen = make_w_generation_schedule(2, 10.0)
+    with pytest.raises(InvalidSchedule):
+        ProtocolSchedule(10.0, gen.delta, gen.g, kappa_c=gen.g[:1])
 
 
 # --------------------------------------------------------------------------
 # scheduled operator
+
+
+@pytest.mark.parametrize("dims", [ModelDims(3, 2, 2), ModelDims(1, 2, 2), ModelDims(2, 3, 2)],
+                         ids=["more-modes", "fewer-modes", "more-qubits"])
+def test_schedule_must_fit_the_space(dims):
+    with pytest.raises(SpaceMismatch):
+        ScheduledHamiltonian(enumerate_basis(dims), make_w_generation_schedule(2, 10.0))
 
 
 def test_operator_views_agree():
@@ -146,7 +154,7 @@ def test_lindblad_generator_matches_dense_master_equation():
         rho = A @ A.conj().T
         rho /= np.trace(rho)
         H = build_hamiltonian(ht.params_at(t), space).dense()
-        kc = [sched.value(f"kappa_c_{i+1}", t) for i in range(M)]
+        kc = [float(sched.kappa_c[i](t)) for i in range(M)]
         drho = -1j * (H @ rho - rho @ H)
         drho += sum((noise.kappa_in + kc[i]) * D(a[i], rho) for i in range(M))
         drho += sum(noise.gamma[j] * D(sm[j], rho) for j in range(N))
@@ -156,7 +164,7 @@ def test_lindblad_generator_matches_dense_master_equation():
         ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
         reference = np.concatenate([drho.ravel(), ledger])
 
-        c = term_coefficients(sched, terms, t)
+        c = term_coefficients(terms, t)
         lifted = sum(ck * (Ak @ rho.ravel()) for ck, (_, Ak) in zip(c, terms))
         assert np.max(np.abs(lifted - reference)) < 1e-12
 
@@ -183,8 +191,8 @@ def test_restricted_generator_matches_full_generator():
     full = lindblad_generator(ht, noise)
     rows = np.concatenate([keep, space.dim**2 + np.arange(M + 2)])
     for t in PHASE_TIMES:
-        reference = _apply(term_coefficients(sched, full, t), full, rho.ravel())[rows]
-        restricted = _apply(term_coefficients(sched, terms, t), terms, rho.ravel()[keep])
+        reference = _apply(term_coefficients(full, t), full, rho.ravel())[rows]
+        restricted = _apply(term_coefficients(terms, t), terms, rho.ravel()[keep])
         assert np.max(np.abs(restricted - reference)) < 1e-12
 
 
@@ -231,7 +239,7 @@ def test_coherent_start_keeps_every_entry():
     terms = lindblad_generator(ht, noise)
 
     def rhs(t, y):
-        return _apply(term_coefficients(sched, terms, t), terms, y[:d2])
+        return _apply(term_coefficients(terms, t), terms, y[:d2])
 
     y0 = np.concatenate([rho0.ravel(), np.zeros(M + 2, dtype=complex)])
     _, ys, stats = _integrate(rhs, y0, sched.duration, 5, 1e-8, 1e-10)
@@ -287,10 +295,10 @@ def test_reversibility():
     ht = ScheduledHamiltonian(space, fwd)
     psi0 = vacuum_up(space)
     out = evolve_schrodinger(ht, psi0, n_samples=3).final_state
-    rev_curves = {
-        name: PiecewiseLinear(T - c.ts[::-1], c.vs[::-1]) for name, c in fwd.curves.items()
-    }
-    back = ProtocolSchedule(duration=T, curves=rev_curves)
+    def reverse(curves):
+        return tuple(PiecewiseLinear(T - c.ts[::-1], c.vs[::-1]) for c in curves)
+
+    back = ProtocolSchedule(duration=T, delta=reverse(fwd.delta), g=reverse(fwd.g))
     restored = evolve_schrodinger(
         ScheduledHamiltonian(space, back), out.conj(), n_samples=3
     ).final_state
@@ -451,12 +459,12 @@ def test_single_mode_exponential_decay():
     # one decayed mode, two-level photon truncation: <n>(t) = e^(-kappa t)
     space = enumerate_basis(ModelDims(1, 1, 1))
     kappa = 0.1
-    curves = {
-        "delta_1": PiecewiseLinear.constant(0.5, 40.0),
-        "g_1": PiecewiseLinear.constant(0.0, 40.0),
-        "kappa_c_1": PiecewiseLinear.constant(kappa, 40.0),
-    }
-    sched = ProtocolSchedule(duration=40.0, curves=curves)
+    sched = ProtocolSchedule(
+        duration=40.0,
+        delta=(PiecewiseLinear.constant(0.5, 40.0),),
+        g=(PiecewiseLinear.constant(0.0, 40.0),),
+        kappa_c=(PiecewiseLinear.constant(kappa, 40.0),),
+    )
     ht = ScheduledHamiltonian(space, sched)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     one = space.index(BasisState((1,), (UP,)))
@@ -502,15 +510,13 @@ def test_hold_phase_populations_constant():
     # stay put while the couplings ramp off and kappa_c is still zero
     space = w_space(M=2, n_max=2)
     T = 20.0
-    curves = {
-        "delta_1": PiecewiseLinear.constant(0.5, T),
-        "delta_2": PiecewiseLinear.constant(0.5, T),
-        "g_1": PiecewiseLinear(np.array([0.0, T]), np.array([0.25, 0.0])),
-        "g_2": PiecewiseLinear(np.array([0.0, T]), np.array([0.25, 0.0])),
-        "kappa_c_1": PiecewiseLinear.constant(0.0, T),
-        "kappa_c_2": PiecewiseLinear.constant(0.0, T),
-    }
-    ht = ScheduledHamiltonian(space, ProtocolSchedule(duration=T, curves=curves))
+    sched = ProtocolSchedule(
+        duration=T,
+        delta=(PiecewiseLinear.constant(0.5, T),) * 2,
+        g=(PiecewiseLinear(np.array([0.0, T]), np.array([0.25, 0.0])),) * 2,
+        kappa_c=(PiecewiseLinear.constant(0.0, T),) * 2,
+    )
+    ht = ScheduledHamiltonian(space, sched)
     psi = dark_state_2q(ht.params_at(0.0), space).vector
     traj = evolve_lindblad(ht, NoiseModel(), np.outer(psi, psi.conj()), n_samples=21)
     n_tot = traj.observables["total_photons"]

@@ -13,8 +13,8 @@ from mmrabi.dynamics import (
     evolve_schrodinger,
     make_catch_release_schedule,
     make_w_generation_schedule,
-    rabi_params_at,
 )
+from mmrabi.errors import SpaceMismatch
 from mmrabi.hilbert import EVEN, UP, BasisState, ModelDims, enumerate_basis
 from mmrabi.modes import mode_groups, reduce_modes
 from mmrabi.solutions import dark_state_2q
@@ -45,14 +45,16 @@ SHAPE = np.array([0.0, 0.1, 0.3, 0.3])  # same breakpoints, not proportional to 
 def hand_schedule(g3_values, T=20.0):
     """Modes 1 and 2 share one ramp (g_2 = g_1 / 2); mode 3 has its own values on the same breakpoints."""
     ts = np.array([0.0, 5.0, 12.0, T])
-    curves = {
-        "delta_1": PiecewiseLinear(ts[[0, -1]], np.array([0.9, 0.5])),
-        "delta_2": PiecewiseLinear(ts[[0, -1]], np.array([0.1, 0.5])),
-        "g_1": PiecewiseLinear(ts, G1),
-        "g_2": PiecewiseLinear(ts, 0.5 * G1),
-        "g_3": PiecewiseLinear(ts, np.asarray(g3_values)),
-    }
-    return ProtocolSchedule(duration=T, curves=curves)
+    delta = (
+        PiecewiseLinear(ts[[0, -1]], np.array([0.9, 0.5])),
+        PiecewiseLinear(ts[[0, -1]], np.array([0.1, 0.5])),
+    )
+    g = (
+        PiecewiseLinear(ts, G1),
+        PiecewiseLinear(ts, 0.5 * G1),
+        PiecewiseLinear(ts, np.asarray(g3_values)),
+    )
+    return ProtocolSchedule(duration=T, delta=delta, g=g)
 
 
 # --------------------------------------------------------------------------
@@ -60,25 +62,26 @@ def hand_schedule(g3_values, T=20.0):
 
 
 def test_groups_of_the_protocol_schedules():
-    assert mode_groups(release_schedule(), 3) == [[0, 1, 2]]
+    assert mode_groups(release_schedule()) == [[0, 1, 2]]
     fig5 = release_schedule(weights=(1.0, 1.0, np.sqrt(2.0)), delays=(5.0, 5.0, 0.0))
-    assert mode_groups(fig5, 3) == [[0, 1], [2]]
-    assert mode_groups(release_schedule(delays=(0.0, 3.0, 0.0)), 3) == [[0, 2], [1]]
+    assert mode_groups(fig5) == [[0, 1], [2]]
+    assert mode_groups(release_schedule(delays=(0.0, 3.0, 0.0))) == [[0, 2], [1]]
     # no kappa_c curves at all, weights of any ratio
-    assert mode_groups(make_w_generation_schedule(3, 20.0, weights=(1.0, 2.0, 0.5)), 3) == [[0, 1, 2]]
+    assert mode_groups(make_w_generation_schedule(3, 20.0, weights=(1.0, 2.0, 0.5))) == [[0, 1, 2]]
 
 
 def test_wrong_groupings_are_refused():
     # release delays that differ by far less than a ramp width
-    assert mode_groups(release_schedule(delays=(0.0, 1e-3, 0.0)), 3) == [[0, 2], [1]]
-    assert mode_groups(hand_schedule(NEAR), 3) == [[0, 1], [2]]
-    assert mode_groups(hand_schedule(SHAPE), 3) == [[0, 1], [2]]
+    assert mode_groups(release_schedule(delays=(0.0, 1e-3, 0.0))) == [[0, 2], [1]]
+    assert mode_groups(hand_schedule(NEAR)) == [[0, 1], [2]]
+    assert mode_groups(hand_schedule(SHAPE)) == [[0, 1], [2]]
     # the same ramp on different breakpoints is not compared
     shifted = PiecewiseLinear(np.array([0.0, 5.0, 12.5, 20.0]), G1)
-    sched = ProtocolSchedule(20.0, {**hand_schedule(G1).curves, "g_3": shifted})
-    assert mode_groups(sched, 3) == [[0, 1], [2]]
+    hand = hand_schedule(G1)
+    sched = ProtocolSchedule(20.0, hand.delta, (*hand.g[:2], shifted))
+    assert mode_groups(sched) == [[0, 1], [2]]
     # rounding-level differences still merge
-    assert mode_groups(hand_schedule(G1 * (1 + 1e-15)), 3) == [[0, 1, 2]]
+    assert mode_groups(hand_schedule(G1 * (1 + 1e-15))) == [[0, 1, 2]]
 
 
 def test_single_mode_groups_leave_the_problem_unchanged():
@@ -86,11 +89,18 @@ def test_single_mode_groups_leave_the_problem_unchanged():
     sched = release_schedule(delays=(0.0, 1.0, 2.0))
     red = reduce_modes(space, sched)
     assert red.space == space and red.groups == ((0,), (1,), (2,))
-    assert set(red.schedule.curves) == set(sched.curves)
-    for name, c in sched.curves.items():
-        assert np.array_equal(red.schedule.curves[name].ts, c.ts)
-        assert np.array_equal(red.schedule.curves[name].vs, c.vs)
+    for role in ("delta", "g", "kappa_c"):
+        assert len(getattr(red.schedule, role)) == len(getattr(sched, role))
+        for r, c in zip(getattr(red.schedule, role), getattr(sched, role)):
+            assert np.array_equal(r.ts, c.ts)
+            assert np.array_equal(r.vs, c.vs)
     assert np.array_equal(red.isometry.toarray(), np.eye(space.dim))
+
+
+def test_reduction_refuses_a_schedule_that_does_not_fit():
+    for dims in (ModelDims(2, 2, 2), ModelDims(4, 2, 2)):
+        with pytest.raises(SpaceMismatch):
+            reduce_modes(enumerate_basis(dims), release_schedule())
 
 
 # --------------------------------------------------------------------------
@@ -106,8 +116,8 @@ def test_isometry_embeds_the_dark_state(sector):
     assert red.space.dims == ModelDims(2, 2, 3) and red.space.sector == sector
     assert np.max(np.abs((V.T @ V).toarray() - np.eye(red.space.dim))) < 1e-14
     t = 30.0
-    full = dark_state_2q(rabi_params_at(sched, 3, 2, t), space).vector
-    reduced = dark_state_2q(rabi_params_at(red.schedule, 2, 2, t), red.space).vector
+    full = dark_state_2q(sched.params_at(t), space).vector
+    reduced = dark_state_2q(red.schedule.params_at(t), red.space).vector
     assert np.max(np.abs(red.embed(reduced) - full)) < 1e-14
 
 
@@ -194,7 +204,7 @@ def test_command_matches_full_run(tmp_path, name):
     gen = make_w_generation_schedule(3, 15.0, weights=overrides["schedule.weights"])
     psi = vacuum_up(space)
     kw = dict(rtol=RTOL, atol=1e-12, n_samples=overrides["solver.n_samples"])
-    target = dark_state_2q(rabi_params_at(gen, 3, 2, 15.0), space).vector
+    target = dark_state_2q(gen.params_at(15.0), space).vector
     if name == "adiabatic":
         full = evolve_schrodinger(ScheduledHamiltonian(space, gen), psi, **kw)
         expected = {
