@@ -60,18 +60,15 @@ def _quad(name, value):
 class CircuitParams:
     """Element values of the two-qubit two-resonator coupler circuit.
 
-    Per-qubit values (length 2): gate capacitance C_g, junction
-    capacitance C_J, junction energy E_J.  Per-resonator values
-    (length 2): capacitance C_r, inductance L_r.  Scalars: coupler
-    capacitance C_c, SQUID shunt capacitance C_s, SQUID junction energy
-    E_Js.  Per-coupler values (length 4): DC flux bias phi_DC and AC drive
-    amplitude.
+    Per-qubit values (length 2): junction capacitance C_J, junction
+    energy E_J.  Per-resonator values (length 2): capacitance C_r,
+    inductance L_r.  Scalars: coupler capacitance C_c, SQUID junction
+    energy E_Js.  Per-coupler values (length 4): DC flux bias phi_DC and
+    AC drive amplitude.
     """
 
-    C_g: tuple
     C_J: tuple
     C_c: float
-    C_s: float
     C_r: tuple
     L_r: tuple
     E_J: tuple
@@ -80,7 +77,6 @@ class CircuitParams:
     drive_amplitude: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "C_g", _pair("C_g", self.C_g))
         object.__setattr__(self, "C_J", _pair("C_J", self.C_J))
         object.__setattr__(self, "C_r", _pair("C_r", self.C_r))
         object.__setattr__(self, "L_r", _pair("L_r", self.L_r))
@@ -88,13 +84,11 @@ class CircuitParams:
         object.__setattr__(self, "phi_DC", _quad("phi_DC", self.phi_DC))
         object.__setattr__(self, "drive_amplitude", _quad("drive_amplitude", self.drive_amplitude))
         positives = {
-            "C_g": self.C_g,
             "C_J": self.C_J,
             "C_r": self.C_r,
             "L_r": self.L_r,
             "E_J": self.E_J,
             "C_c": (self.C_c,),
-            "C_s": (self.C_s,),
             "E_Js": (self.E_Js,),
         }
         for name, values in positives.items():

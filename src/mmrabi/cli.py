@@ -197,6 +197,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     pattern = cfg.rabi_params()
     grid = cfg.sweep_grid()
+    # flipping qubit 1 maps one parity sector onto the other, so each has half the states
+    sector_dim = cfg.dims().dim // 2
+    if cfg["sweep.n_levels"] > sector_dim:
+        raise ConfigError(
+            f"sweep.n_levels = {cfg['sweep.n_levels']} exceeds the sector dimension {sector_dim}"
+        )
 
     def template(g):
         # grid values scale the configured coupling pattern
@@ -213,27 +219,29 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _dark_state_for(cfg: ExperimentConfig, space):
+def _dark_state_for(cfg: ExperimentConfig):
+    """(family, state, residual) of the closed-form dark state the config selects."""
     params = cfg.rabi_params()
+    space = enumerate_basis(cfg.dims())
     N = cfg["dims.N"]
     parity = cfg["solve.parity"]
     if N == 2 and parity == "even":
-        return "two-qubit even", dark_state_2q(params, space)
-    if N == 2:
-        return "two-qubit odd (variant a)", dark_state_2q_odd(params, space, variant="a")
-    if N == 3:
-        return "three-qubit odd", dark_state_3q(params, space)
-    raise ConfigError(
-        f"dark-verify supports dims.N = 2 or 3 directly, got {N}; "
-        "build product states through the library API"
-    )
+        family, state = "two-qubit even", dark_state_2q(params, space)
+    elif N == 2:
+        family, state = "two-qubit odd (variant a)", dark_state_2q_odd(params, space, variant="a")
+    elif N == 3:
+        family, state = "three-qubit odd", dark_state_3q(params, space)
+    else:
+        raise ConfigError(
+            f"dark-verify supports dims.N = 2 or 3 directly, got {N}; "
+            "build product states through the library API"
+        )
+    H = build_hamiltonian(params, space)
+    return family, state, verify_eigenstate(H, state.vector, state.energy)
 
 
 def cmd_dark_verify(cfg: ExperimentConfig, out: Path) -> dict:
-    space = enumerate_basis(cfg.dims())
-    family, state = _dark_state_for(cfg, space)
-    H = build_hamiltonian(cfg.rabi_params(), space)
-    residual = verify_eigenstate(H, state.vector, state.energy)
+    family, state, residual = _dark_state_for(cfg)
     nz = np.flatnonzero(np.abs(state.vector) > 1e-14)
     rows = [[i, state.vector[i].real, state.vector[i].imag] for i in nz]
     _write_csv(out / "dark_state.csv", "basis_index,amplitude_re,amplitude_im", rows)
@@ -387,10 +395,7 @@ def cmd_reproduce(cfg: ExperimentConfig, out: Path, figure: str) -> dict:
     summary = FIGURE_COMMANDS[figure](cfg, out)
     summary["figure"] = figure
     if figure == "fig1b":
-        space = enumerate_basis(cfg.dims())
-        state = dark_state_3q(cfg.rabi_params(), space)
-        H = build_hamiltonian(cfg.rabi_params(), space)
-        summary["dark_state_residual"] = verify_eigenstate(H, state.vector, state.energy)
+        summary["dark_state_residual"] = _dark_state_for(cfg)[2]
     return summary
 
 

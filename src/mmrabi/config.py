@@ -67,10 +67,8 @@ SCHEMA = {
     "solver.rtol": Key("float", 1e-8, minimum=0.0),
     "solver.atol": Key("float", 1e-10, minimum=0.0),
     "solver.n_samples": Key("int", 201, minimum=2),
-    "circuit.C_g": Key("floats", (0.1, 0.1)),
     "circuit.C_J": Key("floats", (1.0, 1.0)),
     "circuit.C_c": Key("float", 0.4),
-    "circuit.C_s": Key("float", 0.2),
     "circuit.C_r": Key("floats", (5.0, 5.0)),
     "circuit.L_r": Key("floats", (2.0, 2.0)),
     "circuit.E_J": Key("floats", (1.0, 1.0)),
@@ -99,6 +97,9 @@ def _parse_value(key: str, spec: Key, raw: str):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {spec.kind}") from exc
     if spec.kind == "choice" and value not in spec.choices:
         raise ConfigError(f"{key}: {value!r} not one of {spec.choices}")
+    # nan would pass every comparison below and every later check silently
+    if spec.kind in ("float", "floats") and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key}: {raw!r} is not finite")
     if spec.minimum is not None:
         low = min(value) if isinstance(value, tuple) else value
         if low < spec.minimum:
@@ -187,7 +188,10 @@ class ExperimentConfig:
             raise ConfigError(f"params.g: expected 1, {M} or {M * N} values, got {len(raw)}")
         if g_scale is not None:
             g = g * g_scale
-        return RabiParams(omega=omega, delta=delta, g=g)
+        try:
+            return RabiParams(omega=omega, delta=delta, g=g)
+        except ValueError as exc:
+            raise ConfigError(f"params.*: {exc}") from exc
 
     def sweep_grid(self) -> np.ndarray:
         lo, hi = self["sweep.g_min"], self["sweep.g_max"]
@@ -231,10 +235,8 @@ class ExperimentConfig:
     def circuit_params(self) -> CircuitParams:
         try:
             return CircuitParams(
-                C_g=self["circuit.C_g"],
                 C_J=self["circuit.C_J"],
                 C_c=self["circuit.C_c"],
-                C_s=self["circuit.C_s"],
                 C_r=self["circuit.C_r"],
                 L_r=self["circuit.L_r"],
                 E_J=self["circuit.E_J"],

@@ -680,7 +680,9 @@ def make_catch_release_schedule(
 
     M is the number of ``gen.g`` curves and T_gen its duration; the result
     has one ``kappa_c`` curve per mode, off until mode i's release delay
-    after the hold and then ramping to ``release.kappa_c``.  The
+    after the hold and then ramping to ``release.kappa_c`` over
+    ``release.ramp_width`` (positive); each delay must be non-negative and
+    its ramp must end before ``release.duration``.  The
     drive-controlled couplings ramp to zero across the hold window,
     so ``hold_time`` must be positive.  The generated state is already
     decoupled, so this leaves it untouched, but it stops residual
@@ -696,6 +698,16 @@ def make_catch_release_schedule(
         raise InvalidSchedule(f"need {M} release delays, got {len(delays)}")
     if hold_time <= 0:
         raise InvalidSchedule("the couplings need a positive hold_time to ramp to zero over")
+    if release.ramp_width <= 0:
+        raise InvalidSchedule(f"release ramp_width must be positive, got {release.ramp_width}")
+    for i, d in enumerate(delays):
+        if d < 0:
+            raise InvalidSchedule(f"release delay {d} of mode {i + 1} is negative")
+        if d + release.ramp_width >= release.duration:
+            raise InvalidSchedule(
+                f"release delay {d} of mode {i + 1} plus ramp_width {release.ramp_width} "
+                f"does not end before the release duration {release.duration}"
+            )
 
     def extend(c, ts, vs):
         return PiecewiseLinear(np.concatenate([c.ts, ts]), np.concatenate([c.vs, vs]))

@@ -1,11 +1,26 @@
 """Closed-form one-photon dark states and the generic one-photon finder.
 
-The analytic states live on the zero- and one-photon blocks only, hold
-for arbitrary coupling strength under parameter constraints on
-(omega_i, delta_j) and (g_ij) separately, and all have energy equal to
-the common mode frequency.  The generic finder reconstructs them from
-the null space of the one-to-two-photon coupling block plus the stacked
-linear system on the kept blocks, without assuming a closed form.
+Every closed form is one ansatz with at most one photon,
+
+    |0_M> chi_0 + sum_i g_i1 |1_i> chi_1,   E = omega,
+
+where chi_0 (the vacuum spin part) and chi_1 (the photon spin part) are
+fixed qubit states and omega is the common mode frequency.  It holds for
+arbitrary coupling strength under constraints on (omega_i, delta_j) and
+(g_ij) separately; every family needs omega_i = omega.  Per family
+(u = up, d = down):
+
+    dark_state_2q       chi_0 = (delta_1 - delta_2)|uu>,  chi_1 = |du> - |ud>
+    dark_state_2q_odd a chi_0 = (delta_1 + delta_2)|ud>,  chi_1 = |dd> - |uu>
+    dark_state_2q_odd b chi_0 = (delta_1 + delta_2)|du>,  chi_1 = |dd> - |uu>
+    dark_state_3q       chi_0 = omega (g_13/g_12 |uud> + g_12/g_13 |udu>
+                                       - g_11^2/(g_12 g_13) |duu>),
+                        chi_1 = |udd> - |dud> - |ddu> + |uuu>
+
+The two-qubit families need g_ij = g_i1.  ``product_dark_state`` appends
+singlet pairs to any of them.  The generic finder reconstructs the states
+from the null space of the one-to-two-photon coupling block plus the
+stacked linear system on the kept blocks, without assuming a closed form.
 """
 
 from __future__ import annotations
@@ -61,25 +76,8 @@ def _check_conditions(pairs, scale: float):
         raise ConditionsViolated(violations)
 
 
-def _common_mode_frequency(params: RabiParams):
-    omega = params.omega[0]
-    pairs = [(f"omega_{i+1} = omega", params.omega[i] - omega) for i in range(1, params.M)]
-    return omega, pairs
-
-
-def _qubit_independent_couplings(params: RabiParams):
-    """Require g_ij = g_i for all j; return g vector and defect pairs."""
-    g = params.g[:, 0].copy()
-    pairs = []
-    for i in range(params.M):
-        for j in range(1, params.N):
-            pairs.append((f"g_{i+1}{j+1} = g_{i+1}1", params.g[i, j] - g[i]))
-    return g, pairs
-
-
-def _vector(space: HilbertSpace, entries) -> np.ndarray:
-    """Vector with each (occupations, spins, amplitude) entry added at its state, in order."""
-    occ, spins, amps = zip(*entries)
+def _vector(space: HilbertSpace, occ, spins, amps) -> np.ndarray:
+    """Vector with each row's amplitude added at its (occupations, spins) state, in order."""
     idx = space.indices(occ, spins)
     for k in np.flatnonzero(idx < 0):
         space.index(BasisState(tuple(occ[k]), tuple(spins[k])))  # raises StateNotInSpace
@@ -88,10 +86,49 @@ def _vector(space: HilbertSpace, entries) -> np.ndarray:
     return vec
 
 
-def _one_photon_occ(M: int, i: int):
-    occ = [0] * M
-    occ[i] = 1
-    return tuple(occ)
+def _checked_state(pairs, energy, space, occ, spins, amps, conditions=()) -> DarkState:
+    """Check the (name, defect) ``pairs`` at scale ``energy``, then normalize the rows' vector."""
+    _check_conditions(pairs, energy)
+    vec = _vector(space, occ, spins, amps)
+    return DarkState(
+        vector=vec / np.linalg.norm(vec),
+        energy=float(energy),
+        space=space,
+        conditions=conditions + tuple(name for name, _ in pairs),
+    )
+
+
+def _one_photon_state(params, space, N, family, photon, qubit_independent=True,
+                      photon_first=False) -> DarkState:
+    """The ansatz |0_M> chi_0 + sum_i g_i1 |1_i> chi_1 at E = omega.
+
+    Checks that the space fits, that there are N qubits, omega_i = omega
+    and, if ``qubit_independent``, g_ij = g_i1.  ``family(omega)`` then
+    gives the family's own (name, defect) pairs and chi_0 as
+    (spins, amplitude) rows; ``photon`` gives chi_1 the same way.  The
+    rows run vacuum first, or photon first (mode by mode) if
+    ``photon_first``.
+    """
+    params.check_space(space)
+    if params.N != N:
+        raise ConditionsViolated([(f"N = {N}", params.N - N)])
+    M, g, omega = params.M, params.g, params.omega[0]
+    pairs = [(f"omega_{i+1} = omega", params.omega[i] - omega) for i in range(1, M)]
+    if qubit_independent:
+        pairs += [(f"g_{i+1}{j+1} = g_{i+1}1", g[i, j] - g[i, 0])
+                  for i in range(M) for j in range(1, N)]
+    own, vacuum = family(omega)
+    vac_spins, vac_amps = zip(*vacuum)
+    ph_spins, ph_coefs = zip(*photon)
+    rows = [
+        (np.zeros((len(vacuum), M), dtype=int), vac_spins, vac_amps),
+        (np.repeat(np.eye(M, dtype=int), len(photon), axis=0), np.tile(ph_spins, (M, 1)),
+         np.outer(g[:, 0], ph_coefs).ravel()),
+    ]
+    if photon_first:
+        rows.reverse()
+    occ, spins, amps = (np.concatenate(part) for part in zip(*rows))
+    return _checked_state(pairs + own, omega, space, occ, spins, amps)
 
 
 def dark_state_2q(params: RabiParams, space: HilbertSpace) -> DarkState:
@@ -101,27 +138,13 @@ def dark_state_2q(params: RabiParams, space: HilbertSpace) -> DarkState:
     with |W_M> weighted by the per-mode couplings g_i.  Requires all
     mode frequencies equal, g_ij = g_i, and delta_1 + delta_2 = omega.
     """
-    params.check_space(space)
-    if params.N != 2:
-        raise ConditionsViolated([("N = 2", params.N - 2)])
-    omega, pairs = _common_mode_frequency(params)
-    g, gpairs = _qubit_independent_couplings(params)
-    pairs += gpairs
-    pairs.append(("delta_1 + delta_2 = omega", params.delta[0] + params.delta[1] - omega))
-    _check_conditions(pairs, omega)
+    delta = params.delta
 
-    M = params.M
-    entries = [((0,) * M, (UP, UP), params.delta[0] - params.delta[1])]
-    for i in range(M):
-        occ = _one_photon_occ(M, i)
-        entries += [(occ, (DOWN, UP), g[i]), (occ, (UP, DOWN), -g[i])]
-    vec = _vector(space, entries)
-    return DarkState(
-        vector=vec / np.linalg.norm(vec),
-        energy=float(omega),
-        space=space,
-        conditions=tuple(name for name, _ in pairs),
-    )
+    def family(omega):
+        return ([("delta_1 + delta_2 = omega", delta[0] + delta[1] - omega)],
+                [((UP, UP), delta[0] - delta[1])])
+
+    return _one_photon_state(params, space, 2, family, [((DOWN, UP), 1.0), ((UP, DOWN), -1.0)])
 
 
 def dark_state_2q_odd(params: RabiParams, space: HilbertSpace, variant: str) -> DarkState:
@@ -131,34 +154,18 @@ def dark_state_2q_odd(params: RabiParams, space: HilbertSpace, variant: str) -> 
     (delta_1 + delta_2)|0_M, up, down> + |W_M>(|down,down> - |up,up>);
     variant "b" is the qubit-swapped mirror with delta_2 - delta_1 = omega.
     """
-    params.check_space(space)
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    if params.N != 2:
-        raise ConditionsViolated([("N = 2", params.N - 2)])
-    omega, pairs = _common_mode_frequency(params)
-    g, gpairs = _qubit_independent_couplings(params)
-    pairs += gpairs
-    if variant == "a":
-        pairs.append(("delta_1 - delta_2 = omega", params.delta[0] - params.delta[1] - omega))
-        vac_spins = (UP, DOWN)
-    else:
-        pairs.append(("delta_2 - delta_1 = omega", params.delta[1] - params.delta[0] - omega))
-        vac_spins = (DOWN, UP)
-    _check_conditions(pairs, omega)
+    # variant b is variant a with the two qubits swapped
+    hi, lo = (0, 1) if variant == "a" else (1, 0)
+    vac_spins = (UP, DOWN) if variant == "a" else (DOWN, UP)
+    delta = params.delta
 
-    M = params.M
-    entries = [((0,) * M, vac_spins, params.delta[0] + params.delta[1])]
-    for i in range(M):
-        occ = _one_photon_occ(M, i)
-        entries += [(occ, (DOWN, DOWN), g[i]), (occ, (UP, UP), -g[i])]
-    vec = _vector(space, entries)
-    return DarkState(
-        vector=vec / np.linalg.norm(vec),
-        energy=float(omega),
-        space=space,
-        conditions=tuple(name for name, _ in pairs),
-    )
+    def family(omega):
+        return ([(f"delta_{hi+1} - delta_{lo+1} = omega", delta[hi] - delta[lo] - omega)],
+                [(vac_spins, delta[0] + delta[1])])
+
+    return _one_photon_state(params, space, 2, family, [((DOWN, DOWN), 1.0), ((UP, UP), -1.0)])
 
 
 def dark_state_3q(params: RabiParams, space: HilbertSpace) -> DarkState:
@@ -171,49 +178,29 @@ def dark_state_3q(params: RabiParams, space: HilbertSpace) -> DarkState:
     g_i1 = g_i2 + g_i3 for every mode, with g_i2/g_i3 ratios common
     across modes (nonzero g_12, g_13).
     """
-    params.check_space(space)
-    if params.N != 3:
-        raise ConditionsViolated([("N = 3", params.N - 3)])
-    omega, pairs = _common_mode_frequency(params)
-    for j in range(3):
-        pairs.append((f"delta_{j+1} = omega", params.delta[j] - omega))
-    for i in range(params.M):
-        pairs.append(
-            (f"g_{i+1}1 = g_{i+1}2 + g_{i+1}3", params.g[i, 0] - params.g[i, 1] - params.g[i, 2])
-        )
-    # the vacuum amplitudes use the qubit-2/3 split of mode 1; the state is
-    # exact only when all modes share that split
-    g12, g13 = params.g[0, 1], params.g[0, 2]
-    if abs(g12) < 1e-300 or abs(g13) < 1e-300:
-        raise ConditionsViolated([("g_12, g_13 nonzero", 0.0)])
-    for i in range(1, params.M):
-        pairs.append((f"g_{i+1}2 g_13 = g_{i+1}3 g_12", params.g[i, 1] * g13 - params.g[i, 2] * g12))
-    _check_conditions(pairs, omega)
+    g = params.g
 
-    M = params.M
-    entries = []
-    for i in range(M):
-        occ = _one_photon_occ(M, i)
-        gi1 = params.g[i, 0]
-        entries += [
-            (occ, (UP, DOWN, DOWN), gi1),
-            (occ, (DOWN, UP, DOWN), -gi1),
-            (occ, (DOWN, DOWN, UP), -gi1),
-            (occ, (UP, UP, UP), gi1),
+    def family(omega):
+        pairs = [(f"delta_{j+1} = omega", params.delta[j] - omega) for j in range(3)]
+        pairs += [(f"g_{i+1}1 = g_{i+1}2 + g_{i+1}3", g[i, 0] - g[i, 1] - g[i, 2])
+                  for i in range(params.M)]
+        # the vacuum amplitudes use the qubit-2/3 split of mode 1; the state is
+        # exact only when all modes share that split
+        g12, g13 = g[0, 1], g[0, 2]
+        if abs(g12) < 1e-300 or abs(g13) < 1e-300:
+            raise ConditionsViolated([("g_12, g_13 nonzero", 0.0)])
+        pairs += [(f"g_{i+1}2 g_13 = g_{i+1}3 g_12", g[i, 1] * g13 - g[i, 2] * g12)
+                  for i in range(1, params.M)]
+        return pairs, [
+            ((UP, UP, DOWN), omega * g13 / g12),
+            ((UP, DOWN, UP), omega * g12 / g13),
+            ((DOWN, UP, UP), -omega * g[0, 0] ** 2 / (g12 * g13)),
         ]
-    zeros = (0,) * M
-    entries += [
-        (zeros, (UP, UP, DOWN), omega * g13 / g12),
-        (zeros, (UP, DOWN, UP), omega * g12 / g13),
-        (zeros, (DOWN, UP, UP), -omega * params.g[0, 0] ** 2 / (g12 * g13)),
-    ]
-    vec = _vector(space, entries)
-    return DarkState(
-        vector=vec / np.linalg.norm(vec),
-        energy=float(omega),
-        space=space,
-        conditions=tuple(name for name, _ in pairs),
-    )
+
+    photon = [((UP, DOWN, DOWN), 1.0), ((DOWN, UP, DOWN), -1.0),
+              ((DOWN, DOWN, UP), -1.0), ((UP, UP, UP), 1.0)]
+    return _one_photon_state(params, space, 3, family, photon, qubit_independent=False,
+                             photon_first=True)
 
 
 def product_dark_state(
@@ -251,7 +238,6 @@ def product_dark_state(
             pairs.append(
                 (f"g_{i+1}{ja+1} = g_{i+1}{jb+1}", pairing_params.g[i, ja] - pairing_params.g[i, jb])
             )
-    _check_conditions(pairs, base.energy)
 
     nz = np.flatnonzero(np.abs(base.vector) > 0)
     occ, spins, amps = base.space.occupations[nz], base.space.spins[nz], base.vector[nz]
@@ -262,13 +248,7 @@ def product_dark_state(
         occ = np.repeat(occ, 2, axis=0)
         spins = np.hstack([np.repeat(spins, 2, axis=0), np.tile(singlet_spins, (len(amps), 1))])
         amps = np.repeat(amps, 2) * np.tile(singlet_amps, len(amps))
-    vec = _vector(space, zip(occ, spins, amps))
-    return DarkState(
-        vector=vec / np.linalg.norm(vec),
-        energy=base.energy,
-        space=space,
-        conditions=base.conditions + tuple(name for name, _ in pairs),
-    )
+    return _checked_state(pairs, base.energy, space, occ, spins, amps, base.conditions)
 
 
 def verify_eigenstate(H: SparseOperator, v: np.ndarray, E: float) -> float:
@@ -317,14 +297,10 @@ def find_one_photon_solutions(
         "O1_singular_values": svals.tolist(),
         "O1_nullity": null_dim,
     }
-    report = SolutionReport(found=[], rank_data=rank_data, space=None)
-
     # verification space: one more photon than the ansatz support
-    dims = ModelDims(M=params.M, N=params.N, n_max=2)
-    vspace = enumerate_basis(dims, sector=parity)
-    report.space = vspace
+    vspace = enumerate_basis(ModelDims(M=params.M, N=params.N, n_max=2), sector=parity)
     if null_dim == 0:
-        return report
+        return SolutionReport(found=[], rank_data=rank_data, space=vspace)
     H = build_hamiltonian(params, vspace)
 
     candidates = np.unique(np.round(np.concatenate([np.diag(D0), np.diag(D1)]), 12))
@@ -355,5 +331,4 @@ def find_one_photon_solutions(
                 )
                 if not dup:
                     seen.append((float(E), v))
-    report.found = seen
-    return report
+    return SolutionReport(found=seen, rank_data=rank_data, space=vspace)

@@ -16,10 +16,8 @@ from mmrabi.solutions import dark_state_2q, verify_eigenstate
 
 def symmetric_circuit(phi=0.9, A=0.05, E_J=(1.0, 1.0), **overrides):
     base = dict(
-        C_g=(0.1, 0.1),
         C_J=(1.0, 1.0),
         C_c=0.4,
-        C_s=0.2,
         C_r=(5.0, 5.0),
         L_r=(2.0, 2.0),
         E_J=E_J,
@@ -70,7 +68,7 @@ def test_symmetric_circuit_feeds_dark_state():
 
 
 def test_resonator_permutation_symmetry():
-    kw = dict(C_g=(0.1, 0.1), C_J=(1.0, 1.0), C_c=0.4, C_s=0.2, E_J=(1.2, 0.6), E_Js=3.0)
+    kw = dict(C_J=(1.0, 1.0), C_c=0.4, E_J=(1.2, 0.6), E_Js=3.0)
     a = CircuitParams(C_r=(5.0, 6.0), L_r=(2.0, 2.5),
                       phi_DC=(0.3, 0.5, 0.7, 0.9),
                       drive_amplitude=(0.01, 0.02, 0.03, 0.04), **kw)
@@ -93,7 +91,7 @@ def test_units_rescaling_invariance():
     s = 2.5
     base = symmetric_circuit()
     scaled = symmetric_circuit(
-        C_J=(1.0 / s, 1.0 / s), C_g=(0.1 / s, 0.1 / s), C_c=0.4 / s, C_s=0.2 / s,
+        C_J=(1.0 / s, 1.0 / s), C_c=0.4 / s,
         C_r=(5.0 / s, 5.0 / s), L_r=(2.0 / s, 2.0 / s),
         E_J=(s, s), E_Js=3.0 * s,
     )

@@ -129,8 +129,11 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["release.ramp_width = 0", "schedule.hold_time = 0", "schedule.T = 0", "release.delays = 0, 80"],
-    ids=["ramp-width", "hold-time", "T", "delay-at-end"],
+    [
+        "release.ramp_width = 0", "schedule.hold_time = 0", "schedule.T = 0", "release.delays = 0, 80",
+        "release.delays = -5, 0", "release.delays = 0, 79.5",
+    ],
+    ids=["ramp-width", "hold-time", "T", "delay-at-end", "negative-delay", "ramp-past-end"],
 )
 def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
     # the schema accepts these values, but no schedule can be built from them
@@ -139,8 +142,36 @@ def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
     out = tmp_path / "o"
     code = main(["--config", str(cfg), "--out", str(out), "catch-release"])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if line.startswith("release."):
+        assert "ramp_width" in err or "delay" in err
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize(
+    "lines,command,names",
+    [
+        (["params.omega = 1, 0"], "dark-verify", ["params."]),
+        (["params.omega = 1, 0"], "spectrum", ["params."]),
+        (["params.g = nan"], "dark-verify", ["params.g"]),
+        (["params.omega = nan"], "dark-verify", ["params.omega"]),
+        (["params.delta = nan, 0.1"], "dark-verify", ["params.delta"]),
+        (["dims.M = 1", "dims.n_max = 2"], "sweep", ["sweep.n_levels", "dimension 6"]),
+    ],
+    ids=["zero-omega-dark-verify", "zero-omega-spectrum", "nan-g", "nan-omega", "nan-delta",
+         "sweep-levels"],
+)
+def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names):
+    # schema-valid values that no model can be built from are config errors
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(name in err for name in names)
+    assert not (out / "error.json").exists()
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_circuit_map(tmp_path):

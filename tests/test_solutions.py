@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,120 @@ def test_finder_rank_data_present():
     report = find_one_photon_solutions(params_2q(g=0.4), EVEN)
     assert report.rank_data["O1_nullity"] > 0
     assert len(report.rank_data["O1_singular_values"]) > 0
+
+
+# --------------------------------------------------------------------------
+# amplitude-by-amplitude references for the closed forms
+
+
+def _put(vec, space, occ, spins, amp):
+    vec[space.index(BasisState(tuple(occ), tuple(spins)))] = amp
+
+
+def _one_photon(M, i):
+    return tuple(int(k == i) for k in range(M))
+
+
+def _omega_names(M):
+    return [f"omega_{i+1} = omega" for i in range(1, M)]
+
+
+def _qubit_independent_names(M, N):
+    return [f"g_{i+1}{j+1} = g_{i+1}1" for i in range(M) for j in range(1, N)]
+
+
+def _reference_2q(params, space):
+    M, d, g = params.M, params.delta, params.g
+    vec = np.zeros(space.dim, dtype=complex)
+    _put(vec, space, (0,) * M, (UP, UP), d[0] - d[1])
+    for i in range(M):
+        _put(vec, space, _one_photon(M, i), (DOWN, UP), g[i, 0])
+        _put(vec, space, _one_photon(M, i), (UP, DOWN), -g[i, 0])
+    names = _omega_names(M) + _qubit_independent_names(M, 2) + ["delta_1 + delta_2 = omega"]
+    return vec / np.linalg.norm(vec), names
+
+
+def _reference_2q_odd(params, space, variant):
+    M, d, g = params.M, params.delta, params.g
+    vec = np.zeros(space.dim, dtype=complex)
+    _put(vec, space, (0,) * M, (UP, DOWN) if variant == "a" else (DOWN, UP), d[0] + d[1])
+    for i in range(M):
+        _put(vec, space, _one_photon(M, i), (DOWN, DOWN), g[i, 0])
+        _put(vec, space, _one_photon(M, i), (UP, UP), -g[i, 0])
+    last = "delta_1 - delta_2 = omega" if variant == "a" else "delta_2 - delta_1 = omega"
+    names = _omega_names(M) + _qubit_independent_names(M, 2) + [last]
+    return vec / np.linalg.norm(vec), names
+
+
+def _reference_3q(params, space):
+    M, g, omega = params.M, params.g, params.omega[0]
+    g12, g13 = g[0, 1], g[0, 2]
+    vec = np.zeros(space.dim, dtype=complex)
+    for i in range(M):
+        occ = _one_photon(M, i)
+        _put(vec, space, occ, (UP, DOWN, DOWN), g[i, 0])
+        _put(vec, space, occ, (DOWN, UP, DOWN), -g[i, 0])
+        _put(vec, space, occ, (DOWN, DOWN, UP), -g[i, 0])
+        _put(vec, space, occ, (UP, UP, UP), g[i, 0])
+    _put(vec, space, (0,) * M, (UP, UP, DOWN), omega * g13 / g12)
+    _put(vec, space, (0,) * M, (UP, DOWN, UP), omega * g12 / g13)
+    _put(vec, space, (0,) * M, (DOWN, UP, UP), -omega * g[0, 0] ** 2 / (g12 * g13))
+    names = (_omega_names(M) + [f"delta_{j+1} = omega" for j in range(3)]
+             + [f"g_{i+1}1 = g_{i+1}2 + g_{i+1}3" for i in range(M)]
+             + [f"g_{i+1}2 g_13 = g_{i+1}3 g_12" for i in range(1, M)])
+    return vec / np.linalg.norm(vec), names
+
+
+def _reference_product(base, n_pairs, space):
+    singlet = [((DOWN, UP), 1 / np.sqrt(2)), ((UP, DOWN), -1 / np.sqrt(2))]
+    vec = np.zeros(space.dim, dtype=complex)
+    for k in np.flatnonzero(np.abs(base.vector) > 0):
+        state = base.space.state(k)
+        for choice in itertools.product(singlet, repeat=n_pairs):
+            spins, amp = state.spins, base.vector[k]
+            for pair_spins, pair_amp in choice:
+                spins, amp = spins + pair_spins, amp * pair_amp
+            _put(vec, space, state.occupations, spins, amp)
+    N_base, M = base.space.dims.N, space.dims.M
+    names = list(base.conditions)
+    for p in range(n_pairs):
+        ja, jb = N_base + 2 * p + 1, N_base + 2 * p + 2
+        names += [f"delta_{ja} = delta_{jb}"] + [f"g_{i+1}{ja} = g_{i+1}{jb}" for i in range(M)]
+    return vec / np.linalg.norm(vec), names
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5])
+def test_closed_forms_match_amplitude_reference(M):
+    rng = np.random.default_rng(M)
+    w = rng.uniform(0.2, 1.0, M)
+    g2 = np.tile(w[:, None], (1, 2))
+
+    def two_qubit(delta):
+        return RabiParams(omega=np.ones(M), delta=delta, g=g2)
+
+    p3 = RabiParams(omega=np.ones(M), delta=np.ones(3), g=np.c_[w * 0.6 + w * 0.4, w * 0.6, w * 0.4])
+    pe, pa, pb = two_qubit([0.9, 0.1]), two_qubit([1.2, 0.2]), two_qubit([0.2, 1.2])
+    families = [
+        (2, EVEN, lambda s: dark_state_2q(pe, s), lambda s: _reference_2q(pe, s)),
+        (2, ODD, lambda s: dark_state_2q_odd(pa, s, "a"), lambda s: _reference_2q_odd(pa, s, "a")),
+        (2, ODD, lambda s: dark_state_2q_odd(pb, s, "b"), lambda s: _reference_2q_odd(pb, s, "b")),
+        (3, ODD, lambda s: dark_state_3q(p3, s), lambda s: _reference_3q(p3, s)),
+    ]
+    base = dark_state_2q(pe, enumerate_basis(ModelDims(M, 2, 2)))
+    for n_pairs in (1, 2):
+        extra = rng.uniform(0.2, 1.0, (M, n_pairs))
+        pp = RabiParams(omega=np.ones(M),
+                        delta=np.r_[[0.9, 0.1], np.repeat(rng.uniform(0.2, 1.0, n_pairs), 2)],
+                        g=np.c_[g2, np.repeat(extra, 2, axis=1)])
+        # a singlet pair has odd spin parity, so each pair flips the sector
+        sector = EVEN if n_pairs % 2 == 0 else ODD
+        families.append((2 + 2 * n_pairs, sector,
+                         lambda s, n=n_pairs, pp=pp: product_dark_state(base, n, pp, s),
+                         lambda s, n=n_pairs: _reference_product(base, n, s)))
+    for N, family_sector, build, reference in families:
+        for sector in (None, family_sector):
+            space = enumerate_basis(ModelDims(M, N, 2), sector)
+            state = build(space)
+            vec, names = reference(space)
+            assert np.array_equal(state.vector, vec)
+            assert state.conditions == tuple(names)
