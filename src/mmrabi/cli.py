@@ -2,17 +2,21 @@
 
 Every subcommand reads an optional flat config file, writes CSV
 artifacts plus a ``summary.json`` into the output directory, and prints
-the summary path.  Floating-point values in JSON are serialized with 17
-significant digits so identical config and seed give byte-identical
-summaries.  Exit codes: 0 success, 2 configuration error (a config value
-the schedule builders reject included), 3 numerical failure (a diagnostic
-JSON is still written when possible).
+the summary path.  This is the only module that turns results into text:
+every CSV goes through ``_write_csv`` and every JSON through
+``format_json``, both printing floats with 17 significant digits, so
+identical config and seed give byte-identical files.  Library results
+hold per-mode values as one (rows, modes) array; ``_named_columns``
+alone names their columns ``name_1 .. name_M``.  Exit codes: 0 success,
+2 configuration error (a config value the schedule builders reject
+included), 3 numerical failure (a diagnostic JSON is still written when
+possible).
 
 ``adiabatic``, ``lindblad`` and ``catch-release`` share one protocol run
 (``_protocol_run``): it starts from the photon vacuum and integrates the
 bright-mode problem of ``modes.reduce_modes``, one mode per group of
 modes with equal ``kappa_c`` and proportional couplings, which is exact
-from that start.  Per-line CSV columns are mapped back to every mode,
+from that start.  Per-mode observables are mapped back to every mode,
 and the headline fidelity compares the embedded state with the
 full-space dark state.  ``reproduce`` refuses a config or ``--cutoff``
 value that its figure preset would replace.
@@ -38,9 +42,9 @@ from .dynamics import (
     photon_ledger_defect,
 )
 from .errors import ConfigError, InvalidSchedule, MMRabiError
-from .hilbert import EVEN, ODD, UP, BasisState, basis_csv_lines, enumerate_basis
+from .hilbert import EVEN, ODD, UP, BasisState, enumerate_basis
 from .modes import reduce_modes
-from .operators import build_hamiltonian
+from .operators import build_hamiltonian, build_parity_operator
 from .solutions import (
     dark_state_2q,
     dark_state_2q_odd,
@@ -98,14 +102,23 @@ def _write_csv(path: Path, header, rows):
     _write(path, "\n".join(lines) + "\n")
 
 
+def _named_columns(name: str, values) -> dict:
+    """``{name: values}`` for a 1-D array; ``name_1 .. name_K`` for the K columns of a 2-D one."""
+    if values.ndim == 1:
+        return {name: values}
+    return {f"{name}_{i+1}": values[:, i] for i in range(values.shape[1])}
+
+
+def _write_columns(path: Path, columns: dict):
+    _write_csv(path, ",".join(columns), np.column_stack(list(columns.values())))
+
+
 def _write_trajectory_csv(path: Path, traj):
-    names = sorted(traj.observables)
-    header = "t," + ",".join(names)
-    rows = (
-        [traj.times[k]] + [traj.observables[n][k] for n in names]
-        for k in range(len(traj.times))
-    )
-    _write_csv(path, header, rows)
+    """``t``, then every observable sorted by name, a per-mode one as ``name_1 .. name_M``."""
+    columns = {}
+    for name, values in traj.observables.items():
+        columns.update(_named_columns(name, values))
+    _write_columns(path, {"t": traj.times, **{n: columns[n] for n in sorted(columns)}})
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +180,12 @@ def _require_two_qubits(cfg: ExperimentConfig):
 
 def cmd_basis(cfg: ExperimentConfig, out: Path) -> dict:
     space = enumerate_basis(cfg.dims())
-    _write(out / "basis.csv", "\n".join(basis_csv_lines(space)) + "\n")
+    _write_columns(out / "basis.csv", {
+        "index": np.arange(space.dim),
+        **_named_columns("n", space.occupations),
+        **_named_columns("s", space.spins),
+        "parity": build_parity_operator(space).matrix.diagonal().real,
+    })
     even = enumerate_basis(cfg.dims(), EVEN)
     odd = enumerate_basis(cfg.dims(), ODD)
     return {
@@ -210,7 +228,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
     table = sweep_coupling(template, grid, cfg.parity("sweep.parity"),
                            cfg["sweep.n_levels"], cfg.dims())
-    _write(out / "sweep.csv", "\n".join(table.csv_lines()) + "\n")
+    rows = [
+        [g, sign, k, lv[ig, k]]
+        for sign, lv in sorted(table.levels.items())
+        for ig, g in enumerate(table.sweep_values)
+        for k in range(lv.shape[1])
+    ]
+    _write_csv(out / "sweep.csv", "g,parity,level_index,energy", rows)
     omega = float(pattern.omega[0])
     summary = {"n_points": len(grid), "g_min": grid[0], "g_max": grid[-1]}
     for sign, lv in table.levels.items():
@@ -304,9 +328,7 @@ def cmd_catch_release(cfg: ExperimentConfig, out: Path) -> dict:
     sched = make_catch_release_schedule(gen, cfg["schedule.hold_time"], cfg.release_config())
     traj, F = _protocol_run(cfg, sched, gen.duration, cfg.noise_model())
     _write_trajectory_csv(out / "catch_release.csv", traj)
-    emitted = {
-        str(i): float(traj.observables[f"emitted_{i}"][-1]) for i in range(1, cfg["dims.M"] + 1)
-    }
+    emitted = {str(i + 1): float(e) for i, e in enumerate(traj.observables["emitted"][-1])}
     total = float(sum(emitted.values()))
     return {
         "T_gen": gen.duration,

@@ -58,8 +58,12 @@ SCHEMA = {
     "schedule.g_ramp_fraction": Key("float", 0.35, minimum=0.0),
     "schedule.hold_time": Key("float", 5.0, minimum=0.0, help="idle time before release"),
     "noise.kappa_in": Key("float", 1e-4, minimum=0.0, help="intrinsic photon loss rate"),
-    "noise.gamma": Key("floats", (1e-5,), help="qubit relaxation rates (scalar broadcasts)"),
-    "noise.gamma_phi": Key("floats", (1e-4,), help="qubit dephasing rates (scalar broadcasts)"),
+    "noise.gamma": Key(
+        "floats", (1e-5,), minimum=0.0, help="qubit relaxation rates (scalar broadcasts)"
+    ),
+    "noise.gamma_phi": Key(
+        "floats", (1e-4,), minimum=0.0, help="qubit dephasing rates (scalar broadcasts)"
+    ),
     "release.kappa_c": Key("float", 0.1, minimum=0.0, help="line coupling rate when on"),
     "release.delays": Key("floats", (), help="per-mode turn-on delays (empty = all zero)"),
     "release.ramp_width": Key("float", 1.0, minimum=0.0),

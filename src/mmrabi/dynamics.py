@@ -476,9 +476,11 @@ def evolve_lindblad(
     are full (n_t, dim, dim) matrices.  Every sample is checked for
     positivity, one parity block at a time (PositivityLoss below -1e-6).
 
-    The returned trajectory carries per-mode populations, per-line
-    emission rates and their running integrals, plus the photon-ledger
-    integrals (total kappa <n> outflow and coherent qubit exchange).
+    The returned trajectory carries per-mode populations ``n``, per-line
+    emission rates ``emission_rate`` and their running integrals
+    ``emitted``, each an (n_t, M) array whose column i is mode i+1, plus
+    the photon-ledger integrals (total kappa <n> outflow and coherent qubit
+    exchange) and the trace, purity and total photon number, each (n_t,).
     """
     space = hamiltonian.space
     dim = space.dim
@@ -509,11 +511,11 @@ def evolve_lindblad(
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
     diag = np.real(np.einsum("tii->ti", rhos))
     n_diag = [build_mode_number(space, i).matrix.diagonal().real for i in range(M)]
-    for i in range(M):
-        obs[f"n_{i+1}"] = diag @ n_diag[i]
-        kc_t = sched.kappa_c[i](t_eval) if sched.kappa_c else 0.0
-        obs[f"emission_rate_{i+1}"] = kc_t * obs[f"n_{i+1}"]
-        obs[f"emitted_{i+1}"] = ledger[:, i]
+    # one product per mode: a single diag @ N could sum in another order
+    obs["n"] = np.stack([diag @ n_diag[i] for i in range(M)], axis=1)
+    kc = np.stack([c(t_eval) for c in sched.kappa_c], axis=1) if sched.kappa_c else 0.0
+    obs["emission_rate"] = kc * obs["n"]
+    obs["emitted"] = ledger[:, :M]
     obs["total_photons"] = diag @ sum(n_diag)
     obs["kappa_outflow_integral"] = ledger[:, M]
     obs["exchange_integral"] = ledger[:, M + 1]

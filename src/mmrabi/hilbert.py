@@ -235,21 +235,3 @@ def enumerate_basis(dims: ModelDims, sector: ParitySector | None = None) -> Hilb
         keep = _parity_signs(occupations, spins) == sector.sign
         occupations, spins = occupations[keep], spins[keep]
     return HilbertSpace(dims=dims, sector=sector, occupations=occupations, spins=spins)
-
-
-def basis_csv_lines(space: HilbertSpace):
-    """One CSV line per state: index, n_1..n_M, s_1..s_N, parity."""
-    yield (
-        "index,"
-        + ",".join(f"n_{i+1}" for i in range(space.dims.M))
-        + ","
-        + ",".join(f"s_{j+1}" for j in range(space.dims.N))
-        + ",parity"
-    )
-    rows = zip(
-        space.occupations.tolist(),
-        space.spins.tolist(),
-        _parity_signs(space.occupations, space.spins).tolist(),
-    )
-    for i, (occ, spins, parity) in enumerate(rows):
-        yield f"{i},{','.join(map(str, occ))},{','.join(map(str, spins))},{parity}"

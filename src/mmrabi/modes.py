@@ -16,13 +16,16 @@ curve.  The reduced schedule keeps the ``delta`` curves and has one
 ``g`` curve (and one ``kappa_c`` curve, if any) per group, groups in
 order of their first mode.
 
-Mapped back to the modes, <a_i^dag a_i> = u_i^2 <b_G^dag b_G>, because
-every coherence with an empty dark mode vanishes; per-line emission rates
-and emitted populations scale the same way.  Traces, purities, the total
-photon number and the photon-ledger integrals are those of the reduced
-run.  The reduced basis state |n_1..n_K; s> embeds as
-prod_G (b_G^dag)^{n_G} / sqrt(n_G!) |0; s>, whose multinomial expansion is
-the isometry V.
+An observable is per mode when it is a 2-D (n_t, modes) array, column
+i being mode i+1: populations ``n``, emission rates ``emission_rate``
+and emitted populations ``emitted``.  Mapped back to the modes, column
+i of the full run is u_i^2 times column G of the reduced run, because
+<a_i^dag a_i> = u_i^2 <b_G^dag b_G> when every coherence with an empty
+dark mode vanishes, and the rates and their integrals scale the same
+way.  Every 1-D observable (traces, purities, the total photon number,
+the photon-ledger integrals) is that of the reduced run.  The reduced
+basis state |n_1..n_K; s> embeds as prod_G (b_G^dag)^{n_G} / sqrt(n_G!)
+|0; s>, whose multinomial expansion is the isometry V.
 
 Curves are compared at rounding level, ``TOL`` relative: breakpoint
 times within TOL * duration, ``kappa_c`` values within TOL times their
@@ -43,7 +46,6 @@ from .dynamics import PiecewiseLinear, ProtocolSchedule
 from .hilbert import HilbertSpace, ModelDims, enumerate_basis
 
 TOL = 1e-12
-PER_MODE = ("n", "emission_rate", "emitted")  # observables named f"{prefix}_{i}"
 
 
 def _close(a: np.ndarray, b: np.ndarray, scale: float) -> bool:
@@ -103,14 +105,12 @@ class ModeReduction:
         return V @ (V @ state.T).T  # V is real
 
     def observables(self, obs: dict) -> dict:
-        """Reduced-run observables with the per-mode ones mapped to every full mode."""
-        out = {name: v for name, v in obs.items() if name.rsplit("_", 1)[0] not in PER_MODE}
+        """Reduced-run observables, each 2-D (per-mode) one mapped to every full mode."""
+        group_of = np.empty(len(self.weights), dtype=int)
         for g, group in enumerate(self.groups):
-            for i in group:
-                for prefix in PER_MODE:
-                    if f"{prefix}_{g+1}" in obs:
-                        out[f"{prefix}_{i+1}"] = self.weights[i] ** 2 * obs[f"{prefix}_{g+1}"]
-        return out
+            group_of[list(group)] = g
+        u2 = self.weights**2
+        return {name: v[:, group_of] * u2 if v.ndim == 2 else v for name, v in obs.items()}
 
 
 def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReduction:

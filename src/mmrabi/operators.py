@@ -7,8 +7,7 @@ Builds the multiqubit multimode Rabi Hamiltonian
       + sum_j delta_j sigma_jz,
 
 its rotating-wave (Jaynes-Cummings) variant, the Z2 parity operator,
-the excitation-number operator, mode/qubit ladder operators, and the
-photon-number-block decomposition of a parity-sector Hamiltonian.
+the excitation-number operator and mode/qubit ladder operators.
 
 Truncation is hard: matrix elements that would exceed the total-photon
 cutoff are dropped.  All builders are pure functions of immutable
@@ -31,16 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CutoffTooSmall, DimensionMismatch, IndexOutOfRange
-from .hilbert import (
-    DOWN,
-    UP,
-    BasisState,
-    HilbertSpace,
-    ModelDims,
-    ParitySector,
-    enumerate_basis,
-)
+from .errors import DimensionMismatch, IndexOutOfRange
+from .hilbert import DOWN, UP, BasisState, HilbertSpace
 
 DENSE_THRESHOLD = 4096
 
@@ -101,12 +92,6 @@ class SparseOperator:
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
         return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
-
-    def coo_lines(self):
-        """Coordinate-format dump: ``row col re im`` per line."""
-        coo = self.matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            yield f"{r} {c} {v.real:.17g} {v.imag:.17g}"
 
 
 def _assemble(space: HilbertSpace, rows, cols, vals) -> SparseOperator:
@@ -234,57 +219,6 @@ def build_mode_number(space: HilbertSpace, i: int) -> SparseOperator:
     if not 0 <= i < space.dims.M:
         raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
     return _diagonal(space, space.occupations[:, i])
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Photon-number blocks of the parity-sector Hamiltonian.
-
-    D[k] is the diagonal block on the k-photon subspace (size
-    2^(N-1) C(M+k-1, k)); O[k] connects k -> k+1 photons and has shape
-    (block k+1) x (block k).  Reassembled block-tridiagonally they give
-    the sector Hamiltonian on the shared photon range.
-    """
-
-    parity: ParitySector
-    D: list[np.ndarray]
-    O: list[np.ndarray]
-    k_max: int
-    space: HilbertSpace
-
-    def stacked_coefficient_matrix(self, energy: float) -> np.ndarray:
-        """The overdetermined one-photon-ansatz matrix, generalized to k_max.
-
-        Columns span photon blocks 0..k_max, rows 0..k_max+1; the extra
-        bottom row block is O[k_max] acting out of the top kept block.
-        """
-        ncols = sum(b.shape[1] for b in self.O)
-        nrows = sum(d.shape[0] for d in self.D) + self.O[-1].shape[0]
-        K = np.zeros((nrows, ncols))
-        r = c = 0
-        for k in range(self.k_max + 1):
-            dk = self.D[k] - energy * np.eye(self.D[k].shape[0])
-            K[r : r + dk.shape[0], c : c + dk.shape[1]] = dk
-            K[r + dk.shape[0] : r + dk.shape[0] + self.O[k].shape[0], c : c + dk.shape[1]] = self.O[k]
-            r += dk.shape[0]
-            c += dk.shape[1]
-        return K
-
-
-def extract_blocks(params: RabiParams, parity: ParitySector, k_max: int) -> BlockDecomposition:
-    """Photon-block decomposition of the sector Hamiltonian up to k_max.
-
-    Internally works at cutoff k_max + 1 so that O[k_max] is available.
-    """
-    if k_max < 0:
-        raise CutoffTooSmall(f"k_max must be >= 0, got {k_max}")
-    dims = ModelDims(M=params.M, N=params.N, n_max=k_max + 1)
-    space = enumerate_basis(dims, sector=parity)
-    H = build_hamiltonian(params, space).dense().real
-    blocks = space.photon_block_slices()
-    D = [H[blocks[k], blocks[k]] for k in range(k_max + 1)]
-    O = [H[blocks[k + 1], blocks[k]] for k in range(k_max + 1)]
-    return BlockDecomposition(parity=parity, D=D, O=O, k_max=k_max, space=space)
 
 
 def kronecker_oracle(params: RabiParams, space: HilbertSpace) -> np.ndarray:

@@ -39,7 +39,7 @@ from .hilbert import (
     ParitySector,
     enumerate_basis,
 )
-from .operators import RabiParams, SparseOperator, build_hamiltonian, extract_blocks
+from .operators import RabiParams, SparseOperator, build_hamiltonian
 
 CONDITION_RTOL = 1e-9
 NULLSPACE_RTOL = 1e-10
@@ -284,8 +284,13 @@ def find_one_photon_solutions(
     coupling-independent); each candidate is solved on the stacked
     system and verified by residual against the full Hamiltonian.
     """
-    blocks = extract_blocks(params, parity, k_max=1)
-    D0, D1, O1 = blocks.D[0], blocks.D[1], blocks.O[1]
+    # the n_max = 2 sector space holds the ansatz support and one more photon
+    # for the residual check; its blocks D_k (k photons) and O_k (k -> k+1)
+    space = enumerate_basis(ModelDims(M=params.M, N=params.N, n_max=2), sector=parity)
+    H = build_hamiltonian(params, space)
+    dense = H.dense().real
+    b0, b1, b2 = space.photon_block_slices()
+    D0, D1, O0, O1 = dense[b0, b0], dense[b1, b1], dense[b1, b0], dense[b2, b1]
 
     # nullity of O_1 (singular values below rtol * s_max count as zero)
     svals = np.linalg.svd(O1, compute_uv=False)
@@ -297,27 +302,28 @@ def find_one_photon_solutions(
         "O1_singular_values": svals.tolist(),
         "O1_nullity": null_dim,
     }
-    # verification space: one more photon than the ansatz support
-    vspace = enumerate_basis(ModelDims(M=params.M, N=params.N, n_max=2), sector=parity)
     if null_dim == 0:
-        return SolutionReport(found=[], rank_data=rank_data, space=vspace)
-    H = build_hamiltonian(params, vspace)
+        return SolutionReport(found=[], rank_data=rank_data, space=space)
 
     candidates = np.unique(np.round(np.concatenate([np.diag(D0), np.diag(D1)]), 12))
-    n0, n1 = D0.shape[0], D1.shape[0]
-    slices = vspace.photon_block_slices()
+    n0, n1, n2 = D0.shape[0], D1.shape[0], O1.shape[0]
     seen = []
     for E in candidates:
-        K = blocks.stacked_coefficient_matrix(E)
+        # block lower-bidiagonal: D_k - E on the diagonal, O_k below it
+        K = np.zeros((n0 + n1 + n2, n0 + n1))
+        K[:n0, :n0] = D0 - E * np.eye(n0)
+        K[n0 : n0 + n1, :n0] = O0
+        K[n0 : n0 + n1, n0:] = D1 - E * np.eye(n1)
+        K[n0 + n1 :, n0:] = O1
         # K is tall (n0+n1+n2 rows, n0+n1 columns), so the SVD yields one
         # singular value per column and Vt rows span the candidate space
         _, s, Vt = np.linalg.svd(K)
         smax = s[0]
         null_vecs = Vt[s <= NULLSPACE_RTOL * max(smax, 1.0)]
         for c in null_vecs:
-            v = np.zeros(vspace.dim, dtype=complex)
-            v[slices[0]] = c[:n0]
-            v[slices[1]] = c[n0 : n0 + n1]
+            v = np.zeros(space.dim, dtype=complex)
+            v[b0] = c[:n0]
+            v[b1] = c[n0:]
             nv = np.linalg.norm(v)
             if nv < 1e-12:
                 continue
@@ -331,4 +337,4 @@ def find_one_photon_solutions(
                 )
                 if not dup:
                     seen.append((float(E), v))
-    return SolutionReport(found=seen, rank_data=rank_data, space=vspace)
+    return SolutionReport(found=seen, rank_data=rank_data, space=space)

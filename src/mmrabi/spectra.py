@@ -19,13 +19,6 @@ class SpectrumTable:
     sweep_values: np.ndarray
     levels: dict  # parity sign -> array of shape (n_points, n_levels)
 
-    def csv_lines(self):
-        yield "g,parity,level_index,energy"
-        for sign, lv in sorted(self.levels.items()):
-            for ig, g in enumerate(self.sweep_values):
-                for k in range(lv.shape[1]):
-                    yield f"{g:.17g},{sign},{k},{lv[ig, k]:.17g}"
-
 
 def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool = True):
     """Lowest eigenpairs, ascending.

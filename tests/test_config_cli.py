@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmrabi import dynamics
+from mmrabi import cli, dynamics
 from mmrabi.cli import cmd_catch_release, format_json, main
 from mmrabi.config import default_config, parse_config, schema_lines
 from mmrabi.errors import ConfigError
@@ -95,6 +95,27 @@ def test_cli_byte_identical_reruns(tmp_path, command):
     assert b'"seed": 7' in outs[0]
 
 
+def test_cli_basis_csv_layout(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--quiet", "--cutoff", "1", "basis"]) == 0
+    lines = (out / "basis.csv").read_text().splitlines()
+    assert lines[0] == "index,n_1,n_2,s_1,s_2,parity"
+    assert lines[1] == "0,0,0,1,1,1"
+    assert len(lines) == 1 + 12
+
+
+def test_cli_sweep_csv_layout(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dims.n_max = 2\nsweep.n_points = 2\nsweep.n_levels = 4\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "sweep"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "g,parity,level_index,energy"
+    # odd sector first; at g = 0 its lowest level is |0,0; d,u> at -(0.9 - 0.1)
+    assert lines[1] == "0,-1,0,-0.80000000000000004"
+    assert len(lines) == 1 + 2 * 2 * 4  # both sectors, two grid points, four levels
+
+
 def test_cli_cutoff_flag(tmp_path):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--quiet", "--cutoff", "1", "basis"]) == 0
@@ -158,9 +179,11 @@ def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
         (["params.omega = nan"], "dark-verify", ["params.omega"]),
         (["params.delta = nan, 0.1"], "dark-verify", ["params.delta"]),
         (["dims.M = 1", "dims.n_max = 2"], "sweep", ["sweep.n_levels", "dimension 6"]),
+        (["noise.gamma = -1e-3"], "lindblad", ["noise.gamma"]),
+        (["noise.gamma_phi = -1"], "catch-release", ["noise.gamma_phi"]),
     ],
     ids=["zero-omega-dark-verify", "zero-omega-spectrum", "nan-g", "nan-omega", "nan-delta",
-         "sweep-levels"],
+         "sweep-levels", "negative-gamma", "negative-gamma-phi"],
 )
 def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names):
     # schema-valid values that no model can be built from are config errors
@@ -196,3 +219,14 @@ def test_catch_release_reads_solver_atol(tmp_path, monkeypatch):
     })
     cmd_catch_release(cfg, tmp_path)
     assert seen == [1e-7]
+
+
+def test_only_cli_formats_output():
+    # every output file is written by cli, so no other module holds the output format
+    package = Path(cli.__file__).parent
+    formatting = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "cli.py" and ".17g" in path.read_text()
+    ]
+    assert formatting == []

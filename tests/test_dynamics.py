@@ -245,8 +245,7 @@ def test_coherent_start_keeps_every_entry():
     _, ys, stats = _integrate(rhs, y0, sched.duration, 5, 1e-8, 1e-10)
     assert traj.metadata["nfev"] == stats["nfev"]
     assert np.array_equal(traj.states, ys[:, :d2].reshape(-1, space.dim, space.dim))
-    for i in range(M):
-        assert np.array_equal(traj.observables[f"emitted_{i+1}"], ys[:, d2 + i].real)
+    assert np.array_equal(traj.observables["emitted"], ys[:, d2 : d2 + M].real)
     assert np.array_equal(traj.observables["exchange_integral"], ys[:, d2 + M + 1].real)
 
 
@@ -470,7 +469,7 @@ def test_single_mode_exponential_decay():
     one = space.index(BasisState((1,), (UP,)))
     rho0[one, one] = 1.0
     traj = evolve_lindblad(ht, NoiseModel(), rho0, n_samples=21)
-    n_t = traj.observables["n_1"]
+    n_t = traj.observables["n"][:, 0]
     assert np.max(np.abs(n_t - np.exp(-kappa * traj.times))) < 1e-6
 
 
@@ -532,7 +531,7 @@ def test_catch_release_emits_photon():
     psi0 = vacuum_up(space)
     traj = evolve_lindblad(ScheduledHamiltonian(space, sched), NoiseModel(),
                            np.outer(psi0, psi0.conj()), n_samples=101)
-    emitted = np.array([traj.observables[f"emitted_{i}"][-1] for i in (1, 2)])
+    emitted = traj.observables["emitted"][-1]
     assert abs(emitted.sum() - 1.0) < 0.05
     shares = emitted / emitted.sum()
     assert np.allclose(shares, 0.5, atol=0.01)

@@ -13,7 +13,6 @@ from mmrabi.hilbert import (
     BasisState,
     ModelDims,
     ParitySector,
-    basis_csv_lines,
     enumerate_basis,
     parity_of,
 )
@@ -124,15 +123,6 @@ def test_photon_block_slices():
 def test_parity_sector_validation():
     with pytest.raises(ValueError):
         ParitySector(0)
-
-
-def test_basis_csv_shape():
-    space = enumerate_basis(ModelDims(2, 2, 1))
-    lines = list(basis_csv_lines(space))
-    assert lines[0] == "index,n_1,n_2,s_1,s_2,parity"
-    assert len(lines) == space.dim + 1
-    first = lines[1].split(",")
-    assert first == ["0", "0", "0", "1", "1", "1"]
 
 
 def test_indices_invert_the_enumeration():

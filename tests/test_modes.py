@@ -154,11 +154,16 @@ def test_catch_release_reduced_matches_full(weights, delays):
                               np.outer(psi_red, psi_red.conj()), **kw)
     obs = red.observables(reduced.observables)
     assert set(obs) == set(full.observables)
+    assert full.observables["n"].shape == (kw["n_samples"], 3)
     for name, values in full.observables.items():
-        assert np.max(np.abs(obs[name] - values)) < TOL, name
+        assert obs[name].shape == values.shape, name
+        # a per-mode observable has one column per mode, the others one column
+        diff = np.abs(obs[name] - values).reshape(len(values), -1)
+        for i, column in enumerate(diff.T):
+            assert column.max() < TOL, (name, i)
     for rho_red, rho in zip(reduced.states, full.states):
         assert np.max(np.abs(red.embed(rho_red) - rho)) < TOL
-    assert sum(full.observables[f"emitted_{i}"][-1] for i in (1, 2, 3)) > 0.5
+    assert full.observables["emitted"][-1].sum() > 0.5
 
 
 @pytest.mark.parametrize("g3", [SHAPE, NEAR, None], ids=["shape", "near", "weights"])
@@ -195,6 +200,13 @@ COMMANDS = {
 }
 
 
+OPEN_HEADER = (
+    "t,emission_rate_1,emission_rate_2,emission_rate_3,emitted_1,emitted_2,emitted_3,"
+    "exchange_integral,kappa_outflow_integral,n_1,n_2,n_3,purity,total_photons,trace"
+)
+HEADERS = {"adiabatic": "t,norm,parity", "lindblad": OPEN_HEADER, "catch-release": OPEN_HEADER}
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_matches_full_run(tmp_path, name):
     cmd, csv, overrides = COMMANDS[name]
@@ -224,7 +236,7 @@ def test_command_matches_full_run(tmp_path, name):
         full = evolve_lindblad(ScheduledHamiltonian(space, sched), cfg.noise_model(),
                                np.outer(psi, psi.conj()), **kw)
         rho_gen = full.states[np.argmin(np.abs(full.times - 15.0))]
-        emitted = {str(i): full.observables[f"emitted_{i}"][-1] for i in (1, 2, 3)}
+        emitted = {str(i + 1): e for i, e in enumerate(full.observables["emitted"][-1])}
         total = sum(emitted.values())
         expected = {
             "generation_fidelity": np.real(target.conj() @ rho_gen @ target),
@@ -240,7 +252,8 @@ def test_command_matches_full_run(tmp_path, name):
         else:
             assert abs(summary[key] - value) < TOL, key
     lines = (tmp_path / csv).read_text().splitlines()
-    assert lines[0] == "t," + ",".join(sorted(full.observables))
+    assert lines[0] == HEADERS[name]
     data = np.loadtxt(lines[1:], delimiter=",")
+    # observables sorted by name, each per-mode one as its three columns
     expected = np.column_stack([full.times] + [full.observables[n] for n in sorted(full.observables)])
     assert np.max(np.abs(data - expected)) < TOL

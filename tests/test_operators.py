@@ -24,7 +24,6 @@ from mmrabi.operators import (
     build_mode_number,
     build_parity_operator,
     build_qubit_op,
-    extract_blocks,
     kronecker_oracle,
 )
 
@@ -157,35 +156,20 @@ def test_jc_excitation_two_block_has_omega_quadruple():
     assert np.sum(np.abs(E - 1.0) < 1e-10) == 4
 
 
-def test_block_shapes():
-    blocks = extract_blocks(uniform_params(2, 2), EVEN, k_max=1)
-    assert blocks.D[0].shape == (2, 2)
-    assert blocks.D[1].shape == (4, 4)
-    assert blocks.O[0].shape == (4, 2)
-    assert blocks.O[1].shape == (6, 4)
-    stacked = blocks.stacked_coefficient_matrix(1.0)
-    assert stacked.shape == (12, 6)
-
-
-def test_block_reassembly_matches_projection_oracle():
-    # reassembled block tridiagonal equals the sector Hamiltonian on the
-    # shared photon range, with blocks cross-checked by direct projection
+def test_hamiltonian_couples_only_adjacent_photon_blocks():
+    # block tridiagonal in the total photon number, in both sectors
     for parity in (EVEN, ODD):
-        params = random_params(2, 2)
-        blocks = extract_blocks(params, parity, k_max=2)
         space = enumerate_basis(ModelDims(2, 2, 3), parity)
-        H = build_hamiltonian(params, space).dense()
-        slices = space.photon_block_slices()
-        for k in range(3):
-            assert np.allclose(blocks.D[k], H[slices[k], slices[k]], atol=1e-13)
-            assert np.allclose(blocks.O[k], H[slices[k + 1], slices[k]], atol=1e-13)
-
-
-def test_vacuum_diagonal_block_is_spin_sums():
-    params = uniform_params(2, 2, delta=(0.9, 0.1))
-    blocks = extract_blocks(params, EVEN, k_max=0)
-    # even-parity zero-photon states: |uu> and |dd>
-    assert np.allclose(np.diag(blocks.D[0]), [1.0, -1.0])
+        H = build_hamiltonian(random_params(2, 2), space).dense()
+        photons = space.occupations.sum(axis=1)
+        apart = np.abs(photons[:, None] - photons[None, :])
+        assert not H[apart > 1].any()
+        assert H[apart == 1].any()
+    # the even vacuum block holds |uu> and |dd>, with diagonal +-(delta_1 + delta_2)
+    space = enumerate_basis(ModelDims(2, 2, 3), EVEN)
+    H = build_hamiltonian(uniform_params(2, 2, delta=(0.9, 0.1)), space).dense()
+    vacuum = space.photon_block_slices()[0]
+    assert np.allclose(np.diag(H[vacuum, vacuum]), [1.0, -1.0])
 
 
 def test_mode_number_operator():
@@ -194,16 +178,6 @@ def test_mode_number_operator():
         n_op = build_mode_number(space, i).dense()
         expected = np.diag([float(s.occupations[i]) for s in space.states])
         assert np.allclose(n_op, expected)
-
-
-def test_coo_dump_round_trip():
-    space = enumerate_basis(ModelDims(1, 1, 2))
-    H = build_hamiltonian(random_params(1, 1), space)
-    dense = np.zeros((space.dim, space.dim), dtype=complex)
-    for line in H.coo_lines():
-        r, c, re, im = line.split()
-        dense[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.allclose(dense, H.dense())
 
 
 # single-qubit matrices in the (up, down) basis, up = sigma_z = +1

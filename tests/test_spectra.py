@@ -89,12 +89,11 @@ def test_sweep_horizontal_line_and_weyl_bound():
         assert np.max(np.abs(even[k + 1] - even[k])) <= bound + 1e-10
 
 
-def test_sweep_single_point_and_csv():
+def test_sweep_single_point():
     dims = ModelDims(2, 2, 2)
     table = sweep_coupling(lambda g: uniform_params(g=g), [0.3], EVEN, 4, dims)
-    lines = list(table.csv_lines())
-    assert lines[0] == "g,parity,level_index,energy"
-    assert len(lines) == 1 + 4
+    assert list(table.levels) == [1]
+    assert table.levels[1].shape == (1, 4)
 
 
 def test_sweep_empty_grid_rejected():
