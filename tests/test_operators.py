@@ -156,19 +156,48 @@ def test_jc_excitation_two_block_has_omega_quadruple():
     assert np.sum(np.abs(E - 1.0) < 1e-10) == 4
 
 
-def test_hamiltonian_couples_only_adjacent_photon_blocks():
-    # block tridiagonal in the total photon number, in both sectors
+def test_block_shapes():
+    # even sector at n_max = 2: D_k is 2^(N-1) C(M+k-1, k) square, O_k maps k -> k+1
+    space = enumerate_basis(ModelDims(2, 2, 2), EVEN)
+    H = build_hamiltonian(uniform_params(2, 2), space).dense()
+    s = space.photon_block_slices()
+    assert H[s[0], s[0]].shape == (2, 2)
+    assert H[s[1], s[1]].shape == (4, 4)
+    assert H[s[1], s[0]].shape == (4, 2)
+    assert H[s[2], s[1]].shape == (6, 4)
+    # one-photon ansatz columns (blocks 0 and 1) against rows of blocks 0..2
+    assert H[:, : s[1].stop].shape == (12, 6)
+
+
+def test_block_reassembly_matches_projection_oracle():
+    # H is block tridiagonal in the total photon number; its blocks equal
+    # the Kronecker-product projection and do not move with the cutoff
     for parity in (EVEN, ODD):
+        params = random_params(2, 2)
         space = enumerate_basis(ModelDims(2, 2, 3), parity)
-        H = build_hamiltonian(random_params(2, 2), space).dense()
+        H = build_hamiltonian(params, space).dense()
+        oracle = kronecker_oracle(params, space)
         photons = space.occupations.sum(axis=1)
         apart = np.abs(photons[:, None] - photons[None, :])
         assert not H[apart > 1].any()
         assert H[apart == 1].any()
-    # the even vacuum block holds |uu> and |dd>, with diagonal +-(delta_1 + delta_2)
-    space = enumerate_basis(ModelDims(2, 2, 3), EVEN)
+        low = enumerate_basis(ModelDims(2, 2, 2), parity)
+        H_low = build_hamiltonian(params, low).dense()
+        slices, low_slices = space.photon_block_slices(), low.photon_block_slices()
+        for k in range(3):
+            D, O = H[slices[k], slices[k]], H[slices[k + 1], slices[k]]
+            assert np.allclose(D, oracle[slices[k], slices[k]], atol=1e-13)
+            assert np.allclose(O, oracle[slices[k + 1], slices[k]], atol=1e-13)
+            assert np.allclose(D, H_low[low_slices[k], low_slices[k]], atol=1e-13)
+            if k < 2:
+                assert np.allclose(O, H_low[low_slices[k + 1], low_slices[k]], atol=1e-13)
+
+
+def test_vacuum_diagonal_block_is_spin_sums():
+    space = enumerate_basis(ModelDims(2, 2, 1), EVEN)
     H = build_hamiltonian(uniform_params(2, 2, delta=(0.9, 0.1)), space).dense()
     vacuum = space.photon_block_slices()[0]
+    # even-parity zero-photon states: |uu> and |dd>
     assert np.allclose(np.diag(H[vacuum, vacuum]), [1.0, -1.0])
 
 
