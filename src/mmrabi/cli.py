@@ -18,8 +18,9 @@ bright-mode problem of ``modes.reduce_modes``, one mode per group of
 modes with equal ``kappa_c`` and proportional couplings, which is exact
 from that start.  Per-mode observables are mapped back to every mode,
 and the headline fidelity compares the embedded state with the
-full-space dark state.  ``reproduce`` refuses a config or ``--cutoff``
-value that its figure preset would replace.
+full-space dark state.  ``reproduce`` refuses any config or ``--cutoff``
+value the run set that its figure preset would replace, one equal to the
+schema default included.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .dynamics import (
     photon_ledger_defect,
 )
 from .errors import ConfigError, InvalidSchedule, MMRabiError
-from .hilbert import EVEN, ODD, UP, BasisState, enumerate_basis
+from .hilbert import EVEN, ODD, UP, BasisState, enumerate_basis, parity_signs
 from .modes import reduce_modes
-from .operators import build_hamiltonian, build_parity_operator
+from .operators import build_hamiltonian
 from .solutions import (
     dark_state_2q,
     dark_state_2q_odd,
@@ -52,7 +53,7 @@ from .solutions import (
     find_one_photon_solutions,
     verify_eigenstate,
 )
-from .spectra import eigenspectrum, sweep_coupling
+from .spectra import sweep_coupling
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def cmd_basis(cfg: ExperimentConfig, out: Path) -> dict:
         "index": np.arange(space.dim),
         **_named_columns("n", space.occupations),
         **_named_columns("s", space.spins),
-        "parity": build_parity_operator(space).matrix.diagonal().real,
+        "parity": parity_signs(space.occupations, space.spins),
     })
     even = enumerate_basis(cfg.dims(), EVEN)
     odd = enumerate_basis(cfg.dims(), ODD)
@@ -198,15 +199,14 @@ def cmd_basis(cfg: ExperimentConfig, out: Path) -> dict:
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     params = cfg.rabi_params()
-    n_levels = cfg["sweep.n_levels"]
+    # each parity sector holds half the states, as in cmd_sweep
+    k = min(cfg["sweep.n_levels"], cfg.dims().dim // 2)
+    table = sweep_coupling(lambda _: params, [0.0], None, k, cfg.dims())
     rows = []
     summary = {}
-    for sector in (EVEN, ODD):
-        space = enumerate_basis(cfg.dims(), sector)
-        k = min(n_levels, space.dim)
-        energies = eigenspectrum(build_hamiltonian(params, space), k, vectors=False)
+    for name, sector in (("even", EVEN), ("odd", ODD)):
+        energies = table.levels[sector.sign][0]
         rows.extend([sector.sign, i, e] for i, e in enumerate(energies))
-        name = "even" if sector is EVEN else "odd"
         summary[f"{name}_levels"] = list(energies)
     _write_csv(out / "spectrum.csv", "parity,level_index,energy", rows)
     return summary
@@ -248,8 +248,7 @@ def _dark_state_for(cfg: ExperimentConfig):
     params = cfg.rabi_params()
     space = enumerate_basis(cfg.dims())
     N = cfg["dims.N"]
-    parity = cfg["solve.parity"]
-    if N == 2 and parity == "even":
+    if N == 2 and cfg.parity("solve.parity") is EVEN:
         family, state = "two-qubit even", dark_state_2q(params, space)
     elif N == 2:
         family, state = "two-qubit odd (variant a)", dark_state_2q_odd(params, space, variant="a")
@@ -279,8 +278,9 @@ def cmd_dark_verify(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_solve_one_photon(cfg: ExperimentConfig, out: Path) -> dict:
-    parity = EVEN if cfg["solve.parity"] == "even" else ODD
-    report = find_one_photon_solutions(cfg.rabi_params(), parity, tol=cfg["solve.tol"])
+    report = find_one_photon_solutions(
+        cfg.rabi_params(), cfg.parity("solve.parity"), tol=cfg["solve.tol"]
+    )
     rows = []
     for k, (E, v) in enumerate(report.found):
         for i in np.flatnonzero(np.abs(v) > 1e-14):
@@ -409,9 +409,10 @@ FIGURE_COMMANDS = {
 
 
 def cmd_reproduce(cfg: ExperimentConfig, out: Path, figure: str) -> dict:
-    preset, defaults = FIGURE_PRESETS[figure], default_config()
+    preset = FIGURE_PRESETS[figure]
     for key, value in preset.items():
-        if cfg[key] != value and cfg[key] != defaults[key]:
+        # a value the run set, even to the schema default, that the preset replaces
+        if key in cfg.values and cfg[key] != value:
             raise ConfigError(f"reproduce {figure} fixes {key} = {value}, got {cfg[key]}")
     cfg = cfg.with_overrides(preset)
     summary = FIGURE_COMMANDS[figure](cfg, out)

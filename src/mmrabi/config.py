@@ -5,7 +5,9 @@ comments and blank lines ignored.  Every key must appear in the schema;
 unknown keys are rejected with the offending key path.  Values are
 scalars, comma-separated number lists, or fixed-choice strings.  The
 full schema, with defaults, can be rendered via ``schema_lines()`` and
-is shipped as ``config-schema.txt`` at the repository root.
+is shipped as ``config-schema.txt`` at the repository root.  A parsed
+config keeps only the keys a run set, so a caller can tell a value set
+to its default from one left unset.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def _parse_value(key: str, spec: Key, raw: str):
 
 
 def parse_config(text: str) -> "ExperimentConfig":
-    values = {k: s.default for k, s in SCHEMA.items()}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -169,12 +171,16 @@ def _broadcast(key: str, values: tuple, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration; builders construct model objects on demand."""
+    """Validated configuration; builders construct model objects on demand.
+
+    ``values`` holds only the keys the run set (config file, flags or
+    overrides); every other key reads its ``SCHEMA`` default.
+    """
 
     values: dict
 
     def __getitem__(self, key: str):
-        return self.values[key]
+        return self.values.get(key, SCHEMA[key].default)
 
     def dims(self) -> ModelDims:
         return ModelDims(self["dims.M"], self["dims.N"], self["dims.n_max"])
@@ -259,4 +265,4 @@ class ExperimentConfig:
 
 
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig({k: s.default for k, s in SCHEMA.items()})
+    return ExperimentConfig({})

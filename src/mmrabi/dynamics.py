@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from .errors import InvalidSchedule, PositivityLoss, SpaceMismatch, StepFailure
-from .hilbert import HilbertSpace
+from .hilbert import HilbertSpace, parity_signs
 from .operators import (
     RabiParams,
     build_mode_lowering,
@@ -240,25 +240,20 @@ class ScheduledHamiltonian:
             a = build_mode_lowering(space, i).matrix
             self.terms.append((c, sum((a + a.getH()) @ x for x in sx)))
 
-    def coefficients(self, t: float) -> np.ndarray:
-        return term_coefficients(self.terms, t)
-
-    def slopes(self, t: float) -> np.ndarray:
-        """dc_k/dt, right-sided at breakpoints."""
-        return np.array([0.0 if c is None else float(c.slope(t)) for c, _ in self.terms])
-
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y without assembling H(t)."""
-        return _apply(self.coefficients(t), self.terms, y)
+        return _apply(term_coefficients(self.terms, t), self.terms, y)
 
     def at(self, t: float) -> sp.csr_matrix:
-        return _combine(self.coefficients(t), self.terms)
+        return _combine(term_coefficients(self.terms, t), self.terms)
 
     def at_dense(self, t: float) -> np.ndarray:
         return self.at(t).toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
-        return _combine(self.slopes(t), self.terms)
+        """dH/dt, each curve's slope right-sided at its breakpoints."""
+        slopes = np.array([0.0 if c is None else float(c.slope(t)) for c, _ in self.terms])
+        return _combine(slopes, self.terms)
 
     def params_at(self, t: float) -> RabiParams:
         return self.schedule.params_at(t)
@@ -446,7 +441,7 @@ def restricted_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel, r
     """
     space = hamiltonian.space
     d2 = space.dim * space.dim
-    p = build_parity_operator(space).matrix.diagonal().real
+    p = parity_signs(space.occupations, space.spins)
     cls = np.outer(p, p).ravel()
     kept_cls = cls[np.asarray(rho0).ravel() != 0]
     keep = np.flatnonzero(np.isin(cls, kept_cls))

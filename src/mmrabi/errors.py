@@ -9,10 +9,6 @@ class StateNotInSpace(MMRabiError):
     """Basis state is not a member of the given Hilbert space."""
 
 
-class DimensionMismatch(MMRabiError):
-    """Parameter dimensions do not match the Hilbert space."""
-
-
 class IndexOutOfRange(MMRabiError):
     """Mode or qubit index outside the model dimensions."""
 

@@ -121,8 +121,12 @@ def _occupation_vectors(M: int, k: int):
             yield (n1,) + rest
 
 
-def _parity_signs(occupations: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """Parity of each row, as ``parity_of`` gives it for one state."""
+def parity_signs(occupations: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """Parity sign, +1 or -1, of each row, as ``parity_of`` gives it for one state.
+
+    The one array formula for parity: sector enumeration and lookups, the
+    parity operator and every other per-state parity read it.
+    """
     return 1 - 2 * ((occupations.sum(axis=1) + (spins == DOWN).sum(axis=1)) % 2)
 
 
@@ -197,7 +201,7 @@ class HilbertSpace:
         down = spins == DOWN
         inside = (total <= n_max) & (occ >= 0).all(axis=1) & (down | (spins == UP)).all(axis=1)
         if self.sector is not None:
-            inside &= _parity_signs(occ, spins) == self.sector.sign
+            inside &= parity_signs(occ, spins) == self.sector.sign
         # rank = occupation vectors with fewer photons plus those of the same
         # total that precede in the mode-1-first order, position by position;
         # rows outside the space may index past the table, so the lookups clip
@@ -232,6 +236,6 @@ def enumerate_basis(dims: ModelDims, sector: ParitySector | None = None) -> Hilb
     occupations = np.repeat(photons, 2**N, axis=0)
     spins = np.tile(1 - 2 * bits, (len(photons), 1))
     if sector is not None:
-        keep = _parity_signs(occupations, spins) == sector.sign
+        keep = parity_signs(occupations, spins) == sector.sign
         occupations, spins = occupations[keep], spins[keep]
     return HilbertSpace(dims=dims, sector=sector, occupations=occupations, spins=spins)

@@ -21,6 +21,8 @@ flipped), map the shifted rows back to canonical indices with one
 (index >= 0) together with one array of matrix elements.  The diagonal
 sums sum_i omega_i n_i and sum_j delta_j s_j are each accumulated in
 mode (qubit) order and added at the end, which fixes their rounding.
+The parity operator is diagonal in this basis; its diagonal is
+``hilbert.parity_signs``, the formula that also selects parity sectors.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, IndexOutOfRange
-from .hilbert import DOWN, UP, BasisState, HilbertSpace
+from .errors import IndexOutOfRange, SpaceMismatch
+from .hilbert import DOWN, UP, BasisState, HilbertSpace, parity_signs
 
 DENSE_THRESHOLD = 4096
 
@@ -56,9 +58,7 @@ class RabiParams:
         if not np.all(np.isfinite(self.g)):
             raise ValueError("couplings must be finite")
         if self.g.shape != (self.M, self.N):
-            raise DimensionMismatch(
-                f"coupling matrix shape {self.g.shape} != (M={self.M}, N={self.N})"
-            )
+            raise ValueError(f"coupling matrix shape {self.g.shape} != (M={self.M}, N={self.N})")
 
     @property
     def M(self) -> int:
@@ -69,8 +69,9 @@ class RabiParams:
         return len(self.delta)
 
     def check_space(self, space: HilbertSpace):
+        """SpaceMismatch unless ``space`` has M modes and N qubits."""
         if (self.M, self.N) != (space.dims.M, space.dims.N):
-            raise DimensionMismatch(
+            raise SpaceMismatch(
                 f"params for (M={self.M}, N={self.N}) on space dims {space.dims}"
             )
 
@@ -167,9 +168,8 @@ def build_jc_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOpera
 
 
 def build_parity_operator(space: HilbertSpace) -> SparseOperator:
-    """Z2 generator exp(i pi sum a^dag a) * prod_j sigma_jz, diagonal +-1."""
-    photon_sign = 1 - 2 * (space.occupations.sum(axis=1) % 2)
-    return _diagonal(space, photon_sign * space.spins.prod(axis=1))
+    """Z2 generator exp(i pi sum a^dag a) * prod_j sigma_jz, diagonal ``parity_signs``."""
+    return _diagonal(space, parity_signs(space.occupations, space.spins))
 
 
 def build_excitation_operator(space: HilbertSpace) -> SparseOperator:

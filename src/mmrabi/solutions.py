@@ -98,16 +98,14 @@ def _checked_state(pairs, energy, space, occ, spins, amps, conditions=()) -> Dar
     )
 
 
-def _one_photon_state(params, space, N, family, photon, qubit_independent=True,
-                      photon_first=False) -> DarkState:
+def _one_photon_state(params, space, N, family, photon, qubit_independent=True) -> DarkState:
     """The ansatz |0_M> chi_0 + sum_i g_i1 |1_i> chi_1 at E = omega.
 
     Checks that the space fits, that there are N qubits, omega_i = omega
     and, if ``qubit_independent``, g_ij = g_i1.  ``family(omega)`` then
     gives the family's own (name, defect) pairs and chi_0 as
     (spins, amplitude) rows; ``photon`` gives chi_1 the same way.  The
-    rows run vacuum first, or photon first (mode by mode) if
-    ``photon_first``.
+    rows run vacuum first, then photon mode by mode.
     """
     params.check_space(space)
     if params.N != N:
@@ -125,8 +123,6 @@ def _one_photon_state(params, space, N, family, photon, qubit_independent=True,
         (np.repeat(np.eye(M, dtype=int), len(photon), axis=0), np.tile(ph_spins, (M, 1)),
          np.outer(g[:, 0], ph_coefs).ravel()),
     ]
-    if photon_first:
-        rows.reverse()
     occ, spins, amps = (np.concatenate(part) for part in zip(*rows))
     return _checked_state(pairs + own, omega, space, occ, spins, amps)
 
@@ -199,8 +195,7 @@ def dark_state_3q(params: RabiParams, space: HilbertSpace) -> DarkState:
 
     photon = [((UP, DOWN, DOWN), 1.0), ((DOWN, UP, DOWN), -1.0),
               ((DOWN, DOWN, UP), -1.0), ((UP, UP, UP), 1.0)]
-    return _one_photon_state(params, space, 3, family, photon, qubit_independent=False,
-                             photon_first=True)
+    return _one_photon_state(params, space, 3, family, photon, qubit_independent=False)
 
 
 def product_dark_state(

@@ -108,17 +108,3 @@ def convergence_report(params: RabiParams, n_max_list, probe) -> dict:
         "monotone": monotone,
     }
 
-
-def find_level_crossings(table: SpectrumTable, energy: float, window: float = 1e-3):
-    """Grid values where a second level approaches ``energy`` within window.
-
-    Diagnostic for the degeneracy points visible in the even-sector
-    sweep; reports located grid values without asserting figure digits.
-    """
-    hits = []
-    for sign, lv in table.levels.items():
-        for ig, g in enumerate(table.sweep_values):
-            close = np.sum(np.abs(lv[ig] - energy) < window)
-            if close >= 2:
-                hits.append((float(g), int(sign), int(close)))
-    return hits

@@ -5,7 +5,7 @@ import pytest
 
 from mmrabi import cli, dynamics
 from mmrabi.cli import cmd_catch_release, format_json, main
-from mmrabi.config import default_config, parse_config, schema_lines
+from mmrabi.config import SCHEMA, default_config, parse_config, schema_lines
 from mmrabi.errors import ConfigError
 
 
@@ -127,6 +127,10 @@ def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys):
     assert main(["--out", str(out), "--cutoff", "4", "reproduce", "fig4"]) == 2
     assert "dims.n_max" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+    # 6 is the schema default of dims.n_max, but the run set it
+    assert main(["--out", str(out), "--cutoff", "6", "reproduce", "fig4"]) == 2
+    assert "dims.n_max" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
     cfg = tmp_path / "c.cfg"
     cfg.write_text("schedule.T = 50\n")
     assert main(["--config", str(cfg), "--out", str(out), "reproduce", "fig2"]) == 2
@@ -135,6 +139,28 @@ def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys):
     # a value equal to the preset's is no override
     assert main(["--out", str(out), "--quiet", "--cutoff", "3", "reproduce", "fig4"]) == 0
     assert (out / "summary.json").exists()
+
+
+PRESET_KEYS_OFF_DEFAULT = [
+    (figure, key)
+    for figure, preset in cli.FIGURE_PRESETS.items()
+    for key, value in preset.items()
+    if value != SCHEMA[key].default
+]
+
+
+@pytest.mark.parametrize(
+    "figure,key", PRESET_KEYS_OFF_DEFAULT, ids=[f"{f}-{k}" for f, k in PRESET_KEYS_OFF_DEFAULT]
+)
+def test_reproduce_refuses_a_preset_key_set_to_its_default(tmp_path, capsys, figure, key):
+    # the schema renders each key at its default, as a valid config line
+    line = next(line for line in schema_lines() if line.startswith(f"{key} = "))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "reproduce", figure]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):

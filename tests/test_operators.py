@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmrabi.errors import DimensionMismatch, IndexOutOfRange
+from mmrabi.errors import IndexOutOfRange, SpaceMismatch
 from mmrabi.hilbert import (
     DOWN,
     EVEN,
@@ -97,9 +97,9 @@ def test_even_sector_contains_omega_for_all_g():
         assert np.min(np.abs(E - 1.0)) < 1e-8
 
 
-def test_dimension_mismatch():
+def test_params_that_do_not_fit_the_space():
     space = enumerate_basis(ModelDims(2, 2, 2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(SpaceMismatch):
         build_hamiltonian(random_params(3, 2), space)
 
 

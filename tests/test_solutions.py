@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mmrabi.errors import ConditionsViolated, CutoffTooSmall
+from mmrabi.errors import ConditionsViolated, CutoffTooSmall, StateNotInSpace
 from mmrabi.hilbert import (
     DOWN,
     EVEN,
@@ -130,6 +130,13 @@ def test_three_qubit_condition_violation():
     state = dark_state_3q(params, space)
     H = build_hamiltonian(broken, enumerate_basis(ModelDims(2, 3, 3)))
     assert verify_eigenstate(H, state.vector, 1.0) > 1e-3
+
+
+def test_three_qubit_dark_state_not_in_even_sector():
+    # the three-qubit state is odd, so the even sector holds none of its rows
+    space = enumerate_basis(ModelDims(2, 3, 3), EVEN)
+    with pytest.raises(StateNotInSpace):
+        dark_state_3q(params_3q(0.4), space)
 
 
 def test_product_dark_state_four_qubits():
