@@ -124,6 +124,8 @@ def parse_config(text: str) -> "ExperimentConfig":
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: {key!r} is set a second time")
         values[key] = _parse_value(key, SCHEMA[key], raw)
     return ExperimentConfig(values)
 

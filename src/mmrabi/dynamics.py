@@ -4,9 +4,11 @@ Every time-dependent operator is a fixed list of sparse terms times scalar
 coefficients read from the schedule, H(t) = sum_k c_k(t) H_k, where each
 term carries the piecewise-linear curve that weights it: a qubit's
 delta_j(t), a mode's g_i(t) or kappa_c_i(t), or none for a constant
-term.  Closed runs integrate i d/dt psi = H(t) psi with
-an adaptive explicit Runge-Kutta; open runs lift the same terms to sparse
-generators of the bare-basis Lindblad equation
+term.  Every run integrates one right-hand side, the term sum
+d/dt y = sum_k c_k(t) A_k y with an adaptive explicit Runge-Kutta
+(``_integrate``); each run only builds its terms.  Closed runs take
+A_k = -i H_k, so i d/dt psi = H(t) psi; open runs lift the same terms to
+sparse generators of the bare-basis Lindblad equation
 
     drho/dt = -i[H, rho]
             + sum_i kappa_i/2 (2 a_i rho a_i^dag - {a_i^dag a_i, rho})
@@ -20,7 +22,8 @@ term preserves the parity class p_r p_c of a density-matrix entry (r, c),
 so open runs integrate only the classes the initial state populates:
 rho_ee + rho_oo, half of the entries, for an even or odd initial state.  A
 dressed-basis amplitude-damping master equation over instantaneous
-eigenstates is an independent cross-check for static Hamiltonians.
+eigenstates, one static term with its own rates, is an independent
+cross-check for static Hamiltonians.
 
 Energies and times are in units of the common mode frequency, omega = 1.
 Everything here works on whatever space and schedule it is given; the
@@ -38,13 +41,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import InvalidSchedule, PositivityLoss, SpaceMismatch, StepFailure
 from .hilbert import HilbertSpace, parity_signs
-from .operators import (
-    RabiParams,
-    build_mode_lowering,
-    build_mode_number,
-    build_parity_operator,
-    build_qubit_op,
-)
+from .operators import RabiParams, build_mode_lowering, build_mode_number, build_qubit_op
 
 
 # --------------------------------------------------------------------------
@@ -72,11 +69,13 @@ class PiecewiseLinear:
         return np.interp(t, self.ts, self.vs)
 
     def slope(self, t: float) -> float:
-        """Right-sided derivative (left-sided at the final breakpoint)."""
-        if self.ts.size == 1:
+        """Right-sided derivative (left-sided at the final breakpoint).
+
+        0 outside [ts[0], ts[-1]], where the curve holds its end values.
+        """
+        if self.ts.size == 1 or not self.ts[0] <= t <= self.ts[-1]:
             return 0.0
-        k = np.searchsorted(self.ts, t, side="right") - 1
-        k = min(max(k, 0), self.ts.size - 2)
+        k = min(np.searchsorted(self.ts, t, side="right") - 1, self.ts.size - 2)
         return (self.vs[k + 1] - self.vs[k]) / (self.ts[k + 1] - self.ts[k])
 
     @staticmethod
@@ -241,14 +240,14 @@ class ScheduledHamiltonian:
             self.terms.append((c, sum((a + a.getH()) @ x for x in sx)))
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        """H(t) @ y without assembling H(t)."""
+        """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
         return _apply(term_coefficients(self.terms, t), self.terms, y)
 
     def at(self, t: float) -> sp.csr_matrix:
         return _combine(term_coefficients(self.terms, t), self.terms)
 
     def at_dense(self, t: float) -> np.ndarray:
-        return self.at(t).toarray()
+        return _combine(term_coefficients(self.terms, t), self.terms).toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
         """dH/dt, each curve's slope right-sided at its breakpoints."""
@@ -290,18 +289,25 @@ def fidelity(a, b: np.ndarray) -> float:
     return float(np.real(np.vdot(b, a @ b)))
 
 
-def _integrate(rhs, y0, T: float, n_samples: int, rtol: float, atol: float):
-    """DOP853 over [0, T]: sample times, sampled states as rows, solver statistics.
+def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
+    """DOP853 of d/dt y = sum_k c_k(t) A_k y[:n] over [0, T], for (curve or None, A_k) ``terms``.
+
+    n is the column count of every A_k.  Entries of y past n are ledger
+    integrals: rows of A_k past n accumulate them, and no term reads them.
+    The sum runs in term order (``_apply``).  Returns sample times, sampled
+    states as rows and solver statistics.
 
     solve_ivp's solver and its wrapped right-hand side refer to each other,
-    so the solver would keep ``rhs`` and the operators it closes over alive
-    until the next cyclic garbage collection.  The solver gets a forwarder
-    instead, and the forwarder's reference to ``rhs`` is dropped on return.
+    so the solver would keep the terms alive until the next cyclic garbage
+    collection.  The solver gets a forwarder instead, and the forwarder's
+    reference to ``terms`` is dropped on return.
     """
-    holder = [rhs]
+    holder = [terms]
+    n = terms[0][1].shape[1]
 
     def forward(t, y):
-        return holder[0](t, y)
+        held = holder[0]
+        return _apply(term_coefficients(held, t), held, y[:n])
 
     t_eval = np.linspace(0.0, T, n_samples)
     try:
@@ -326,14 +332,11 @@ def evolve_schrodinger(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (hamiltonian.space.dim,):
         raise SpaceMismatch(f"psi0 length {psi0.shape} vs dim {hamiltonian.space.dim}")
-
-    def rhs(t, y):
-        return -1j * hamiltonian.apply(t, y)
-
-    t_eval, states, stats = _integrate(rhs, psi0, T, n_samples, rtol, atol)
+    terms = [(c, -1j * H) for c, H in hamiltonian.terms]
+    t_eval, states, stats = _integrate(terms, psi0, T, n_samples, rtol, atol)
     obs = {"norm": np.linalg.norm(states, axis=1)}
-    R = build_parity_operator(hamiltonian.space).matrix
-    obs["parity"] = np.real(np.einsum("ti,ti->t", states.conj(), (R @ states.T).T))
+    p = parity_signs(hamiltonian.space.occupations, hamiltonian.space.spins)
+    obs["parity"] = np.real(np.einsum("ti,ti->t", states.conj(), states * p))
     return Trajectory(times=t_eval, states=states, observables=obs, metadata=stats)
 
 
@@ -490,12 +493,8 @@ def evolve_lindblad(
     d2 = dim * dim
     blocks, keep, terms = restricted_generator(hamiltonian, noise, rho0)
     n = keep.size
-
-    def rhs(t, y):
-        return _apply(term_coefficients(terms, t), terms, y[:n])
-
     y0 = np.concatenate([rho0.ravel()[keep], np.zeros(M + 2, dtype=complex)])  # ledger starts at 0
-    t_eval, ys, stats = _integrate(rhs, y0, sched.duration, n_samples, rtol, atol)
+    t_eval, ys, stats = _integrate(terms, y0, sched.duration, n_samples, rtol, atol)
     ledger = ys[:, n:].real.copy()  # a view would keep all of ys alive
     rhos = np.zeros((t_eval.size, d2), dtype=complex)
     rhos[:, keep] = ys[:, :n]
@@ -505,7 +504,7 @@ def evolve_lindblad(
 
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
     diag = np.real(np.einsum("tii->ti", rhos))
-    n_diag = [build_mode_number(space, i).matrix.diagonal().real for i in range(M)]
+    n_diag = space.occupations.T.astype(float)
     # one product per mode: a single diag @ N could sum in another order
     obs["n"] = np.stack([diag @ n_diag[i] for i in range(M)], axis=1)
     kc = np.stack([c(t_eval) for c in sched.kappa_c], axis=1) if sched.kappa_c else 0.0
@@ -542,7 +541,6 @@ def evolve_eigenbasis_markovian(
     kappa_c: float,
     rho0: np.ndarray,
     T: float,
-    rtol: float = 1e-8,
     n_samples: int = 201,
 ) -> Trajectory:
     """Amplitude-damping master equation in the eigenbasis of a frozen H.
@@ -551,7 +549,8 @@ def evolve_eigenbasis_markovian(
     rate_m * (eps_k - eps_j) * |<k|C^m|j>|^2 (omega = 1), where C^m is
     a_m + a_m^dag for modes and sigma_mx for qubits.  Defined for
     static Hamiltonians only; serves as an independent cross-check of
-    the bare-basis Lindblad route.
+    the bare-basis Lindblad route, integrated at rtol 1e-8 as one static
+    term on row-major vec rho.
     """
     dim = space.dim
     if H_static.shape != (dim, dim) or rho0.shape != (dim, dim):
@@ -578,17 +577,13 @@ def evolve_eigenbasis_markovian(
 
     rho0_e = U.conj().T @ rho0 @ U
     out_rate = Gamma.sum(axis=0)  # total decay out of level k
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        drho = -1j * (eps[:, None] - eps[None, :]) * rho
-        # gain on diagonal, anticommutator loss everywhere
-        pop = np.real(np.diag(rho))
-        drho += np.diag(Gamma @ pop)
-        drho -= 0.5 * (out_rate[None, :] + out_rate[:, None]) * rho
-        return drho.ravel()
-
-    t_eval, ys, stats = _integrate(rhs, rho0_e.ravel(), T, n_samples, rtol, 1e-10)
+    # rho_jk rotates and loses (out_j + out_k)/2; rho_kk feeds rho_jj at Gamma[j, k]
+    decay = -1j * (eps[:, None] - eps[None, :]) - (out_rate[:, None] + out_rate[None, :]) / 2
+    pops = np.arange(dim) * (dim + 1)  # vec-rho index of rho_kk
+    j, k = np.nonzero(Gamma)
+    gain = sp.coo_matrix((Gamma[j, k], (pops[j], pops[k])), shape=(dim * dim, dim * dim))
+    terms = [(None, (sp.diags(decay.ravel()) + gain).tocsr())]
+    t_eval, ys, stats = _integrate(terms, rho0_e.ravel(), T, n_samples, 1e-8, 1e-10)
     rhos_e = ys.reshape(-1, dim, dim)
     rhos = np.einsum("ab,tbc,dc->tad", U, rhos_e, U.conj())
     obs = {"trace": np.real(np.trace(rhos, axis1=1, axis2=2))}
@@ -610,27 +605,25 @@ def gap_monitor(
     hamiltonian: ScheduledHamiltonian,
     tracked_state,
     times,
-    degeneracy_window: float = 1e-8,
     element_threshold: float = 1e-10,
 ):
     """Sample instantaneous spectra and the Hdot matrix elements.
 
     ``tracked_state(t)`` returns the (normalized) protected state and its
     energy at time t.  Per sample: the eigenvalues, |<E_k|Hdot|v>| for
-    eigenstates within ``degeneracy_window`` of the tracked energy
-    (gauge-fixed by orthonormalizing the degenerate subspace), the max
-    adiabatic ratio |element| / gap^2 over nondegenerate levels, and the
-    effective gap to the closest level actually coupled by Hdot.
+    eigenstates within 1e-8 of the tracked energy (gauge-fixed by
+    orthonormalizing the degenerate subspace), the max adiabatic ratio
+    |element| / gap^2 over nondegenerate levels, and the effective gap to
+    the closest level actually coupled by Hdot.
     """
     samples = []
     for t in times:
-        H = hamiltonian.at(t).toarray()
-        Hdot = hamiltonian.derivative_at(t).toarray()
+        H = hamiltonian.at_dense(t)
         E, V = np.linalg.eigh(H)
         v, E_tracked = tracked_state(t)
-        w = Hdot @ v
+        w = hamiltonian.derivative_at(t) @ v
         elements = np.abs(V.conj().T @ w)
-        degenerate = np.abs(E - E_tracked) < degeneracy_window
+        degenerate = np.abs(E - E_tracked) < 1e-8
         # gauge-fix: orthonormal basis of the degenerate subspace
         if np.any(degenerate):
             Q, _ = np.linalg.qr(V[:, degenerate])

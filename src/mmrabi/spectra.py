@@ -80,10 +80,10 @@ def sweep_coupling(
     return SpectrumTable(sweep_values=g_grid, levels=levels)
 
 
-def degeneracy_count(H: SparseOperator, E_target: float, window: float = 1e-6) -> int:
-    """Number of eigenvalues within |E - E_target| < window."""
+def degeneracy_count(H: SparseOperator, E_target: float) -> int:
+    """Number of eigenvalues within |E - E_target| < 1e-6."""
     E = eigenspectrum(H, n_levels=H.dim, vectors=False)
-    return int(np.sum(np.abs(E - E_target) < window))
+    return int(np.sum(np.abs(E - E_target) < 1e-6))
 
 
 def convergence_report(params: RabiParams, n_max_list, probe) -> dict:

@@ -72,6 +72,16 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+def test_cli_repeated_key_exit_2(tmp_path, capsys):
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("dims.n_max = 2\ndims.M = 2\ndims.n_max = 4\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(twice), "--out", str(out), "basis"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "dims.n_max" in err
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_basis_summary(tmp_path):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--quiet", "basis"]) == 0

@@ -1,8 +1,11 @@
 import gc
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from mmrabi import dynamics
 from mmrabi.dynamics import (
@@ -132,6 +135,21 @@ def test_operator_views_agree():
         assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-8
 
 
+def test_derivative_is_zero_where_a_curve_is_flat():
+    # the curve holds its end values off its breakpoints, so its slope is 0 there
+    space = enumerate_basis(ModelDims(2, 2, 2))
+    ramp = PiecewiseLinear(np.array([10.0, 50.0]), np.array([0.0, 0.4]))
+    flat = PiecewiseLinear.constant(0.5, 100.0)
+    ht = ScheduledHamiltonian(space, ProtocolSchedule(100.0, (flat, flat), (ramp, ramp)))
+    for t in (5.0, 30.0, 70.0):
+        h = 1e-4
+        central = (ht.at(t + h) - ht.at(t - h)).toarray() / (2 * h)
+        assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-9
+    # right-sided at a breakpoint, left-sided at the final one
+    rise = 0.4 / 40.0
+    assert [ramp.slope(t) for t in (9.0, 10.0, 50.0, 51.0)] == [0.0, rise, rise, 0.0]
+
+
 def test_lindblad_generator_matches_dense_master_equation():
     space = w_space()
     M, N = space.dims.M, space.dims.N
@@ -237,12 +255,8 @@ def test_coherent_start_keeps_every_entry():
 
     traj = evolve_lindblad(ht, noise, rho0, n_samples=5)
     terms = lindblad_generator(ht, noise)
-
-    def rhs(t, y):
-        return _apply(term_coefficients(terms, t), terms, y[:d2])
-
     y0 = np.concatenate([rho0.ravel(), np.zeros(M + 2, dtype=complex)])
-    _, ys, stats = _integrate(rhs, y0, sched.duration, 5, 1e-8, 1e-10)
+    _, ys, stats = _integrate(terms, y0, sched.duration, 5, 1e-8, 1e-10)
     assert traj.metadata["nfev"] == stats["nfev"]
     assert np.array_equal(traj.states, ys[:, :d2].reshape(-1, space.dim, space.dim))
     assert np.array_equal(traj.observables["emitted"], ys[:, d2 : d2 + M].real)
@@ -302,6 +316,31 @@ def test_reversibility():
         ScheduledHamiltonian(space, back), out.conj(), n_samples=3
     ).final_state
     assert abs(fidelity(restored.conj(), psi0) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_schrodinger_integrates_the_hamiltonian_view(M):
+    # -1j * H_k only swaps and negates components, so the term sum of the
+    # -1j * H_k is bit for bit -1j * H(t) y, summed in the same order
+    space = w_space(M=M)
+    T = 20.0
+    ht = ScheduledHamiltonian(space, make_w_generation_schedule(M, T))
+    psi0 = vacuum_up(space)
+    traj = evolve_schrodinger(ht, psi0, n_samples=5)
+    ref = solve_ivp(lambda t, y: -1j * ht.apply(t, y), (0.0, T), psi0, method="DOP853",
+                    rtol=1e-9, atol=1e-11, t_eval=np.linspace(0.0, T, 5))
+    assert traj.metadata["nfev"] == ref.nfev
+    assert np.array_equal(traj.states, ref.y.T)
+
+
+def test_one_right_hand_side():
+    # every run hands its terms to _integrate, which alone calls the solver
+    package = Path(dynamics.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.rglob("*.py"))}
+    calls = {name: text.count("solve_ivp(") for name, text in sources.items()}
+    assert {name: k for name, k in calls.items() if k} == {"dynamics.py": 1}
+    assert "solve_ivp(" in inspect.getsource(dynamics._integrate)
+    assert [name for name, text in sources.items() if "def rhs" in text] == []
 
 
 def test_integrator_statistics_repeat():
@@ -486,6 +525,39 @@ def test_dressed_markovian_storage_cross_check():
         ht.at_dense(0.0), space, noise, kappa_c=0.0, rho0=rho0, T=100.0, n_samples=11
     )
     assert trace_distance(bare.final_state, dressed.final_state) < 0.02
+
+
+def test_dressed_markovian_matches_elementwise_reference():
+    # reference: the dressed-basis equation written entry by entry on rho
+    space = w_space(M=2, n_max=3)
+    dim, T = space.dim, 100.0
+    ht = ScheduledHamiltonian(space, frozen_schedule(2, T))
+    noise = NoiseModel(kappa_in=1e-4, gamma=(1e-5, 1e-5), gamma_phi=(0.0, 0.0))
+    psi0 = dark_state_2q(ht.params_at(0.0), space).vector
+    rho0 = np.outer(psi0, psi0.conj())
+    H = ht.at_dense(0.0)
+    eps, U = np.linalg.eigh(H)
+    lowering = [build_mode_lowering(space, i).dense() for i in range(2)]
+    couplers = [(1e-4, a + a.conj().T) for a in lowering]
+    couplers += [(1e-5, build_qubit_op(space, j, "x").dense()) for j in range(2)]
+    dE = eps[None, :] - eps[:, None]
+    Gamma = sum(rate * np.where(dE > 1e-12, dE, 0.0) * np.abs(U.conj().T @ C @ U) ** 2
+                for rate, C in couplers)
+    out_rate = Gamma.sum(axis=0)
+
+    def elementwise(t, y):
+        rho = y.reshape(dim, dim)
+        drho = -1j * (eps[:, None] - eps[None, :]) * rho
+        drho += np.diag(Gamma @ np.real(np.diag(rho)))
+        drho -= 0.5 * (out_rate[None, :] + out_rate[:, None]) * rho
+        return drho.ravel()
+
+    t_eval = np.linspace(0.0, T, 3)
+    ref = solve_ivp(elementwise, (0.0, T), (U.conj().T @ rho0 @ U).ravel(), method="DOP853",
+                    rtol=1e-8, atol=1e-10, t_eval=t_eval)
+    expected = U @ ref.y[:, -1].reshape(dim, dim) @ U.conj().T
+    traj = evolve_eigenbasis_markovian(H, space, noise, kappa_c=0.0, rho0=rho0, T=T, n_samples=3)
+    assert trace_distance(traj.final_state, expected) < 1e-12
 
 
 def test_dressed_markovian_zero_rates_preserves_populations():
