@@ -6,7 +6,10 @@ term carries the piecewise-linear curve that weights it: a qubit's
 delta_j(t), a mode's g_i(t) or kappa_c_i(t), or none for a constant
 term.  Every run integrates one right-hand side, the term sum
 d/dt y = sum_k c_k(t) A_k y with an adaptive explicit Runge-Kutta
-(``_integrate``); each run only builds its terms.  Closed runs take
+(``_integrate``); each run only builds its terms.  A ``TermSum`` built
+once per run evaluates it: one sparse product with the stacked A_k and
+one lookup in a table of every curve's segments per call, summed in term
+order, bit for bit the term-by-term sum.  Closed runs take
 A_k = -i H_k, so i d/dt psi = H(t) psi; open runs lift the same terms to
 sparse generators of the bare-basis Lindblad equation
 
@@ -33,7 +36,10 @@ CLI commands first rewrite a problem on its bright modes
 
 from __future__ import annotations
 
+import bisect
+import gc
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +66,8 @@ class PiecewiseLinear:
         vs = np.asarray(self.vs, dtype=float)
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 1:
             raise InvalidSchedule("breakpoints must be matching 1-d arrays")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+            raise InvalidSchedule("breakpoint times and values must be finite")
         if np.any(np.diff(ts) <= 0) and ts.size > 1:
             raise InvalidSchedule("breakpoint times must be strictly increasing")
         object.__setattr__(self, "ts", ts)
@@ -99,8 +107,8 @@ class ProtocolSchedule:
     kappa_c: tuple = ()
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidSchedule(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise InvalidSchedule(f"duration must be positive and finite, got {self.duration}")
         if len(self.kappa_c) not in (0, len(self.g)):
             raise InvalidSchedule(f"{len(self.kappa_c)} kappa_c curves for {len(self.g)} modes")
         for role in ("delta", "g", "kappa_c"):
@@ -159,8 +167,8 @@ def make_w_generation_schedule(
     vacuum are then identical for every M.  Default weights are uniform
     (prototype W state).
     """
-    if T <= 0:
-        raise InvalidSchedule(f"T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise InvalidSchedule(f"T must be positive and finite, got {T}")
     if g_max <= 0:
         raise InvalidSchedule(f"g_max must be positive, got {g_max}")
     if not 0 < delta_split_initial <= 1.0:
@@ -196,22 +204,75 @@ def make_w_generation_schedule(
 # scheduled Hamiltonian
 
 
-def term_coefficients(terms, t: float) -> np.ndarray:
-    """c_k(t) of (curve, term) pairs: the curve's value, 1 for a term without one."""
-    return np.array([1.0 if c is None else float(c(t)) for c, _ in terms])
+class TermSum:
+    """y -> sum_k c_k(t) A_k y over (curve or None, A_k) ``terms``, in term order.
+
+    Built once from the terms.  The A_k, all of one shape, are stacked into
+    one CSR matrix S, so one product S @ y gives every A_k @ y bit for bit
+    (each row keeps its own entries in their order), and the K blocks are
+    weighted and summed in term order.
+
+    The coefficients c_k(t), a curve's value or 1 for a term without one,
+    come from one table over the merged breakpoints B of all curves: row 0
+    lies before B[0] and row r on [B[r-1], B[r]).  Row r holds each curve's
+    own segment (x0, y0, slope) there, so one search and
+    slope * (t - x0) + y0 repeat np.interp's arithmetic.  A curve that
+    holds an end value in a row, and a term without a curve, has a zero
+    slope signed so that its product is -0.0 (x0 = B[0] in row 0, where
+    t < x0, else x0 = B[r-1] <= t), which leaves y0 as it is, -0.0
+    included.  np.interp returns a breakpoint's value as it stands, so
+    the values at t = B[r-1] are kept whole, one row per breakpoint.
+    """
+
+    def __init__(self, terms):
+        curves = [c for c, _ in terms]
+        self.shape = (len(terms), terms[0][1].shape[0])
+        self.stack = sp.vstack([A for _, A in terms], format="csr")
+        ts = [c.ts for c in curves if c is not None]
+        breaks = np.unique(np.concatenate(ts)) if ts else np.zeros(0)
+        starts = np.concatenate([breaks[:1] if ts else [0.0], breaks])
+        x0 = np.repeat(starts[:, None], len(curves), axis=1)
+        y0 = np.ones_like(x0)
+        slope = np.full_like(x0, -0.0)
+        slope[0] = 0.0
+        hits = np.ones((breaks.size, len(curves)))
+        for k, c in enumerate(curves):
+            if c is None:
+                continue
+            hits[:, k] = np.interp(breaks, c.ts, c.vs)
+            j = np.searchsorted(c.ts, starts, side="right") - 1
+            j[0] = -1  # row 0 lies before every breakpoint
+            inside = (j >= 0) & (j < c.ts.size - 1)
+            y0[:, k] = np.where(j < 0, c.vs[0], c.vs[-1])
+            j = j[inside]
+            x0[inside, k] = c.ts[j]
+            y0[inside, k] = c.vs[j]
+            slope[inside, k] = (c.vs[j + 1] - c.vs[j]) / (c.ts[j + 1] - c.ts[j])
+        for a in (x0, y0, slope, hits):
+            a.flags.writeable = False
+        self._breaks = breaks.tolist()
+        self._rows = list(zip(x0, y0, slope))
+        self._hits = list(hits)
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """c_k(t) of every term, bit for bit [np.interp(t, ts, vs) or 1]."""
+        r = bisect.bisect_right(self._breaks, t)
+        if r and t == self._breaks[r - 1]:
+            return self._hits[r - 1]
+        x0, y0, slope = self._rows[r]
+        return slope * (t - x0) + y0
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        weighted = self.coefficients(t)[:, None] * (self.stack @ y).reshape(self.shape)
+        out = weighted[0]
+        for block in weighted[1:]:  # in term order; a reduction would start from +0
+            out += block
+        return out
 
 
 def _combine(coeffs: np.ndarray, terms) -> sp.csr_matrix:
     """sum_k coeffs[k] A_k as one sparse matrix."""
     return sum(c * m for c, (_, m) in zip(coeffs, terms))
-
-
-def _apply(coeffs: np.ndarray, terms, y: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] (A_k @ y), accumulated in term order."""
-    out = coeffs[0] * (terms[0][1] @ y)
-    for c, (_, m) in zip(coeffs[1:], terms[1:]):
-        out += c * (m @ y)
-    return out
 
 
 class ScheduledHamiltonian:
@@ -220,7 +281,8 @@ class ScheduledHamiltonian:
     The terms are sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
-    protocol requires.  Every view of H(t) below reads this one list.  A
+    protocol requires.  Every view of H(t) below reads this one list and
+    its ``TermSum``; ``derivative_at`` reads each curve's own slope.  A
     schedule whose mode or qubit count differs from the space's raises
     SpaceMismatch.
     """
@@ -239,15 +301,20 @@ class ScheduledHamiltonian:
             a = build_mode_lowering(space, i).matrix
             self.terms.append((c, sum((a + a.getH()) @ x for x in sx)))
 
+    @cached_property
+    def term_sum(self) -> TermSum:
+        """The ``TermSum`` of ``terms``, built on first use: runs build their own."""
+        return TermSum(self.terms)
+
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
-        return _apply(term_coefficients(self.terms, t), self.terms, y)
+        return self.term_sum(t, y)
 
     def at(self, t: float) -> sp.csr_matrix:
-        return _combine(term_coefficients(self.terms, t), self.terms)
+        return _combine(self.term_sum.coefficients(t), self.terms)
 
     def at_dense(self, t: float) -> np.ndarray:
-        return _combine(term_coefficients(self.terms, t), self.terms).toarray()
+        return _combine(self.term_sum.coefficients(t), self.terms).toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
         """dH/dt, each curve's slope right-sided at its breakpoints."""
@@ -294,26 +361,30 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
 
     n is the column count of every A_k.  Entries of y past n are ledger
     integrals: rows of A_k past n accumulate them, and no term reads them.
-    The sum runs in term order (``_apply``).  Returns sample times, sampled
-    states as rows and solver statistics.
+    The right-hand side is one ``TermSum`` built here: per call one
+    stacked sparse product gives every A_k y[:n], one table lookup every
+    c_k(t), and the weighted blocks are summed in term order.  Returns
+    sample times, sampled states as rows and solver statistics.
 
     solve_ivp's solver and its wrapped right-hand side refer to each other,
     so the solver would keep the terms alive until the next cyclic garbage
     collection.  The solver gets a forwarder instead, and the forwarder's
-    reference to ``terms`` is dropped on return.
+    reference to the term sum is dropped on return.  The cycle itself, the
+    solver with its work arrays, is still young then, so one collection of
+    the two young generations frees it.
     """
-    holder = [terms]
+    holder = [TermSum(terms)]
     n = terms[0][1].shape[1]
 
     def forward(t, y):
-        held = holder[0]
-        return _apply(term_coefficients(held, t), held, y[:n])
+        return holder[0](t, y[:n])
 
     t_eval = np.linspace(0.0, T, n_samples)
     try:
         sol = solve_ivp(forward, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
     finally:
         holder.clear()
+        gc.collect(1)
     if not sol.success:
         raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
     stats = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev), "status": int(sol.status)}

@@ -5,16 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import DOP853
 
-from mmrabi import dynamics
+from mmrabi import cli, dynamics
+from mmrabi.cli import FIGURE_PRESETS
+from mmrabi.config import default_config
 from mmrabi.dynamics import (
     NoiseModel,
     PiecewiseLinear,
     ProtocolSchedule,
     ReleaseConfig,
     ScheduledHamiltonian,
-    _apply,
+    TermSum,
     _integrate,
     check_positivity,
     evolve_eigenbasis_markovian,
@@ -27,7 +31,6 @@ from mmrabi.dynamics import (
     make_w_generation_schedule,
     photon_ledger_defect,
     restricted_generator,
-    term_coefficients,
     trace_distance,
 )
 from mmrabi.errors import InvalidSchedule, PositivityLoss, SpaceMismatch
@@ -68,6 +71,12 @@ def release_schedule():
     )
 
 
+def fig5_schedule():
+    cfg = default_config().with_overrides(FIGURE_PRESETS["fig5"])
+    gen = cli._generation_schedule(cfg)
+    return make_catch_release_schedule(gen, cfg["schedule.hold_time"], cfg.release_config())
+
+
 # one time inside each catch-release phase, away from every breakpoint
 PHASE_TIMES = (30.3, 62.7, 90.1)
 
@@ -95,6 +104,17 @@ def test_schedule_constraint_and_normalized_weights():
     assert abs(float(two.g[0](50.0)) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PiecewiseLinear([0.0, np.nan], [0.0, 1.0]),
+    lambda: PiecewiseLinear([0.0, 1.0], [0.0, np.inf]),
+    lambda: ProtocolSchedule(np.nan, (), ()),
+    lambda: make_w_generation_schedule(2, np.inf),
+], ids=["nan-time", "inf-value", "nan-duration", "inf-T"])
+def test_non_finite_schedule_values_raise(build):
+    with pytest.raises(InvalidSchedule):
+        build()
+
+
 def test_schedule_validation():
     with pytest.raises(InvalidSchedule):
         make_w_generation_schedule(2, -1.0)
@@ -118,6 +138,52 @@ def test_schedule_validation():
 def test_schedule_must_fit_the_space(dims):
     with pytest.raises(SpaceMismatch):
         ScheduledHamiltonian(enumerate_basis(dims), make_w_generation_schedule(2, 10.0))
+
+
+def test_coefficient_table_is_np_interp_bit_for_bit():
+    # tobytes, not array_equal, so that -0.0 and +0.0 differ
+    sched = fig5_schedule()
+    curves = [
+        None, *sched.delta, *sched.g, *sched.kappa_c,
+        PiecewiseLinear(np.array([3.0]), np.array([-0.0])),
+        PiecewiseLinear(np.array([0.0, 50.0, 120.0]), np.array([-0.0, -0.0, 1.0])),
+    ]
+    term_sum = TermSum([(c, sp.identity(2, dtype=complex, format="csr")) for c in curves])
+    breaks = np.unique(np.concatenate([c.ts for c in curves if c is not None]))
+    times = np.concatenate([
+        np.random.default_rng(5).uniform(0.0, sched.duration, 2000),
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        [breaks[0] - 1.0, breaks[-1] + 1.0],
+    ])
+    for t in times:
+        expected = np.array([1.0 if c is None else float(c(t)) for c in curves])
+        for time in (t, float(t)):
+            assert term_sum.coefficients(time).tobytes() == expected.tobytes(), time
+
+
+def test_term_sum_is_the_sequential_sum_bit_for_bit():
+    space = w_space()
+    sched = release_schedule()
+    ht = ScheduledHamiltonian(space, sched)
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    psi0 = vacuum_up(space)
+    _, keep, lindblad = restricted_generator(ht, noise, np.outer(psi0, psi0.conj()))
+    schrodinger = [(c, -1j * H) for c, H in ht.terms]
+    # every weight negative: a row of zeros then sums -0.0 terms, whose sum
+    # is -0.0 only when it starts from the first term, not from +0.0
+    negated = [(PiecewiseLinear(c.ts, -c.vs), A) for c, A in schrodinger if c is not None]
+    rng = np.random.default_rng(13)
+    for terms, start in ((schrodinger, psi0), (negated, psi0),
+                         (lindblad, np.outer(psi0, psi0.conj()).ravel()[keep])):
+        term_sum = TermSum(terms)
+        noisy = start + rng.normal(size=start.size) + 1j * rng.normal(size=start.size)
+        for y in (start, noisy):
+            for t in (0.0, *PHASE_TIMES, sched.duration):
+                c = [1.0 if curve is None else float(curve(t)) for curve, _ in terms]
+                expected = c[0] * (terms[0][1] @ y)
+                for ck, (_, A) in zip(c[1:], terms[1:]):
+                    expected += ck * (A @ y)
+                assert term_sum(t, y).tobytes() == expected.tobytes(), t
 
 
 def test_operator_views_agree():
@@ -182,7 +248,7 @@ def test_lindblad_generator_matches_dense_master_equation():
         ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
         reference = np.concatenate([drho.ravel(), ledger])
 
-        c = term_coefficients(terms, t)
+        c = TermSum(terms).coefficients(t)
         lifted = sum(ck * (Ak @ rho.ravel()) for ck, (_, Ak) in zip(c, terms))
         assert np.max(np.abs(lifted - reference)) < 1e-12
 
@@ -209,8 +275,8 @@ def test_restricted_generator_matches_full_generator():
     full = lindblad_generator(ht, noise)
     rows = np.concatenate([keep, space.dim**2 + np.arange(M + 2)])
     for t in PHASE_TIMES:
-        reference = _apply(term_coefficients(full, t), full, rho.ravel())[rows]
-        restricted = _apply(term_coefficients(terms, t), terms, rho.ravel()[keep])
+        reference = TermSum(full)(t, rho.ravel())[rows]
+        restricted = TermSum(terms)(t, rho.ravel()[keep])
         assert np.max(np.abs(restricted - reference)) < 1e-12
 
 
@@ -377,7 +443,16 @@ def test_solver_releases_operators_on_return(monkeypatch):
         terms.extend(weakref.ref(A) for _, A in generator)
         return blocks, keep, generator
 
+    stacks = []
+    term_sum = dynamics.TermSum
+
+    def stacked(*args):
+        built = term_sum(*args)
+        stacks.append(weakref.ref(built.stack))
+        return built
+
     monkeypatch.setattr(dynamics, "restricted_generator", spy)
+    monkeypatch.setattr(dynamics, "TermSum", stacked)
     gc.collect()
     gc.disable()
     try:
@@ -392,8 +467,24 @@ def test_solver_releases_operators_on_return(monkeypatch):
         del ht
         assert ref() is None
         assert terms and all(r() is None for r in terms)
+        assert stacks and all(r() is None for r in stacks)
     finally:
         gc.enable()
+
+
+def test_no_solver_outlives_its_run():
+    # the solver and its wrapped right-hand side form a reference cycle; with
+    # the collector on, it is gone when the run returns
+    space = w_space(M=2, n_max=2)
+    sched = make_w_generation_schedule(2, 5.0)
+    psi0 = vacuum_up(space)
+    gc.collect()
+    assert gc.isenabled()
+    evolve_schrodinger(ScheduledHamiltonian(space, sched), psi0, n_samples=3)
+    assert not [o for o in gc.get_objects() if isinstance(o, DOP853)]
+    rho0 = np.outer(psi0, psi0.conj())
+    evolve_lindblad(ScheduledHamiltonian(space, sched), NoiseModel(kappa_in=1e-3), rho0, n_samples=3)
+    assert not [o for o in gc.get_objects() if isinstance(o, DOP853)]
 
 
 def test_tolerance_halving_converged():
