@@ -169,8 +169,8 @@ def make_w_generation_schedule(
     """
     if not 0 < T < np.inf:
         raise InvalidSchedule(f"T must be positive and finite, got {T}")
-    if g_max <= 0:
-        raise InvalidSchedule(f"g_max must be positive, got {g_max}")
+    if not 0 < g_max < np.inf:
+        raise InvalidSchedule(f"g_max must be positive and finite, got {g_max}")
     if not 0 < delta_split_initial <= 1.0:
         raise InvalidSchedule(f"initial splitting {delta_split_initial} outside (0, 1]")
     if not 0 <= split_hold_fraction < 1:
@@ -743,7 +743,8 @@ def make_catch_release_schedule(
     has one ``kappa_c`` curve per mode, off until mode i's release delay
     after the hold and then ramping to ``release.kappa_c`` over
     ``release.ramp_width`` (positive); each delay must be non-negative and
-    its ramp must end before ``release.duration``.  The
+    its ramp must end before ``release.duration``.  ``hold_time``, the
+    release values and the delays must be finite.  The
     drive-controlled couplings ramp to zero across the hold window,
     so ``hold_time`` must be positive.  The generated state is already
     decoupled, so this leaves it untouched, but it stops residual
@@ -757,6 +758,16 @@ def make_catch_release_schedule(
     delays = list(release.delays) or [0.0] * M
     if len(delays) != M:
         raise InvalidSchedule(f"need {M} release delays, got {len(delays)}")
+    named = {
+        "hold_time": hold_time,
+        "release.kappa_c": release.kappa_c,
+        "release.ramp_width": release.ramp_width,
+        "release.duration": release.duration,
+        **{f"release delay of mode {i + 1}": d for i, d in enumerate(delays)},
+    }
+    for name, value in named.items():
+        if not np.isfinite(value):
+            raise InvalidSchedule(f"{name} must be finite, got {value}")
     if hold_time <= 0:
         raise InvalidSchedule("the couplings need a positive hold_time to ramp to zero over")
     if release.ramp_width <= 0:

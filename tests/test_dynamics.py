@@ -115,6 +115,33 @@ def test_non_finite_schedule_values_raise(build):
         build()
 
 
+def _catch_release(hold_time=2.0, **release):
+    gen = make_w_generation_schedule(2, 10.0)
+    return make_catch_release_schedule(gen, hold_time, ReleaseConfig(**release))
+
+
+@pytest.mark.parametrize("build,name,value", [
+    (lambda: make_w_generation_schedule(2, 10.0, g_max=np.inf), "g_max", "inf"),
+    (lambda: make_w_generation_schedule(2, 10.0, g_max=np.nan), "g_max", "nan"),
+    (lambda: _catch_release(hold_time=np.inf), "hold_time", "inf"),
+    (lambda: _catch_release(hold_time=np.nan), "hold_time", "nan"),
+    (lambda: _catch_release(kappa_c=np.nan), "release.kappa_c", "nan"),
+    (lambda: _catch_release(kappa_c=np.inf), "release.kappa_c", "inf"),
+    (lambda: _catch_release(ramp_width=np.inf), "release.ramp_width", "inf"),
+    (lambda: _catch_release(ramp_width=np.nan), "release.ramp_width", "nan"),
+    (lambda: _catch_release(duration=np.inf), "release.duration", "inf"),
+    (lambda: _catch_release(duration=np.nan), "release.duration", "nan"),
+    (lambda: _catch_release(delays=(0.0, np.nan)), "release delay of mode 2", "nan"),
+], ids=[
+    "g_max-inf", "g_max-nan", "hold-inf", "hold-nan", "kappa-nan", "kappa-inf",
+    "ramp-inf", "ramp-nan", "duration-inf", "duration-nan", "delay-nan",
+])
+def test_non_finite_schedule_arguments_are_named(build, name, value):
+    with pytest.raises(InvalidSchedule) as info:
+        build()
+    assert name in str(info.value) and value in str(info.value)
+
+
 def test_schedule_validation():
     with pytest.raises(InvalidSchedule):
         make_w_generation_schedule(2, -1.0)

@@ -218,3 +218,112 @@ def test_rank_one_coupling_spectrum_from_single_mode_spectra(sector):
     assert np.max(np.abs(levels - union)) < 1e-12
     assert _multiplicities(levels) == _multiplicities(union)
     assert max(_multiplicities(levels)) > 1
+
+
+def _oracle_levels(template, grid, sector, n_levels, dims):
+    """Per-point full-space levels: one M-mode sector Hamiltonian built and solved per point."""
+    space = enumerate_basis(dims, sector)
+    return np.array([
+        eigenspectrum(build_hamiltonian(template(g), space), n_levels, vectors=False) for g in grid
+    ])
+
+
+def _count_builds(monkeypatch):
+    """Record the mode count M of every Hamiltonian sweep_coupling builds."""
+    built = []
+
+    def counting(params, space):
+        built.append(space.dims.M)
+        return build_hamiltonian(params, space)
+
+    monkeypatch.setattr(spectra, "build_hamiltonian", counting)
+    return built
+
+
+@pytest.mark.parametrize("n_levels", [30, 252])
+def test_rank_two_sweep_matches_full_space_oracle(monkeypatch, n_levels):
+    # equal omega and a rank-2 coupling at (4, 2, 5): two bright modes and two
+    # dark ones, the second singular value small but kept; g = 0 is rank 1, and
+    # the union at n_levels = 252 is the whole sector
+    dims = ModelDims(4, 2, 5)
+    rng = np.random.default_rng(7)
+    pattern = rng.normal(size=(4, 2)) @ np.diag([1.0, 1e-3])
+    assert np.linalg.matrix_rank(pattern) == 2
+
+    def template(g):
+        return RabiParams(omega=np.ones(4), delta=[0.9, 0.35], g=g * pattern)
+
+    grid = np.array([0.0, 0.15, 0.4])
+    built = _count_builds(monkeypatch)
+    table = sweep_coupling(template, grid, None, n_levels, dims)
+    assert sorted(set(built)) == [1, 2]
+    for sector in (EVEN, ODD):
+        got = table.levels[sector.sign]
+        ref = _oracle_levels(template, grid, sector, n_levels, dims)
+        assert got.shape == ref.shape == (3, n_levels)
+        assert np.max(np.abs(got - ref)) < 1e-12
+        for row, ref_row in zip(got, ref):
+            assert _multiplicities(row, 1e-6) == _multiplicities(ref_row, 1e-6)
+
+
+def test_bright_blocks_above_dense_threshold_go_through_eigenspectrum(monkeypatch):
+    # with DENSE_THRESHOLD at 1 every bright block that asks for fewer than
+    # dim - 1 levels is a sparse slice solved by eigsh
+    dims = ModelDims(4, 2, 5)
+    pattern = (np.outer([1.0, -0.4, 0.7, 0.2], [1.0, 0.5])
+               + np.outer([0.1, 0.8, -0.3, 0.5], [0.3, -1.0]))
+
+    def template(g):
+        return RabiParams(omega=np.ones(4), delta=[0.9, 0.35], g=g * pattern)
+
+    grid = [0.2, 0.5]
+    ref = {s.sign: _oracle_levels(template, grid, s, 10, dims) for s in (EVEN, ODD)}
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
+    table = sweep_coupling(template, grid, None, 10, dims)
+    for sign, lv in table.levels.items():
+        assert np.max(np.abs(lv - ref[sign])) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["full-rank", "unequal-omega"])
+def test_full_path_is_unchanged(monkeypatch, case):
+    # full-rank g (g = 0 would be rank 1, so the grid leaves it out), or a
+    # rank-1 g with unequal omega_i: every point builds the M-mode sectors
+    dims = ModelDims(3, 3, 3)
+    if case == "full-rank":
+        omega, pattern = np.ones(3), np.array([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.4, 0.9]])
+        grid = [0.1, 0.3, 0.6]
+    else:
+        omega, pattern = np.array([1.0, 1.1, 0.9]), np.full((3, 3), 1.0)
+        grid = [0.0, 0.3, 0.6]
+
+    def template(g):
+        return RabiParams(omega=omega, delta=[0.8, 0.5, 0.3], g=g * pattern)
+
+    built = _count_builds(monkeypatch)
+    table = sweep_coupling(template, grid, None, 20, dims)
+    assert built == [3] * 2 * len(grid)
+    for sector in (EVEN, ODD):
+        ref = _oracle_levels(template, grid, sector, 20, dims)
+        assert table.levels[sector.sign].tobytes() == ref.tobytes()
+    sector_dim = dims.dim // 2
+    message = f"requested {sector_dim + 1} levels from dim {sector_dim}"
+    with pytest.raises(ValueError, match=message):
+        sweep_coupling(template, grid, EVEN, sector_dim + 1, dims)
+
+
+def test_uniform_coupling_keeps_degenerate_copies_at_scale():
+    # uniform g at (4, 4, 5): rank 1, three dark modes, so the lowest levels of
+    # both sectors come in large degenerate groups
+    dims = ModelDims(4, 4, 5)
+
+    def template(g):
+        return RabiParams(omega=np.ones(4), delta=[0.9, 0.6, 0.4, 0.15], g=np.full((4, 4), g))
+
+    table = sweep_coupling(template, [0.3], None, 40, dims)
+    for sector in (EVEN, ODD):
+        got = table.levels[sector.sign][0]
+        H = build_hamiltonian(template(0.3), enumerate_basis(dims, sector))
+        ref = np.linalg.eigvalsh(H.dense().real)[:40]
+        assert np.max(np.abs(got - ref)) < 1e-12
+        assert _multiplicities(got, 1e-6) == _multiplicities(ref, 1e-6)
+        assert max(_multiplicities(ref, 1e-6)) >= 4
