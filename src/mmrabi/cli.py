@@ -16,11 +16,14 @@ possible).
 (``_protocol_run``): it starts from the photon vacuum and integrates the
 bright-mode problem of ``modes.reduce_modes``, one mode per group of
 modes with equal ``kappa_c`` and proportional couplings, which is exact
-from that start.  Per-mode observables are mapped back to every mode,
-and the headline fidelity compares the embedded state with the
-full-space dark state.  ``reproduce`` refuses any config or ``--cutoff``
-value the run set that its figure preset would replace, one equal to the
-schema default included.
+from that start.  Open runs reduce only here.  A closed run would also
+reduce itself inside ``evolve_schrodinger``, but the reduced problem's
+modes do not group again, so it runs as handed over.  Per-mode
+observables are mapped back to every mode, and the headline fidelity
+compares the embedded state with the full-space dark state.
+``reproduce`` refuses any config or ``--cutoff`` value the run set that
+its figure preset would replace, one equal to the schema default
+included.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuitmap import CircuitParams
-from .dynamics import NoiseModel, ReleaseConfig
 from .errors import ConfigError
 from .hilbert import EVEN, ODD, ModelDims
 from .operators import RabiParams
+from .schedules import NoiseModel, ReleaseConfig
 
 
 @dataclass(frozen=True)

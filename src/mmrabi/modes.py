@@ -42,8 +42,8 @@ from math import factorial
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import PiecewiseLinear, ProtocolSchedule
 from .hilbert import HilbertSpace, ModelDims, enumerate_basis
+from .schedules import PiecewiseLinear, ProtocolSchedule
 
 TOL = 1e-12
 
@@ -117,8 +117,10 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     """The bright-mode problem of ``schedule`` on ``space`` (see the module docstring).
 
     Exact for a start in the range of the isometry, for example the photon
-    vacuum times any qubit state.  SpaceMismatch unless ``schedule`` has a
-    ``g`` curve per mode and a ``delta`` curve per qubit of ``space``.
+    vacuum times any qubit state.  ``dynamics.evolve_schrodinger`` reduces
+    every closed run through it, ``cli._protocol_run`` the open runs.
+    SpaceMismatch unless ``schedule`` has a ``g`` curve per mode and a
+    ``delta`` curve per qubit of ``space``.
     """
     schedule.check_space(space)
     M, N, n_max = space.dims.M, space.dims.N, space.dims.n_max

@@ -31,9 +31,12 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
     """Lowest eigenpairs, ascending.
 
     Dense below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``, smallest
-    algebraic) above.  A dense matrix with no imaginary part is solved as
-    real symmetric.  Returns (energies, vectors) with complex vectors as
-    columns, or energies alone.
+    algebraic) above, from a fixed seeded start vector, so that a solve
+    depends only on H and not on the solves before it.  The start is
+    random, not uniform: a uniform vector is symmetric under every basis
+    permutation and never reaches the antisymmetric levels.  A dense
+    matrix with no imaginary part is solved as real symmetric.  Returns
+    (energies, vectors) with complex vectors as columns, or energies alone.
     """
     dim = H.dim
     if n_levels is None:
@@ -47,7 +50,8 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
             return E[:n_levels], V[:, :n_levels].astype(complex)
         return np.linalg.eigvalsh(dense)[:n_levels]
     try:
-        E, V = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA")
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        E, V = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"iterative eigensolve failed: {exc}") from exc
     order = np.argsort(E)

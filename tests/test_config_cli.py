@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmrabi
 from mmrabi import cli, dynamics
 from mmrabi.cli import cmd_catch_release, format_json, main
 from mmrabi.config import SCHEMA, default_config, parse_config, schema_lines
@@ -266,3 +270,12 @@ def test_only_cli_formats_output():
         if path.name != "cli.py" and ".17g" in path.read_text()
     ]
     assert formatting == []
+
+
+def test_config_and_schedules_leave_the_integrator_unloaded():
+    # reading a config, building a schedule or reducing one integrates nothing
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = "import sys, mmrabi.config, mmrabi.modes, mmrabi.schedules; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "False"

@@ -35,6 +35,7 @@ from mmrabi.dynamics import (
 )
 from mmrabi.errors import InvalidSchedule, PositivityLoss, SpaceMismatch
 from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
+from mmrabi.modes import mode_groups
 from mmrabi.operators import (
     RabiParams,
     build_hamiltonian,
@@ -61,6 +62,14 @@ def frozen_schedule(M, duration, delta=(0.5, 0.5), g=0.25):
         delta=tuple(PiecewiseLinear.constant(d, duration) for d in delta),
         g=(PiecewiseLinear.constant(g, duration),) * M,
     )
+
+
+def distinct_schedule(M, T):
+    """The W splittings with up to three pairwise non-proportional couplings, so no two modes group."""
+    ts = np.array([0.0, 0.25, 0.6, 1.0]) * T
+    shapes = ([0.0, 0.3, 0.2, 0.2], [0.0, 0.1, 0.3, 0.3], [0.0, 0.2, 0.1, 0.25])
+    g = tuple(PiecewiseLinear(ts, np.array(v)) for v in shapes[:M])
+    return ProtocolSchedule(duration=T, delta=make_w_generation_schedule(M, T).delta, g=g)
 
 
 def release_schedule():
@@ -414,10 +423,13 @@ def test_reversibility():
 @pytest.mark.parametrize("M", [2, 3])
 def test_schrodinger_integrates_the_hamiltonian_view(M):
     # -1j * H_k only swaps and negates components, so the term sum of the
-    # -1j * H_k is bit for bit -1j * H(t) y, summed in the same order
+    # -1j * H_k is bit for bit -1j * H(t) y, summed in the same order; no
+    # two modes group, so the run integrates the full space
     space = w_space(M=M)
     T = 20.0
-    ht = ScheduledHamiltonian(space, make_w_generation_schedule(M, T))
+    sched = distinct_schedule(M, T)
+    assert len(mode_groups(sched)) == M
+    ht = ScheduledHamiltonian(space, sched)
     psi0 = vacuum_up(space)
     traj = evolve_schrodinger(ht, psi0, n_samples=5)
     ref = solve_ivp(lambda t, y: -1j * ht.apply(t, y), (0.0, T), psi0, method="DOP853",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmrabi import dynamics
 from mmrabi.cli import cmd_adiabatic, cmd_catch_release, cmd_lindblad
 from mmrabi.config import default_config
 from mmrabi.dynamics import (
@@ -9,13 +10,15 @@ from mmrabi.dynamics import (
     ProtocolSchedule,
     ReleaseConfig,
     ScheduledHamiltonian,
+    Trajectory,
+    _integrate,
     evolve_lindblad,
     evolve_schrodinger,
     make_catch_release_schedule,
     make_w_generation_schedule,
 )
 from mmrabi.errors import SpaceMismatch
-from mmrabi.hilbert import EVEN, UP, BasisState, ModelDims, enumerate_basis
+from mmrabi.hilbert import EVEN, UP, BasisState, ModelDims, enumerate_basis, parity_signs
 from mmrabi.modes import mode_groups, reduce_modes
 from mmrabi.solutions import dark_state_2q
 
@@ -30,6 +33,18 @@ def vacuum_up(space):
     return psi
 
 
+def full_schrodinger(space, sched, psi0, rtol, atol, n_samples):
+    """The closed run on the whole of ``space``: ``_integrate`` on the full terms, which never reduces."""
+    terms = [(c, -1j * H) for c, H in ScheduledHamiltonian(space, sched).terms]
+    t_eval, states, stats = _integrate(terms, psi0, sched.duration, n_samples, rtol, atol)
+    p = parity_signs(space.occupations, space.spins)
+    obs = {
+        "norm": np.linalg.norm(states, axis=1),
+        "parity": np.real(np.einsum("ti,ti->t", states.conj(), states * p)),
+    }
+    return Trajectory(times=t_eval, states=states, observables=obs, metadata=stats)
+
+
 def release_schedule(weights=None, delays=(0.0, 0.0, 0.0)):
     return make_catch_release_schedule(
         make_w_generation_schedule(3, 30.0, weights=weights), hold_time=2.0,
@@ -40,6 +55,7 @@ def release_schedule(weights=None, delays=(0.0, 0.0, 0.0)):
 G1 = np.array([0.0, 0.3, 0.2, 0.2])
 NEAR = G1 * np.array([1.0, 1.0, 1.0 + 1e-6, 1.0])  # g_1 but for 1e-6 at one breakpoint
 SHAPE = np.array([0.0, 0.1, 0.3, 0.3])  # same breakpoints, not proportional to g_1
+THIRD = np.array([0.0, 0.2, 0.1, 0.25])  # proportional to neither G1 nor SHAPE
 
 
 def hand_schedule(g3_values, T=20.0):
@@ -175,7 +191,7 @@ def test_generation_reduced_matches_full(g3):
         sched = hand_schedule(g3)
     red = reduce_modes(space, sched)
     kw = dict(rtol=RTOL, atol=1e-12, n_samples=11)
-    full = evolve_schrodinger(ScheduledHamiltonian(space, sched), vacuum_up(space), **kw)
+    full = full_schrodinger(space, sched, vacuum_up(space), **kw)
     reduced = evolve_schrodinger(
         ScheduledHamiltonian(red.space, red.schedule), vacuum_up(red.space), **kw
     )
@@ -218,7 +234,7 @@ def test_command_matches_full_run(tmp_path, name):
     kw = dict(rtol=RTOL, atol=1e-12, n_samples=overrides["solver.n_samples"])
     target = dark_state_2q(gen.params_at(15.0), space).vector
     if name == "adiabatic":
-        full = evolve_schrodinger(ScheduledHamiltonian(space, gen), psi, **kw)
+        full = full_schrodinger(space, gen, psi, **kw)
         expected = {
             "fidelity": abs(np.vdot(target, full.final_state)) ** 2,
             "final_norm": full.observables["norm"][-1],
@@ -257,3 +273,80 @@ def test_command_matches_full_run(tmp_path, name):
     # observables sorted by name, each per-mode one as its three columns
     expected = np.column_stack([full.times] + [full.observables[n] for n in sorted(full.observables)])
     assert np.max(np.abs(data - expected)) < TOL
+
+
+# --------------------------------------------------------------------------
+# the closed run's own reduction
+
+
+def integrated_lengths(monkeypatch):
+    """The state length of every ``_integrate`` call ``evolve_schrodinger`` makes from now on."""
+    lengths = []
+
+    def recording(terms, y0, *args):
+        lengths.append(len(y0))
+        return _integrate(terms, y0, *args)
+
+    monkeypatch.setattr(dynamics, "_integrate", recording)
+    return lengths
+
+
+def dark_photon_up(space):
+    """One photon in the dark mode (a_1^dag - a_2^dag)/sqrt(2) |0>, both qubits up."""
+    psi = np.zeros(space.dim, dtype=complex)
+    for n, amp in (((1, 0, 0), 1.0), ((0, 1, 0), -1.0)):
+        psi[space.index(BasisState(n, (UP, UP)))] = amp / np.sqrt(2.0)
+    return psi
+
+
+@pytest.mark.parametrize("case", ["dark-photon", "no-groups"])
+def test_full_path_is_unchanged(monkeypatch, case):
+    # a start outside the range of V, or modes that do not group: the run is
+    # _integrate on the full terms, bit for bit
+    space = enumerate_basis(ModelDims(3, 2, 2))
+    if case == "dark-photon":
+        sched, psi0 = make_w_generation_schedule(3, 15.0), dark_photon_up(space)
+        assert mode_groups(sched) == [[0, 1, 2]]
+    else:
+        hand = hand_schedule(SHAPE, T=15.0)
+        third = PiecewiseLinear(hand.g[0].ts, THIRD)
+        sched, psi0 = ProtocolSchedule(15.0, hand.delta, (hand.g[0], hand.g[2], third)), vacuum_up(space)
+        assert mode_groups(sched) == [[0], [1], [2]]
+    kw = dict(rtol=RTOL, atol=1e-12, n_samples=6)
+    ref = full_schrodinger(space, sched, psi0, **kw)
+    lengths = integrated_lengths(monkeypatch)
+    traj = evolve_schrodinger(ScheduledHamiltonian(space, sched), psi0, **kw)
+    assert lengths == [space.dim]
+    assert traj.metadata["nfev"] == ref.metadata["nfev"]
+    assert np.array_equal(traj.states, ref.states)
+    for name, values in ref.observables.items():
+        assert np.array_equal(traj.observables[name], values), name
+
+
+def test_closed_catch_release_reduces(monkeypatch):
+    # kappa_c does not enter H: release delays that split the open run's
+    # groups leave one bright mode in a closed run
+    space = enumerate_basis(ModelDims(3, 2, 2))
+    sched = release_schedule(delays=(0.0, 3.0, 0.0))
+    assert mode_groups(sched) == [[0, 2], [1]]
+    kw = dict(rtol=RTOL, atol=1e-12, n_samples=9)
+    ref = full_schrodinger(space, sched, vacuum_up(space), **kw)
+    lengths = integrated_lengths(monkeypatch)
+    traj = evolve_schrodinger(ScheduledHamiltonian(space, sched), vacuum_up(space), **kw)
+    assert lengths == [enumerate_basis(ModelDims(1, 2, 2)).dim]
+    assert traj.states.shape == ref.states.shape
+    assert np.max(np.abs(traj.states - ref.states)) < TOL
+    for name, values in ref.observables.items():
+        assert np.max(np.abs(traj.observables[name] - values)) < TOL, name
+
+
+def test_five_mode_generation_runs_on_one_mode(monkeypatch):
+    space = enumerate_basis(ModelDims(5, 2, 3))
+    sched = make_w_generation_schedule(5, 20.0)
+    kw = dict(rtol=RTOL, atol=1e-12, n_samples=5)
+    ref = full_schrodinger(space, sched, vacuum_up(space), **kw)
+    lengths = integrated_lengths(monkeypatch)
+    traj = evolve_schrodinger(ScheduledHamiltonian(space, sched), vacuum_up(space), **kw)
+    assert lengths == [enumerate_basis(ModelDims(1, 2, 3)).dim]
+    assert traj.states.shape == (5, space.dim)
+    assert np.max(np.abs(traj.states - ref.states)) < TOL

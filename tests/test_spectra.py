@@ -55,6 +55,20 @@ def test_dense_iterative_agreement(monkeypatch):
     assert np.allclose(dense, iterative, atol=1e-8)
 
 
+def test_iterative_solve_depends_only_on_its_matrix(monkeypatch):
+    # six identical qubits: eigsh from an unseeded start gave other levels
+    # on each call; from the seeded start every call repeats the first,
+    # whatever was solved in between
+    space = enumerate_basis(ModelDims(1, 6, 4), EVEN)
+    H = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.5] * 6, g=0.2), space)
+    other = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.7] * 6, g=0.3), space)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    first = eigenspectrum(H, n_levels=20, vectors=False)
+    for _ in range(2):
+        eigenspectrum(other, n_levels=20, vectors=False)
+        assert np.array_equal(eigenspectrum(H, n_levels=20, vectors=False), first)
+
+
 def test_sector_completeness():
     dims = ModelDims(2, 2, 3)
     params = uniform_params(g=0.7)
