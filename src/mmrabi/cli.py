@@ -23,7 +23,8 @@ observables are mapped back to every mode, and the headline fidelity
 compares the embedded state with the full-space dark state.
 ``reproduce`` refuses any config or ``--cutoff`` value the run set that
 its figure preset would replace, one equal to the schema default
-included.
+included.  Only the protocol commands import ``dynamics``, and with it
+the ODE solver, when they run; every other command leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -36,19 +37,11 @@ import numpy as np
 
 from .circuitmap import effective_couplings, validate_regime
 from .config import ExperimentConfig, default_config, load_config, schema_lines
-from .dynamics import (
-    ScheduledHamiltonian,
-    evolve_lindblad,
-    evolve_schrodinger,
-    fidelity,
-    make_catch_release_schedule,
-    make_w_generation_schedule,
-    photon_ledger_defect,
-)
 from .errors import ConfigError, InvalidSchedule, MMRabiError
 from .hilbert import EVEN, ODD, UP, BasisState, enumerate_basis, parity_signs
 from .modes import reduce_modes
 from .operators import build_hamiltonian
+from .schedules import make_catch_release_schedule, make_w_generation_schedule
 from .solutions import (
     dark_state_2q,
     dark_state_2q_odd,
@@ -156,6 +149,8 @@ def _protocol_run(cfg: ExperimentConfig, sched, t_target: float, noise=None):
     fidelity is that of the embedded state at the sample nearest
     ``t_target`` to the full-space two-qubit dark state of H(t_target).
     """
+    from .dynamics import ScheduledHamiltonian, evolve_lindblad, evolve_schrodinger, fidelity
+
     space = enumerate_basis(cfg.dims())
     red = reduce_modes(space, sched)
     hamiltonian = ScheduledHamiltonian(red.space, red.schedule)
@@ -314,6 +309,8 @@ def cmd_adiabatic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_lindblad(cfg: ExperimentConfig, out: Path) -> dict:
+    from .dynamics import photon_ledger_defect
+
     sched = _generation_schedule(cfg)
     traj, F = _protocol_run(cfg, sched, sched.duration, cfg.noise_model())
     _write_trajectory_csv(out / "lindblad.csv", traj)

@@ -7,9 +7,10 @@ delta_j(t), a mode's g_i(t) or kappa_c_i(t), or none for a constant
 term.  Every run integrates one right-hand side, the term sum
 d/dt y = sum_k c_k(t) A_k y with an adaptive explicit Runge-Kutta
 (``_integrate``); each run only builds its terms.  A ``TermSum`` built
-once per run evaluates it: one sparse product with the stacked A_k and
-one lookup in a table of every curve's segments per call, summed in term
-order, bit for bit the term-by-term sum.  Closed runs take
+once per run evaluates it.  The curves are piecewise linear, so between
+consecutive breakpoints the sum is affine in t, and each such segment
+stores one precombined operator: per call one lookup, one product with
+the state and one axpy, the term-by-term sum to rounding.  Closed runs take
 A_k = -i H_k, so i d/dt psi = H(t) psi; open runs lift the same terms to
 sparse generators of the bare-basis Lindblad equation
 
@@ -65,80 +66,81 @@ from .schedules import (  # noqa: F401  (re-exported: callers read them from dyn
 # |V V^T psi0 - psi0| <= RANGE_TOL |psi0|
 RANGE_TOL = 1e-13
 
+# A TermSum stores a segment operator with fewer entries than this as a
+# dense array, and a larger one as CSR.  Below this size a dense product
+# with a state runs on one OpenBLAS thread and beats CSR's fixed cost
+# (2.9 us against 10 us at 56 x 28 on a 2-vCPU Xeon); from it on OpenBLAS
+# splits the product over threads, for a small wall-time gain at twice the
+# CPU time.
+DENSE_SEGMENT_ENTRIES = 4096
+
 
 # --------------------------------------------------------------------------
 # scheduled Hamiltonian
 
 
 class TermSum:
-    """y -> sum_k c_k(t) A_k y over (curve or None, A_k) ``terms``, in term order.
+    """y -> sum_k c_k(t) A_k y over (curve or None, A_k) ``terms``.
 
-    Built once from the terms.  The A_k, all of one shape, are stacked into
-    one CSR matrix S, so one product S @ y gives every A_k @ y bit for bit
-    (each row keeps its own entries in their order), and the K blocks are
-    weighted and summed in term order.
+    The coefficients c_k(t) are a curve's value or 1 for a term without
+    one.  Every curve is piecewise linear, so on each row of a table over
+    the merged breakpoints B of all curves (row 0 before B[0], row r on
+    [B[r-1], B[r])) every c_k is affine in t, and so is the sum:
+    c_k(t) = c_k(t_r) + s_k (t - t_r), with t_r the row's start (B[0] in
+    row 0, where every curve holds its first value) and s_k the slope of
+    curve k's segment there (0 where it holds an end value).  Row r stores
+    one stacked operator S_r = [P_r; Q_r] with P_r = sum_k c_k(t_r) A_k =
+    the operator at t_r and Q_r = sum_k s_k A_k, so one call is a search on
+    B, one product S_r @ y and one axpy P_r y + (t - t_r) Q_r y.  Taking
+    t_r as the origin keeps t - t_r within the row, so P_r holds no
+    cancelling intercept.  The result is the term-by-term sum to rounding.
 
-    The coefficients c_k(t), a curve's value or 1 for a term without one,
-    come from one table over the merged breakpoints B of all curves: row 0
-    lies before B[0] and row r on [B[r-1], B[r]).  Row r holds each curve's
-    own segment (x0, y0, slope) there, so one search and
-    slope * (t - x0) + y0 repeat np.interp's arithmetic.  A curve that
-    holds an end value in a row, and a term without a curve, has a zero
-    slope signed so that its product is -0.0 (x0 = B[0] in row 0, where
-    t < x0, else x0 = B[r-1] <= t), which leaves y0 as it is, -0.0
-    included.  np.interp returns a breakpoint's value as it stands, so
-    the values at t = B[r-1] are kept whole, one row per breakpoint.
+    S_r is a dense array when it holds fewer than ``DENSE_SEGMENT_ENTRIES``
+    entries, where a dense product is the faster one, and CSR from there on.
     """
 
     def __init__(self, terms):
         curves = [c for c, _ in terms]
-        self.shape = (len(terms), terms[0][1].shape[0])
-        self.stack = sp.vstack([A for _, A in terms], format="csr")
+        self._m = terms[0][1].shape[0]
         ts = [c.ts for c in curves if c is not None]
         breaks = np.unique(np.concatenate(ts)) if ts else np.zeros(0)
-        starts = np.concatenate([breaks[:1] if ts else [0.0], breaks])
-        x0 = np.repeat(starts[:, None], len(curves), axis=1)
-        y0 = np.ones_like(x0)
-        slope = np.full_like(x0, -0.0)
-        slope[0] = 0.0
-        hits = np.ones((breaks.size, len(curves)))
+        starts = np.concatenate([breaks[:1], breaks]) if ts else np.zeros(1)
+        value = np.ones((starts.size, len(curves)))
+        slope = np.zeros_like(value)
         for k, c in enumerate(curves):
             if c is None:
                 continue
-            hits[:, k] = np.interp(breaks, c.ts, c.vs)
+            value[:, k] = np.interp(starts, c.ts, c.vs)
             j = np.searchsorted(c.ts, starts, side="right") - 1
-            j[0] = -1  # row 0 lies before every breakpoint
             inside = (j >= 0) & (j < c.ts.size - 1)
-            y0[:, k] = np.where(j < 0, c.vs[0], c.vs[-1])
+            inside[0] = False  # row 0 lies before every breakpoint
             j = j[inside]
-            x0[inside, k] = c.ts[j]
-            y0[inside, k] = c.vs[j]
             slope[inside, k] = (c.vs[j + 1] - c.vs[j]) / (c.ts[j + 1] - c.ts[j])
-        for a in (x0, y0, slope, hits):
-            a.flags.writeable = False
+        # rows 2r and 2r + 1 of the weights are value[r] and slope[r], so one
+        # product with the stacked A_k gives every S_r, in row order
+        weights = np.stack([value, slope], axis=1).reshape(-1, len(curves))
+        stack = sp.vstack([A for _, A in terms], format="csr")
+        segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
+        rows = 2 * self._m
+        dense = rows * stack.shape[1] < DENSE_SEGMENT_ENTRIES
         self._breaks = breaks.tolist()
-        self._rows = list(zip(x0, y0, slope))
-        self._hits = list(hits)
+        self.segments = []
+        for r, t0 in enumerate(starts.tolist()):
+            S = segments[r * rows : (r + 1) * rows]
+            self.segments.append((t0, S.toarray() if dense else S))
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """c_k(t) of every term, bit for bit [np.interp(t, ts, vs) or 1]."""
-        r = bisect.bisect_right(self._breaks, t)
-        if r and t == self._breaks[r - 1]:
-            return self._hits[r - 1]
-        x0, y0, slope = self._rows[r]
-        return slope * (t - x0) + y0
+    def _segment(self, t: float):
+        return self.segments[bisect.bisect_right(self._breaks, t)]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        weighted = self.coefficients(t)[:, None] * (self.stack @ y).reshape(self.shape)
-        out = weighted[0]
-        for block in weighted[1:]:  # in term order; a reduction would start from +0
-            out += block
-        return out
+        t0, S = self._segment(t)
+        pq = S @ y
+        return pq[: self._m] + (t - t0) * pq[self._m :]
 
-
-def _combine(coeffs: np.ndarray, terms) -> sp.csr_matrix:
-    """sum_k coeffs[k] A_k as one sparse matrix."""
-    return sum(c * m for c, (_, m) in zip(coeffs, terms))
+    def operator(self, t: float):
+        """sum_k c_k(t) A_k, a dense array or CSR as the segments are stored."""
+        t0, S = self._segment(t)
+        return S[: self._m] + (t - t0) * S[self._m :]
 
 
 class ScheduledHamiltonian:
@@ -147,25 +149,30 @@ class ScheduledHamiltonian:
     The terms are sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
-    protocol requires.  Every view of H(t) below reads this one list and
-    its ``TermSum``; ``derivative_at`` reads each curve's own slope.  A
-    schedule whose mode or qubit count differs from the space's raises
-    SpaceMismatch.
+    protocol requires.  The terms are built on first use: a closed run that
+    reduces never reads them.  ``apply``, ``at`` and ``at_dense`` read the
+    segment operators of their ``TermSum``; ``derivative_at`` reads each
+    curve's own slope.  A schedule whose mode or qubit count differs from
+    the space's raises SpaceMismatch.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
         schedule.check_space(space)
         self.space = space
         self.schedule = schedule
-        M, N = space.dims.M, space.dims.N
-        static = sum(build_mode_number(space, i).matrix for i in range(M))
-        sx = [build_qubit_op(space, j, "x").matrix for j in range(N)]
-        self.terms = [(None, static)]
+
+    @cached_property
+    def terms(self) -> list:
+        space, schedule = self.space, self.schedule
+        static = sum(build_mode_number(space, i).matrix for i in range(space.dims.M))
+        sx = [build_qubit_op(space, j, "x").matrix for j in range(space.dims.N)]
+        terms = [(None, static)]
         for j, c in enumerate(schedule.delta):
-            self.terms.append((c, build_qubit_op(space, j, "z").matrix))
+            terms.append((c, build_qubit_op(space, j, "z").matrix))
         for i, c in enumerate(schedule.g):
             a = build_mode_lowering(space, i).matrix
-            self.terms.append((c, sum((a + a.getH()) @ x for x in sx)))
+            terms.append((c, sum((a + a.getH()) @ x for x in sx)))
+        return terms
 
     @cached_property
     def term_sum(self) -> TermSum:
@@ -177,15 +184,15 @@ class ScheduledHamiltonian:
         return self.term_sum(t, y)
 
     def at(self, t: float) -> sp.csr_matrix:
-        return _combine(self.term_sum.coefficients(t), self.terms)
+        return sp.csr_matrix(self.term_sum.operator(t))
 
     def at_dense(self, t: float) -> np.ndarray:
-        return _combine(self.term_sum.coefficients(t), self.terms).toarray()
+        return sp.csr_matrix(self.term_sum.operator(t)).toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
         """dH/dt, each curve's slope right-sided at its breakpoints."""
-        slopes = np.array([0.0 if c is None else float(c.slope(t)) for c, _ in self.terms])
-        return _combine(slopes, self.terms)
+        slopes = [0.0 if c is None else float(c.slope(t)) for c, _ in self.terms]
+        return sum(s * H for s, (_, H) in zip(slopes, self.terms))
 
     def params_at(self, t: float) -> RabiParams:
         return self.schedule.params_at(t)
@@ -227,10 +234,9 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
 
     n is the column count of every A_k.  Entries of y past n are ledger
     integrals: rows of A_k past n accumulate them, and no term reads them.
-    The right-hand side is one ``TermSum`` built here: per call one
-    stacked sparse product gives every A_k y[:n], one table lookup every
-    c_k(t), and the weighted blocks are summed in term order.  Returns
-    sample times, sampled states as rows and solver statistics.
+    The right-hand side is one ``TermSum`` built here: per call one lookup
+    of the segment that holds t and one product with its operator.
+    Returns sample times, sampled states as rows and solver statistics.
 
     solve_ivp's solver and its wrapped right-hand side refer to each other,
     so the solver would keep the terms alive until the next cyclic garbage
@@ -402,7 +408,7 @@ def evolve_lindblad(
     a_i rho a_i^dag, s_j^- rho s_j^+ and dephasing map each class to itself,
     so no kept entry reads a dropped one and the dropped entries, zero in
     rho0, stay exactly zero: on the kept entries the right-hand side is the
-    same sum, in the same order, as on all of vec rho.  The returned states
+    same sum as on all of vec rho.  The returned states
     are full (n_t, dim, dim) matrices.  Every sample is checked for
     positivity, one parity block at a time (PositivityLoss below -1e-6).
 

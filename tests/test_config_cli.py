@@ -279,3 +279,16 @@ def test_config_and_schedules_leave_the_integrator_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["dark-verify"], ["reproduce", "fig1a"]], ids=["dark-verify", "fig1a"])
+def test_commands_that_integrate_nothing_leave_the_integrator_unloaded(tmp_path, argv):
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = (
+        "import sys; from mmrabi.cli import main; "
+        f"code = main(['--quiet', '--out', {str(tmp_path)!r}, *{argv!r}]); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "0 False"

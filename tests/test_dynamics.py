@@ -176,50 +176,79 @@ def test_schedule_must_fit_the_space(dims):
         ScheduledHamiltonian(enumerate_basis(dims), make_w_generation_schedule(2, 10.0))
 
 
-def test_coefficient_table_is_np_interp_bit_for_bit():
-    # tobytes, not array_equal, so that -0.0 and +0.0 differ
+def _term_sum_cases():
+    """(terms, states) pairs: closed, negated and restricted Lindblad terms, and coefficient picks."""
+    space = w_space()
+    ht = ScheduledHamiltonian(space, release_schedule())
+    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
+    psi0 = vacuum_up(space)
+    _, keep, lindblad = restricted_generator(ht, noise, np.outer(psi0, psi0.conj()))
+    schrodinger = [(c, -1j * H) for c, H in ht.terms]
+    negated = [(PiecewiseLinear(c.ts, -c.vs), A) for c, A in schrodinger if c is not None]
+    # A_k = |k><k| on all ones gives every c_k(t) as its own entry: curves
+    # with a single breakpoint, -0.0 values and segments of other lengths
     sched = fig5_schedule()
     curves = [
         None, *sched.delta, *sched.g, *sched.kappa_c,
         PiecewiseLinear(np.array([3.0]), np.array([-0.0])),
         PiecewiseLinear(np.array([0.0, 50.0, 120.0]), np.array([-0.0, -0.0, 1.0])),
     ]
-    term_sum = TermSum([(c, sp.identity(2, dtype=complex, format="csr")) for c in curves])
-    breaks = np.unique(np.concatenate([c.ts for c in curves if c is not None]))
-    times = np.concatenate([
-        np.random.default_rng(5).uniform(0.0, sched.duration, 2000),
-        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
-        [breaks[0] - 1.0, breaks[-1] + 1.0],
-    ])
-    for t in times:
-        expected = np.array([1.0 if c is None else float(c(t)) for c in curves])
-        for time in (t, float(t)):
-            assert term_sum.coefficients(time).tobytes() == expected.tobytes(), time
-
-
-def test_term_sum_is_the_sequential_sum_bit_for_bit():
-    space = w_space()
-    sched = release_schedule()
-    ht = ScheduledHamiltonian(space, sched)
-    noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
-    psi0 = vacuum_up(space)
-    _, keep, lindblad = restricted_generator(ht, noise, np.outer(psi0, psi0.conj()))
-    schrodinger = [(c, -1j * H) for c, H in ht.terms]
-    # every weight negative: a row of zeros then sums -0.0 terms, whose sum
-    # is -0.0 only when it starts from the first term, not from +0.0
-    negated = [(PiecewiseLinear(c.ts, -c.vs), A) for c, A in schrodinger if c is not None]
+    K = len(curves)
+    picks = [(c, sp.csr_matrix(([1.0 + 0j], ([k], [k])), shape=(K, K))) for k, c in enumerate(curves)]
     rng = np.random.default_rng(13)
+    cases = []
     for terms, start in ((schrodinger, psi0), (negated, psi0),
-                         (lindblad, np.outer(psi0, psi0.conj()).ravel()[keep])):
-        term_sum = TermSum(terms)
+                         (lindblad, np.outer(psi0, psi0.conj()).ravel()[keep]),
+                         (picks, np.ones(K, dtype=complex))):
         noisy = start + rng.normal(size=start.size) + 1j * rng.normal(size=start.size)
-        for y in (start, noisy):
-            for t in (0.0, *PHASE_TIMES, sched.duration):
+        cases.append((terms, (start, noisy)))
+    return cases
+
+
+def _rounding_scale(terms, y):
+    """sum_k max|c_k| (|A_k| |y|): the size of each entry's products, for its rounding bound."""
+    peaks = [1.0 if c is None else np.max(np.abs(c.vs)) for c, _ in terms]
+    return sum(peak * (abs(A) @ np.abs(y)) for peak, (_, A) in zip(peaks, terms))
+
+
+ULP = np.finfo(float).eps
+
+
+def test_term_sum_is_the_sequential_sum_to_rounding():
+    # the segment operators sum the same products in another order, and
+    # each coefficient is the row's start value plus slope times the time
+    # since, not np.interp's own segment arithmetic
+    for terms, states in _term_sum_cases():
+        term_sum = TermSum(terms)
+        breaks = np.unique(np.concatenate([c.ts for c, _ in terms if c is not None]))
+        times = np.concatenate([
+            [0.0, *PHASE_TIMES, breaks[0] - 1.0, breaks[-1] + 1.0],
+            np.random.default_rng(5).uniform(breaks[0], breaks[-1], 200),
+            breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        ])
+        for y in states:
+            bound = 4 * ULP * _rounding_scale(terms, y)
+            for t in times:
                 c = [1.0 if curve is None else float(curve(t)) for curve, _ in terms]
                 expected = c[0] * (terms[0][1] @ y)
                 for ck, (_, A) in zip(c[1:], terms[1:]):
                     expected += ck * (A @ y)
-                assert term_sum(t, y).tobytes() == expected.tobytes(), t
+                assert np.all(np.abs(term_sum(t, y) - expected) <= bound), t
+
+
+def test_dense_and_sparse_segments_agree(monkeypatch):
+    for terms, states in _term_sum_cases():
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
+        sparse = TermSum(terms)
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
+        dense = TermSum(terms)
+        assert all(sp.issparse(S) for _, S in sparse.segments)
+        assert all(isinstance(S, np.ndarray) for _, S in dense.segments)
+        for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
+            assert np.array_equal(dense.operator(t), sparse.operator(t).toarray()), t
+            for y in states:
+                bound = 4 * ULP * _rounding_scale(terms, y)
+                assert np.all(np.abs(dense(t, y) - sparse(t, y)) <= bound), t
 
 
 def test_operator_views_agree():
@@ -284,7 +313,7 @@ def test_lindblad_generator_matches_dense_master_equation():
         ledger.append(-1j * np.trace(N_tot @ (H @ rho - rho @ H)))
         reference = np.concatenate([drho.ravel(), ledger])
 
-        c = TermSum(terms).coefficients(t)
+        c = [1.0 if curve is None else float(curve(t)) for curve, _ in terms]
         lifted = sum(ck * (Ak @ rho.ravel()) for ck, (_, Ak) in zip(c, terms))
         assert np.max(np.abs(lifted - reference)) < 1e-12
 
@@ -487,7 +516,7 @@ def test_solver_releases_operators_on_return(monkeypatch):
 
     def stacked(*args):
         built = term_sum(*args)
-        stacks.append(weakref.ref(built.stack))
+        stacks.extend(weakref.ref(S) for _, S in built.segments)
         return built
 
     monkeypatch.setattr(dynamics, "restricted_generator", spy)
