@@ -23,8 +23,8 @@ observables are mapped back to every mode, and the headline fidelity
 compares the embedded state with the full-space dark state.
 ``reproduce`` refuses any config or ``--cutoff`` value the run set that
 its figure preset would replace, one equal to the schema default
-included.  Only the protocol commands import ``dynamics``, and with it
-the ODE solver, when they run; every other command leaves it unloaded.
+included.  The protocol commands integrate with ``dynamics``'s own DOP853
+loop, so no command loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ import numpy as np
 
 from .circuitmap import effective_couplings, validate_regime
 from .config import ExperimentConfig, default_config, load_config, schema_lines
+from .dynamics import (
+    ScheduledHamiltonian,
+    evolve_lindblad,
+    evolve_schrodinger,
+    fidelity,
+    photon_ledger_defect,
+)
 from .errors import ConfigError, InvalidSchedule, MMRabiError
 from .hilbert import EVEN, ODD, UP, BasisState, enumerate_basis, parity_signs
 from .modes import reduce_modes
@@ -149,8 +156,6 @@ def _protocol_run(cfg: ExperimentConfig, sched, t_target: float, noise=None):
     fidelity is that of the embedded state at the sample nearest
     ``t_target`` to the full-space two-qubit dark state of H(t_target).
     """
-    from .dynamics import ScheduledHamiltonian, evolve_lindblad, evolve_schrodinger, fidelity
-
     space = enumerate_basis(cfg.dims())
     red = reduce_modes(space, sched)
     hamiltonian = ScheduledHamiltonian(red.space, red.schedule)
@@ -309,8 +314,6 @@ def cmd_adiabatic(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_lindblad(cfg: ExperimentConfig, out: Path) -> dict:
-    from .dynamics import photon_ledger_defect
-
     sched = _generation_schedule(cfg)
     traj, F = _protocol_run(cfg, sched, sched.duration, cfg.noise_model())
     _write_trajectory_csv(out / "lindblad.csv", traj)

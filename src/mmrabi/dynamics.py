@@ -5,14 +5,15 @@ coefficients read from the schedule, H(t) = sum_k c_k(t) H_k, where each
 term carries the piecewise-linear curve that weights it: a qubit's
 delta_j(t), a mode's g_i(t) or kappa_c_i(t), or none for a constant
 term.  Every run integrates one right-hand side, the term sum
-d/dt y = sum_k c_k(t) A_k y with an adaptive explicit Runge-Kutta
-(``_integrate``); each run only builds its terms.  A ``TermSum`` built
-once per run evaluates it.  The curves are piecewise linear, so between
-consecutive breakpoints the sum is affine in t, and each such segment
-stores one precombined operator: per call one lookup, one product with
-the state and one axpy, the term-by-term sum to rounding.  Closed runs take
-A_k = -i H_k, so i d/dt psi = H(t) psi; open runs lift the same terms to
-sparse generators of the bare-basis Lindblad equation
+d/dt y = sum_k c_k(t) A_k y, with the adaptive Runge-Kutta pair DOP853 of
+``dop853`` (``_integrate``); each run only builds its terms.  A
+``TermSum`` built once per run evaluates it.  The curves are piecewise
+linear, so between consecutive breakpoints the sum is affine in t, and
+each such segment stores one precombined operator: per call one lookup,
+one product with the state and one axpy, the term-by-term sum to
+rounding.  Closed runs take A_k = -i H_k, so i d/dt psi = H(t) psi; open
+runs lift the same terms to sparse generators of the bare-basis Lindblad
+equation
 
     drho/dt = -i[H, rho]
             + sum_i kappa_i/2 (2 a_i rho a_i^dag - {a_i^dag a_i, rho})
@@ -41,14 +42,13 @@ schedules and noise rates live in ``schedules`` and are re-exported here.
 from __future__ import annotations
 
 import bisect
-import gc
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
+from .dop853 import solve_ivp
 from .errors import PositivityLoss, SpaceMismatch, StepFailure
 from .hilbert import HilbertSpace, parity_signs
 from .modes import mode_groups, reduce_modes
@@ -80,7 +80,7 @@ DENSE_SEGMENT_ENTRIES = 4096
 
 
 class TermSum:
-    """y -> sum_k c_k(t) A_k y over (curve or None, A_k) ``terms``.
+    """y -> sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``, n the columns of A_k.
 
     The coefficients c_k(t) are a curve's value or 1 for a term without
     one.  Every curve is piecewise linear, so on each row of a table over
@@ -101,7 +101,7 @@ class TermSum:
 
     def __init__(self, terms):
         curves = [c for c, _ in terms]
-        self._m = terms[0][1].shape[0]
+        self._m, self._n = terms[0][1].shape
         ts = [c.ts for c in curves if c is not None]
         breaks = np.unique(np.concatenate(ts)) if ts else np.zeros(0)
         starts = np.concatenate([breaks[:1], breaks]) if ts else np.zeros(1)
@@ -122,25 +122,33 @@ class TermSum:
         stack = sp.vstack([A for _, A in terms], format="csr")
         segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
         rows = 2 * self._m
-        dense = rows * stack.shape[1] < DENSE_SEGMENT_ENTRIES
         self._breaks = breaks.tolist()
-        self.segments = []
-        for r, t0 in enumerate(starts.tolist()):
-            S = segments[r * rows : (r + 1) * rows]
-            self.segments.append((t0, S.toarray() if dense else S))
+        if rows * self._n < DENSE_SEGMENT_ENTRIES:
+            blocks = list(segments.toarray().reshape(starts.size, rows, self._n))
+        else:
+            blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
+        self.segments = list(zip(starts.tolist(), blocks))
 
     def _segment(self, t: float):
         return self.segments[bisect.bisect_right(self._breaks, t)]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         t0, S = self._segment(t)
-        pq = S @ y
+        pq = S @ y[: self._n]
         return pq[: self._m] + (t - t0) * pq[self._m :]
 
     def operator(self, t: float):
         """sum_k c_k(t) A_k, a dense array or CSR as the segments are stored."""
         t0, S = self._segment(t)
         return S[: self._m] + (t - t0) * S[self._m :]
+
+    def slope(self, t: float):
+        """sum_k s_k A_k on the row that holds t, stored as ``operator``'s result is.
+
+        Right-sided at every breakpoint, the last one of a curve included,
+        where the curve starts to hold its end value and its slope is 0.
+        """
+        return self._segment(t)[1][self._m :]
 
 
 class ScheduledHamiltonian:
@@ -150,10 +158,10 @@ class ScheduledHamiltonian:
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
     protocol requires.  The terms are built on first use: a closed run that
-    reduces never reads them.  ``apply``, ``at`` and ``at_dense`` read the
-    segment operators of their ``TermSum``; ``derivative_at`` reads each
-    curve's own slope.  A schedule whose mode or qubit count differs from
-    the space's raises SpaceMismatch.
+    reduces never reads them.  ``apply``, ``at``, ``at_dense`` and
+    ``derivative_at`` read the segment operators of their ``TermSum``.  A
+    schedule whose mode or qubit count differs from the space's raises
+    SpaceMismatch.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
@@ -187,12 +195,17 @@ class ScheduledHamiltonian:
         return sp.csr_matrix(self.term_sum.operator(t))
 
     def at_dense(self, t: float) -> np.ndarray:
-        return sp.csr_matrix(self.term_sum.operator(t)).toarray()
+        H = self.term_sum.operator(t)
+        return H if isinstance(H, np.ndarray) else H.toarray()
 
     def derivative_at(self, t: float) -> sp.csr_matrix:
-        """dH/dt, each curve's slope right-sided at its breakpoints."""
-        slopes = [0.0 if c is None else float(c.slope(t)) for c, _ in self.terms]
-        return sum(s * H for s, (_, H) in zip(slopes, self.terms))
+        """dH/dt from the segment store, right-sided at every breakpoint.
+
+        At a curve's final breakpoint this is 0, the slope of the end value
+        the curve holds from there on, where ``PiecewiseLinear.slope`` takes
+        the left-sided slope of its last segment.
+        """
+        return sp.csr_matrix(self.term_sum.slope(t))
 
     def params_at(self, t: float) -> RabiParams:
         return self.schedule.params_at(t)
@@ -235,28 +248,13 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     n is the column count of every A_k.  Entries of y past n are ledger
     integrals: rows of A_k past n accumulate them, and no term reads them.
     The right-hand side is one ``TermSum`` built here: per call one lookup
-    of the segment that holds t and one product with its operator.
-    Returns sample times, sampled states as rows and solver statistics.
-
-    solve_ivp's solver and its wrapped right-hand side refer to each other,
-    so the solver would keep the terms alive until the next cyclic garbage
-    collection.  The solver gets a forwarder instead, and the forwarder's
-    reference to the term sum is dropped on return.  The cycle itself, the
-    solver with its work arrays, is still young then, so one collection of
-    the two young generations frees it.
+    of the segment that holds t and one product with its operator.  The
+    integrator is ``dop853.solve_ivp``, which calls it once per counted
+    evaluation and holds no reference to it after returning.  Returns
+    sample times, sampled states as rows and solver statistics.
     """
-    holder = [TermSum(terms)]
-    n = terms[0][1].shape[1]
-
-    def forward(t, y):
-        return holder[0](t, y[:n])
-
     t_eval = np.linspace(0.0, T, n_samples)
-    try:
-        sol = solve_ivp(forward, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval)
-    finally:
-        holder.clear()
-        gc.collect(1)
+    sol = solve_ivp(TermSum(terms), (0.0, T), y0, rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
     stats = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev), "status": int(sol.status)}

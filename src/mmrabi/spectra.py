@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure
 from .hilbert import HilbertSpace, ModelDims, ParitySector, enumerate_basis
@@ -49,6 +48,8 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
             E, V = np.linalg.eigh(dense)
             return E[:n_levels], V[:, :n_levels].astype(complex)
         return np.linalg.eigvalsh(dense)[:n_levels]
+    import scipy.sparse.linalg as spla  # only here: it is a large import that no dense solve needs
+
     try:
         v0 = np.random.default_rng(0).standard_normal(dim)
         E, V = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA", v0=v0)

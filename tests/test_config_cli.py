@@ -292,3 +292,18 @@ def test_commands_that_integrate_nothing_leave_the_integrator_unloaded(tmp_path,
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.strip() == "0 False"
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig4"])
+def test_integrating_commands_load_no_scipy_solver_module(tmp_path, figure):
+    # the modules the benchmark workloads import, then a command that
+    # integrates: the ODE loop is mmrabi's own and no solve here is iterative
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = (
+        "import sys; from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra; "
+        f"code = cli.main(['--quiet', '--out', {str(tmp_path)!r}, 'reproduce', {figure!r}]); "
+        "print(code, [m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "0 []"

@@ -1,3 +1,4 @@
+import ast
 import gc
 import inspect
 import weakref
@@ -468,10 +469,18 @@ def test_schrodinger_integrates_the_hamiltonian_view(M):
 
 
 def test_one_right_hand_side():
-    # every run hands its terms to _integrate, which alone calls the solver
+    # every run hands its terms to _integrate, which alone calls the solver;
+    # call sites are counted, not the solver's own def or its docstring
     package = Path(dynamics.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.rglob("*.py"))}
-    calls = {name: text.count("solve_ivp(") for name, text in sources.items()}
+
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    calls = {
+        name: sum(isinstance(node, ast.Call) and called(node) == "solve_ivp" for node in ast.walk(ast.parse(text)))
+        for name, text in sources.items()
+    }
     assert {name: k for name, k in calls.items() if k} == {"dynamics.py": 1}
     assert "solve_ivp(" in inspect.getsource(dynamics._integrate)
     assert [name for name, text in sources.items() if "def rhs" in text] == []
@@ -498,8 +507,8 @@ def test_integrator_statistics_repeat():
 
 
 def test_solver_releases_operators_on_return(monkeypatch):
-    # solve_ivp's solver and right-hand side form a reference cycle; with the
-    # cyclic collector off, the operators must still be freed on return
+    # with the cyclic collector off, the operators must still be freed on
+    # return: no reference cycle may hold them, the integrator's included
     space = w_space(M=2, n_max=2)
     sched = make_w_generation_schedule(2, 5.0)
     psi0 = vacuum_up(space)
@@ -541,8 +550,9 @@ def test_solver_releases_operators_on_return(monkeypatch):
 
 
 def test_no_solver_outlives_its_run():
-    # the solver and its wrapped right-hand side form a reference cycle; with
-    # the collector on, it is gone when the run returns
+    # no solver object outlives its run; runs integrate with mmrabi.dop853,
+    # so scipy's DOP853 solver, which formed a reference cycle with its
+    # right-hand side, must not appear at all
     space = w_space(M=2, n_max=2)
     sched = make_w_generation_schedule(2, 5.0)
     psi0 = vacuum_up(space)
