@@ -202,8 +202,7 @@ class ScheduledHamiltonian:
         """dH/dt from the segment store, right-sided at every breakpoint.
 
         At a curve's final breakpoint this is 0, the slope of the end value
-        the curve holds from there on, where ``PiecewiseLinear.slope`` takes
-        the left-sided slope of its last segment.
+        the curve holds from there on.
         """
         return sp.csr_matrix(self.term_sum.slope(t))
 
@@ -250,10 +249,13 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     The right-hand side is one ``TermSum`` built here: per call one lookup
     of the segment that holds t and one product with its operator.  The
     integrator is ``dop853.solve_ivp``, which calls it once per counted
-    evaluation and holds no reference to it after returning.  Returns
-    sample times, sampled states as rows and solver statistics.
+    evaluation and holds no reference to it after returning.  y0 is cast
+    to the common dtype of y0 and the A_k, so a real start under complex
+    terms is integrated as complex.  Returns sample times, sampled states
+    as rows and solver statistics.
     """
     t_eval = np.linspace(0.0, T, n_samples)
+    y0 = np.asarray(y0, dtype=np.result_type(y0, *(A.dtype for _, A in terms)))
     sol = solve_ivp(TermSum(terms), (0.0, T), y0, rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
@@ -336,7 +338,7 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
     n_ops = [a.getH() @ a for a in a_ops]
     N_tot = sum(n_ops)
     gam, phi = noise.qubit_rates(N)
-    eye = sp.identity(dim, dtype=complex, format="csr")
+    eye = sp.identity(dim, format="csr")
 
     def commutator(h):  # -i[h, rho]
         return -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
@@ -347,7 +349,7 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
 
     def block(superop, ledger):
         """[superop; ledger rows], row r accumulating tr(A rho) for each r: A."""
-        rows = [sp.csr_matrix((1, dim * dim), dtype=complex)] * (M + 2)
+        rows = [sp.csr_matrix((1, dim * dim))] * (M + 2)
         for r, A in ledger.items():
             rows[r] = A.T.reshape(1, dim * dim)
         return sp.vstack([superop, *rows], format="csr")

@@ -23,6 +23,11 @@ sums sum_i omega_i n_i and sum_j delta_j s_j are each accumulated in
 mode (qubit) order and added at the end, which fixes their rounding.
 The parity operator is diagonal in this basis; its diagonal is
 ``hilbert.parity_signs``, the formula that also selects parity sectors.
+
+An operator keeps the dtype of its entries: every builder stores float64
+except ``build_qubit_op(..., "y")``, whose entries are +-i and which is
+complex128.  Complex numbers enter elsewhere only where the physics puts
+them (-i H in the equations of motion, and the states).
 """
 
 from __future__ import annotations
@@ -96,17 +101,15 @@ class SparseOperator:
 
 
 def _assemble(space: HilbertSpace, rows, cols, vals) -> SparseOperator:
-    """CSR operator from matrix-element arrays; explicit zeros are kept."""
-    m = sp.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(space.dim, space.dim),
-    ).tocsr()
+    """CSR operator from matrix-element arrays, float64 unless they are complex; zeros are kept."""
+    vals = np.asarray(vals, dtype=np.result_type(vals, float))
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(space.dim, space.dim)).tocsr()
     return SparseOperator(space=space, matrix=m)
 
 
 def _diagonal(space: HilbertSpace, diag) -> SparseOperator:
     """Diagonal operator; zero entries are not stored."""
-    return SparseOperator(space=space, matrix=sp.diags(np.asarray(diag, dtype=complex)).tocsr())
+    return SparseOperator(space=space, matrix=sp.diags(np.asarray(diag, dtype=float)).tocsr())
 
 
 def _targets(space: HilbertSpace, i: int | None = None, dn: int = 0, j: int | None = None):

@@ -43,16 +43,6 @@ class PiecewiseLinear:
     def __call__(self, t):
         return np.interp(t, self.ts, self.vs)
 
-    def slope(self, t: float) -> float:
-        """Right-sided derivative (left-sided at the final breakpoint).
-
-        0 outside [ts[0], ts[-1]], where the curve holds its end values.
-        """
-        if self.ts.size == 1 or not self.ts[0] <= t <= self.ts[-1]:
-            return 0.0
-        k = min(np.searchsorted(self.ts, t, side="right") - 1, self.ts.size - 2)
-        return (self.vs[k + 1] - self.vs[k]) / (self.ts[k + 1] - self.ts[k])
-
     @staticmethod
     def constant(value: float, duration: float) -> "PiecewiseLinear":
         return PiecewiseLinear(np.array([0.0, duration]), np.array([value, value]))

@@ -283,7 +283,7 @@ def find_one_photon_solutions(
     # for the residual check; its blocks D_k (k photons) and O_k (k -> k+1)
     space = enumerate_basis(ModelDims(M=params.M, N=params.N, n_max=2), sector=parity)
     H = build_hamiltonian(params, space)
-    dense = H.dense().real
+    dense = H.dense()
     b0, b1, b2 = space.photon_block_slices()
     D0, D1, O0, O1 = dense[b0, b0], dense[b1, b1], dense[b1, b0], dense[b2, b1]
 

@@ -1,4 +1,4 @@
-"""Eigensolves, parity-resolved coupling sweeps, degeneracy and convergence checks."""
+"""Eigensolves, parity-resolved coupling sweeps and degeneracy counts."""
 
 from __future__ import annotations
 
@@ -20,12 +20,6 @@ class SpectrumTable:
     levels: dict  # parity sign -> array of shape (n_points, n_levels)
 
 
-def _dense(H: SparseOperator) -> np.ndarray:
-    """H as a dense array, real when it has no imaginary part."""
-    dense = H.dense()
-    return dense if dense.imag.any() else dense.real
-
-
 def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool = True):
     """Lowest eigenpairs, ascending.
 
@@ -33,9 +27,10 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
     algebraic) above, from a fixed seeded start vector, so that a solve
     depends only on H and not on the solves before it.  The start is
     random, not uniform: a uniform vector is symmetric under every basis
-    permutation and never reaches the antisymmetric levels.  A dense
-    matrix with no imaginary part is solved as real symmetric.  Returns
-    (energies, vectors) with complex vectors as columns, or energies alone.
+    permutation and never reaches the antisymmetric levels.  A real
+    operator is solved as real symmetric, a complex one as complex
+    Hermitian.  Returns (energies, vectors) with the vectors as columns in
+    the operator's dtype, or energies alone.
     """
     dim = H.dim
     if n_levels is None:
@@ -43,10 +38,10 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
     if n_levels > dim:
         raise ValueError(f"requested {n_levels} levels from dim {dim}")
     if dim <= DENSE_THRESHOLD or n_levels >= dim - 1:
-        dense = _dense(H)
+        dense = H.dense()
         if vectors:
             E, V = np.linalg.eigh(dense)
-            return E[:n_levels], V[:, :n_levels].astype(complex)
+            return E[:n_levels], V[:, :n_levels]
         return np.linalg.eigvalsh(dense)[:n_levels]
     import scipy.sparse.linalg as spla  # only here: it is a large import that no dense solve needs
 
@@ -165,7 +160,7 @@ def _prefix_levels(H: SparseOperator, subs, n_levels: int) -> list:
             )
             for sub in subs
         ]
-    dense = _dense(H)
+    dense = H.dense()
     return [np.linalg.eigvalsh(dense[: sub.dim, : sub.dim])[:n_levels] for sub in subs]
 
 
@@ -173,27 +168,3 @@ def degeneracy_count(H: SparseOperator, E_target: float) -> int:
     """Number of eigenvalues within |E - E_target| < 1e-6."""
     E = eigenspectrum(H, n_levels=H.dim, vectors=False)
     return int(np.sum(np.abs(E - E_target) < 1e-6))
-
-
-def convergence_report(params: RabiParams, n_max_list, probe) -> dict:
-    """Probe values vs cutoff with successive differences.
-
-    ``probe(params, space)`` maps a full space at a given cutoff to a
-    scalar (e.g. a ground-state energy or a dark-state residual).
-    """
-    n_max_list = list(n_max_list)
-    if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
-        raise ValueError("n_max_list must be strictly ascending")
-    values = []
-    for n_max in n_max_list:
-        space = enumerate_basis(ModelDims(params.M, params.N, n_max))
-        values.append(float(probe(params, space)))
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    monotone = all(d <= 0 for d in diffs) or all(d >= 0 for d in diffs) or not diffs
-    return {
-        "n_max": n_max_list,
-        "values": values,
-        "differences": diffs,
-        "monotone": monotone,
-    }
-

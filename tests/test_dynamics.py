@@ -43,6 +43,7 @@ from mmrabi.operators import (
     build_mode_lowering,
     build_parity_operator,
     build_qubit_op,
+    kronecker_oracle,
 )
 from mmrabi.solutions import dark_state_2q
 
@@ -99,8 +100,6 @@ def test_piecewise_linear_interpolation():
     c = PiecewiseLinear(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 2.0]))
     assert c(0.5) == 1.0
     assert c(2.0) == 2.0
-    assert c.slope(0.5) == 2.0
-    assert c.slope(2.0) == 0.0
 
 
 def test_schedule_constraint_and_normalized_weights():
@@ -277,9 +276,11 @@ def test_derivative_is_zero_where_a_curve_is_flat():
         h = 1e-4
         central = (ht.at(t + h) - ht.at(t - h)).toarray() / (2 * h)
         assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-9
-    # right-sided at a breakpoint, left-sided at the final one
+    # right-sided at every breakpoint, the final one included
     rise = 0.4 / 40.0
-    assert [ramp.slope(t) for t in (9.0, 10.0, 50.0, 51.0)] == [0.0, rise, rise, 0.0]
+    X = sum(A for c, A in ht.terms if c is ramp).toarray()
+    for t, slope in zip((9.0, 10.0, 50.0, 51.0), (0.0, rise, 0.0, 0.0)):
+        assert np.max(np.abs(ht.derivative_at(t).toarray() - slope * X)) < 1e-15, t
 
 
 def test_lindblad_generator_matches_dense_master_equation():
@@ -739,6 +740,24 @@ def test_dressed_markovian_zero_rates_preserves_populations():
     pops0 = np.real(np.diag(U.conj().T @ rho0 @ U))
     pops1 = np.real(np.diag(U.conj().T @ traj.final_state @ U))
     assert np.allclose(pops0, pops1, atol=1e-8)
+
+
+def test_dressed_markovian_keeps_coherences_of_real_inputs():
+    # a real H and a real rho0 with coherences rotate into complex entries;
+    # the run must equal the one with complex inputs, not drop their imaginary parts
+    space = enumerate_basis(ModelDims(1, 2, 2))
+    params = RabiParams(omega=[1.0], delta=[0.5, 0.3], g=[[0.25, 0.25]])
+    H = kronecker_oracle(params, space)
+    _, U = np.linalg.eigh(H)
+    psi = (U[:, 0] + U[:, 3]) / np.sqrt(2)
+    rho0 = np.outer(psi, psi)
+    noise = NoiseModel(kappa_in=1e-3)
+    real = evolve_eigenbasis_markovian(H, space, noise, 0.0, rho0, T=10.0, n_samples=3)
+    cplx = evolve_eigenbasis_markovian(
+        H.astype(complex), space, noise, 0.0, rho0.astype(complex), T=10.0, n_samples=3
+    )
+    assert H.dtype == rho0.dtype == np.float64
+    assert trace_distance(real.final_state, cplx.final_state) < 1e-10
 
 
 # --------------------------------------------------------------------------

@@ -276,7 +276,11 @@ def test_every_builder_matches_kronecker_reference(M, N, n_max):
             for st in space.states
         ]
         for name, (build, full) in references.items():
-            diff = np.max(np.abs(build(space).dense() - full[np.ix_(sel, sel)]))
+            op = build(space)
+            # real operators are stored real; only sigma_y is complex
+            dtype = np.complex128 if name.startswith("sigmay") else np.float64
+            assert op.matrix.dtype == dtype, (name, op.matrix.dtype)
+            diff = np.max(np.abs(op.dense() - full[np.ix_(sel, sel)]))
             assert diff < 1e-12, (name, sector, diff)
 
 
@@ -322,7 +326,7 @@ def per_state_hamiltonian(params, space):
                     occ = list(st.occupations)
                     occ[i] += dn
                     add(occ, spins, col, gij * amplitude)
-    m = sp.coo_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(space.dim,) * 2)
+    m = sp.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)), shape=(space.dim,) * 2)
     return m.tocsr()
 
 

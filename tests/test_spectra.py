@@ -9,7 +9,6 @@ from mmrabi.hilbert import EVEN, ODD, ModelDims, ParitySector, enumerate_basis
 from mmrabi.operators import RabiParams, build_hamiltonian, build_jc_hamiltonian, build_qubit_op
 from mmrabi.spectra import (
     SpectrumTable,
-    convergence_report,
     degeneracy_count,
     eigenspectrum,
     sweep_coupling,
@@ -154,33 +153,12 @@ def test_degeneracy_count_zero_coupling():
     assert degeneracy_count(H, 1.0) == expected
 
 
-def test_convergence_report_dark_energy_flat():
-    from mmrabi.solutions import dark_state_2q, verify_eigenstate
-
-    def probe(params, space):
-        return dark_state_2q(params, space).energy
-
-    report = convergence_report(uniform_params(g=0.5), [2, 3, 4], probe)
-    assert report["values"] == [1.0, 1.0, 1.0]
-    assert all(d == 0.0 for d in report["differences"])
-
-
 def test_convergence_ground_state_monotone():
-    def probe(params, space):
-        return eigenspectrum(build_hamiltonian(params, space), 1, vectors=False)[0]
-
-    report = convergence_report(uniform_params(g=0.5), [1, 2, 3, 4, 5], probe)
-    assert all(d <= 1e-14 for d in report["differences"])
-    assert report["monotone"]
-
-
-def test_convergence_single_cutoff():
-    def probe(params, space):
-        return 0.0
-
-    report = convergence_report(uniform_params(), [3], probe)
-    assert report["values"] == [0.0]
-    assert report["differences"] == []
+    # a higher cutoff adds states, so the lowest level cannot rise
+    params = uniform_params(g=0.5)
+    spaces = [enumerate_basis(ModelDims(2, 2, n_max)) for n_max in range(1, 6)]
+    E0 = [eigenspectrum(build_hamiltonian(params, s), 1, vectors=False)[0] for s in spaces]
+    assert all(b - a <= 1e-14 for a, b in zip(E0, E0[1:]))
 
 
 def test_second_even_level_crosses_the_dark_line():
@@ -210,7 +188,7 @@ def test_real_dense_eigensolve_keeps_degenerate_multiplicities():
         assert np.max(np.abs(E - ref)) < 1e-12
         assert multiplicities(E) == multiplicities(ref)
         assert max(multiplicities(ref)) > 1
-        assert V.dtype == np.complex128
+        assert V.dtype == H.matrix.dtype
         assert np.max(np.linalg.norm(H.matrix @ V - V * E, axis=0)) < 1e-10
 
 
@@ -355,7 +333,7 @@ def test_uniform_coupling_keeps_degenerate_copies_at_scale():
     for sector in (EVEN, ODD):
         got = table.levels[sector.sign][0]
         H = build_hamiltonian(template(0.3), enumerate_basis(dims, sector))
-        ref = np.linalg.eigvalsh(H.dense().real)[:40]
+        ref = np.linalg.eigvalsh(H.dense())[:40]
         assert np.max(np.abs(got - ref)) < 1e-12
         assert _multiplicities(got, 1e-6) == _multiplicities(ref, 1e-6)
         assert max(_multiplicities(ref, 1e-6)) >= 4
