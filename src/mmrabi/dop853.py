@@ -287,10 +287,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     """DOP853 of d/dt y = fun(t, y) over t_span = (t0, tf), tf > t0, sampled at ``t_eval``.
 
     ``y0`` is a non-empty 1-D float or complex array; ``fun(t, y)`` returns
-    an array of the same length and of y0's dtype.  ``t_eval`` is
-    increasing and inside t_span.  ``rtol`` below 100 machine epsilons is
-    raised to it with a warning, as scipy does.  Returns an ``OdeResult``
-    whose ``nfev`` counts every call of ``fun``.
+    an array of the same length and of y0's dtype.  A complex first result
+    for a real y0 raises TypeError: real stages would drop its imaginary
+    part.  ``t_eval`` is increasing and inside t_span.  ``rtol`` below 100
+    machine epsilons is raised to it with a warning, as scipy does.
+    Returns an ``OdeResult`` whose ``nfev`` counts every call of ``fun``.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
@@ -331,7 +332,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     KE, e5, e3 = K[: N_STAGES + 1].T, E5.astype(dtype), E3.astype(dtype)
     d = D.astype(dtype)
 
-    K[N_STAGES] = fun(t, y)
+    f0 = np.asarray(fun(t, y))
+    if dtype is float and np.iscomplexobj(f0):
+        raise TypeError("fun returned complex values for a real y0; pass y0 as complex")
+    K[N_STAGES] = f0
     h_abs = _initial_step(fun, t, y, K[N_STAGES], t_bound, rtol, atol)
     nfev = 2
     abs_y = np.abs(y)

@@ -18,9 +18,19 @@ The builders are whole-array operations on the basis arrays of
 copy of the arrays (one photon added to or removed from mode i, qubit j
 flipped), map the shifted rows back to canonical indices with one
 ``HilbertSpace.indices`` call, and keep the targets inside the space
-(index >= 0) together with one array of matrix elements.  The diagonal
-sums sum_i omega_i n_i and sum_j delta_j s_j are each accumulated in
-mode (qubit) order and added at the end, which fixes their rounding.
+(index >= 0) together with one array of matrix elements.
+
+Where the Rabi and JC Hamiltonians have entries depends only on the
+space and on which couplings g_ij are nonzero (a zero coupling stores no
+entries), not on the values.  So the term-by-term work above is done once
+per (space, rotating wave, nonzero couplings) and kept as a pattern: the
+CSR ``indices``/``indptr``, and for each stored entry its coupling g_ij
+and its amplitude sqrt(n), or that it is diagonal.  A Hamiltonian build
+only fills in values: g_ij * sqrt(n) off the diagonal and
+sum_i omega_i n_i + sum_j delta_j s_j on it, each sum accumulated in mode
+(qubit) order, which fixes its rounding.  A build gives the same CSR
+arrays, bit for bit, as assembling the nonzero terms one by one.
+Patterns live in a small LRU cache.
 The parity operator is diagonal in this basis; its diagonal is
 ``hilbert.parity_signs``, the formula that also selects parity sectors.
 
@@ -33,12 +43,13 @@ them (-i H in the equations of motion, and the states).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import IndexOutOfRange, SpaceMismatch
-from .hilbert import DOWN, UP, BasisState, HilbertSpace, parity_signs
+from .hilbert import DOWN, UP, HilbertSpace, parity_signs
 
 DENSE_THRESHOLD = 4096
 
@@ -135,19 +146,44 @@ def _bare_diagonal(params: RabiParams, space: HilbertSpace) -> np.ndarray:
     return photons + qubits
 
 
-def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
-    """Rabi (sigma_x coupling) or JC (rotating-wave) Hamiltonian from the basis arrays."""
-    params.check_space(space)
+@dataclass(frozen=True)
+class _Pattern:
+    """Where a Hamiltonian on one space has entries, and what fills each one.
+
+    ``indptr``/``indices`` are the CSR arrays of the diagonal and of every
+    coupling term with g_ij != 0; stored entry e holds
+    ``coupling[term[e]] * amplitude[e]``, where ``coupling`` is g.ravel()
+    with a trailing 1.0 for the diagonal entries, and ``diagonal[k]`` is the
+    position of entry (k, k).  All arrays are read-only, because one pattern
+    serves every build that shares its key.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    term: np.ndarray
+    amplitude: np.ndarray
+    diagonal: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]) -> _Pattern:
+    """The Rabi (sigma_x coupling) or JC (rotating-wave) pattern on ``space``.
+
+    ``coupled`` holds g_ij != 0 for g.ravel(); the terms of zero couplings
+    store no entries.
+    """
+    M, N = space.dims.M, space.dims.N
     states = np.arange(space.dim)
-    rows, cols, vals = [states], [states], [_bare_diagonal(params, space)]
-    for i in range(params.M):
+    # the diagonal comes first, filled from coupling slot M * N
+    rows, cols = [states], [states]
+    terms, amplitudes = [np.full(space.dim, M * N)], [np.ones(space.dim)]
+    for i in range(M):
         n_i = space.occupations[:, i]
         # a_i^dag (dn = +1) with sqrt(n_i + 1) and a_i (dn = -1) with sqrt(n_i);
         # the rotating wave keeps a_i^dag sigma_j^- (from up) and a_i sigma_j^+ (from down)
         ladders = ((+1, np.sqrt(n_i + 1), UP), (-1, np.sqrt(n_i), DOWN))
-        for j in range(params.N):
-            gij = params.g[i, j]
-            if gij == 0.0:
+        for j in range(N):
+            if not coupled[i * N + j]:
                 continue
             for dn, amplitude, spin in ladders:
                 tgt = _targets(space, i, dn, j)
@@ -156,8 +192,36 @@ def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -
                     keep &= space.spins[:, j] == spin
                 rows.append(tgt[keep])
                 cols.append(states[keep])
-                vals.append(gij * amplitude[keep])
-    return _assemble(space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+                terms.append(np.full(np.count_nonzero(keep), i * N + j))
+                amplitudes.append(amplitude[keep])
+    # _assemble puts the entries in CSR order; the values carry each one's list position
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    m = _assemble(space, rows, cols, np.arange(len(rows), dtype=float)).matrix
+    order = m.data.astype(np.intp)
+    pattern = _Pattern(
+        indptr=m.indptr,
+        indices=m.indices,
+        term=np.concatenate(terms)[order],
+        amplitude=np.concatenate(amplitudes)[order],
+        # the diagonal entries are list positions 0..dim-1, one per row
+        diagonal=np.flatnonzero(order < space.dim),
+    )
+    for arr in (pattern.indptr, pattern.indices, pattern.term, pattern.amplitude, pattern.diagonal):
+        arr.setflags(write=False)
+    return pattern
+
+
+def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
+    """H filled into the cached pattern of its space and of its nonzero couplings."""
+    params.check_space(space)
+    g = params.g.ravel()
+    pattern = _pattern(space, rotating_wave, tuple((g != 0).tolist()))
+    data = np.append(g, 1.0)[pattern.term] * pattern.amplitude
+    data[pattern.diagonal] = _bare_diagonal(params, space)
+    m = sp.csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(space.dim, space.dim)
+    )
+    return SparseOperator(space=space, matrix=m)
 
 
 def build_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
@@ -263,13 +327,17 @@ def kronecker_oracle(params: RabiParams, space: HilbertSpace) -> np.ndarray:
             H += params.g[i, j] * embed({i: a + a.T}, {j: sx})
 
     # project onto the total-photon-truncated (and sector) basis
-    def full_index(st: BasisState) -> int:
-        idx = 0
-        for n in st.occupations:
-            idx = idx * d_mode + n
-        for s in st.spins:
-            idx = idx * 2 + (0 if s == UP else 1)
-        return idx
-
-    sel = np.array([full_index(st) for st in space.states])
+    sel = _tensor_index(space)
     return H[np.ix_(sel, sel)]
+
+
+def _tensor_index(space: HilbertSpace) -> np.ndarray:
+    """Row of each basis state in the Kronecker-product basis of ``kronecker_oracle``.
+
+    The digits n_1..n_M (radix n_max + 1) then the spins (radix 2, up = 0)
+    are read as one mixed-radix number, first digit most significant.
+    """
+    M, N, d_mode = space.dims.M, space.dims.N, space.dims.n_max + 1
+    digits = np.hstack([space.occupations, space.spins == DOWN])
+    place = np.cumprod([1] + [2] * N + [d_mode] * (M - 1))[::-1]
+    return digits @ place

@@ -109,6 +109,13 @@ def test_rejected_steps_real_state():
     assert ours.y.dtype == float
 
 
+def test_complex_right_hand_side_for_real_start_raises():
+    # real stage arrays would keep only the real part, with a ComplexWarning
+    with pytest.raises(TypeError, match="complex"):
+        dop853.solve_ivp(lambda t, y: -1j * y, (0.0, 1.0), np.array([1.0, 0.5]),
+                         rtol=1e-9, atol=1e-11, t_eval=[1.0])
+
+
 def nan_after(t_fail):
     def fun(t, y):
         return np.full_like(y, np.nan) if t > t_fail else -1j * y

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mmrabi import operators
 from mmrabi.errors import IndexOutOfRange, SpaceMismatch
 from mmrabi.hilbert import (
     DOWN,
@@ -26,6 +27,7 @@ from mmrabi.operators import (
     build_qubit_op,
     kronecker_oracle,
 )
+from mmrabi.spectra import sweep_coupling
 
 RNG = np.random.default_rng(20240817)
 
@@ -297,8 +299,8 @@ def test_sector_hamiltonian_is_principal_submatrix_of_full():
             assert np.array_equal(build_hamiltonian(params, space).dense(), H[np.ix_(sel, sel)])
 
 
-def per_state_hamiltonian(params, space):
-    """Loop reference: the Rabi matrix elements state by state, in basis order."""
+def per_state_hamiltonian(params, space, rotating_wave=False):
+    """Loop reference: the Rabi (or JC) matrix elements state by state, in basis order."""
     n_max = space.dims.n_max
     rows, cols, vals = [], [], []
 
@@ -318,11 +320,12 @@ def per_state_hamiltonian(params, space):
             n_i = st.occupations[i]
             spins = list(st.spins)
             spins[j] = -spins[j]
-            for dn, allowed, amplitude in (
-                (+1, st.total_photons < n_max, sqrt(n_i + 1)),
-                (-1, n_i > 0, sqrt(n_i)),
+            # the rotating wave keeps a_i^dag sigma_j^- (from up) and a_i sigma_j^+ (from down)
+            for dn, allowed, amplitude, spin in (
+                (+1, st.total_photons < n_max, sqrt(n_i + 1), UP),
+                (-1, n_i > 0, sqrt(n_i), DOWN),
             ):
-                if allowed:
+                if allowed and (not rotating_wave or st.spins[j] == spin):
                     occ = list(st.occupations)
                     occ[i] += dn
                     add(occ, spins, col, gij * amplitude)
@@ -348,3 +351,74 @@ def test_hamiltonian_csr_arrays_equal_per_state_reference():
             for name in ("indptr", "indices", "data"):
                 x, y = getattr(got, name), getattr(ref, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (M, N, sector, name)
+
+
+def test_jc_hamiltonian_csr_arrays_equal_per_state_reference():
+    # the rotating-wave build, pinned like the Rabi one: exact zeros on the
+    # vacuum diagonal and g[0, -1] = 0
+    for M, N, n_max in [(2, 2, 3), (3, 2, 2), (1, 3, 4), (3, 3, 3)]:
+        g = RNG.uniform(-1.0, 1.0, (M, N))
+        g[0, -1] = 0.0
+        params = RabiParams(
+            omega=RNG.uniform(0.5, 1.5, M), delta=[0.5] + [0.5 / (N - 1)] * (N - 1), g=g
+        )
+        for sector in (None, EVEN, ODD):
+            space = enumerate_basis(ModelDims(M, N, n_max), sector)
+            got = build_jc_hamiltonian(params, space).matrix
+            ref = per_state_hamiltonian(params, space, rotating_wave=True)
+            assert sector is not None or np.any(ref.data == 0)
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(got, name), getattr(ref, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (M, N, sector, name)
+
+
+def test_sweep_makes_each_pattern_once(monkeypatch):
+    # a rank-deficient sweep builds on the same bright spaces at every point,
+    # so the per-term work runs once for g = 0 and once for all other points
+    calls = []
+    targets = operators._targets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return targets(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_targets", counted)
+    dims = ModelDims(3, 2, 4)
+
+    def params(g):
+        return RabiParams(omega=np.ones(3), delta=[0.3, 0.7], g=np.full((3, 2), g))
+
+    counts = []
+    for points in (2, 9):
+        operators._pattern.cache_clear()
+        calls.clear()
+        sweep_coupling(params, np.linspace(0.0, 0.5, points), None, 4, dims)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_parity_sectors_do_not_share_a_pattern():
+    # both sectors of (1, 3, 6) hold 28 states, and their JC patterns differ:
+    # the rotating wave keeps a term by the spin it acts on
+    dims, coupled = ModelDims(1, 3, 6), (True,) * 3
+    operators._pattern.cache_clear()
+    even, odd = (operators._pattern(enumerate_basis(dims, s), True, coupled) for s in (EVEN, ODD))
+    assert even is not odd and not np.array_equal(even.indices, odd.indices)
+    assert operators._pattern(enumerate_basis(dims, EVEN), True, coupled) is even
+    assert operators._pattern.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("sector", [None, EVEN, ODD])
+def test_tensor_index_matches_per_state_formula(sector):
+    for M, N, n_max in [(1, 1, 4), (2, 3, 3), (3, 2, 2)]:
+        space = enumerate_basis(ModelDims(M, N, n_max), sector)
+
+        def full_index(st):
+            idx = 0
+            for n in st.occupations:
+                idx = idx * (n_max + 1) + n
+            for s in st.spins:
+                idx = idx * 2 + (0 if s == UP else 1)
+            return idx
+
+        assert operators._tensor_index(space).tolist() == [full_index(st) for st in space.states]
