@@ -25,6 +25,14 @@ compares the embedded state with the full-space dark state.
 its figure preset would replace, one equal to the schema default
 included.  The protocol commands integrate with ``dynamics``'s own DOP853
 loop, so no command loads ``scipy.integrate``.
+
+``scipy.sparse`` is loaded only by a command that forms a sparse product:
+the protocol commands (``adiabatic``, ``lindblad``, ``catch-release`` and
+``reproduce fig2|fig4|fig5``), whose mode reduction and integration terms
+are CSR, and an eigensolve above ``operators.DENSE_THRESHOLD``, which goes
+through ``eigsh``.  ``basis``, ``dark-verify``, ``solve-one-photon``,
+``circuit-map``, ``spectrum``, ``sweep`` and ``reproduce fig1a|fig1b``
+run on numpy alone at the sizes they are given by default.
 """
 
 from __future__ import annotations

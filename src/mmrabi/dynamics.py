@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dop853 import solve_ivp
 from .errors import PositivityLoss, SpaceMismatch, StepFailure
@@ -79,6 +78,25 @@ DENSE_SEGMENT_ENTRIES = 4096
 # scheduled Hamiltonian
 
 
+def _kron_identity(weights: np.ndarray, m: int):
+    """kron(weights, I_m) in CSR, its arrays written directly.
+
+    Row r m + i holds weights[r, k] at column k m + i for each nonzero
+    weights[r, k], k ascending: the entries, order and int32 indices of
+    ``sp.kron(weights, sp.identity(m), format="csr")``.
+    """
+    import scipy.sparse as sp
+
+    rows, cols = weights.shape
+    nonzero = weights != 0
+    r, i, k = np.nonzero(np.broadcast_to(nonzero[:, None, :], (rows, m, cols)))
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(nonzero.sum(axis=1), m))])
+    return sp.csr_matrix(
+        (weights[r, k], (k * m + i).astype(np.int32), indptr.astype(np.int32)),
+        shape=(rows * m, cols * m),
+    )
+
+
 class TermSum:
     """y -> sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``, n the columns of A_k.
 
@@ -100,6 +118,8 @@ class TermSum:
     """
 
     def __init__(self, terms):
+        import scipy.sparse as sp  # only runs that integrate form sparse products
+
         curves = [c for c, _ in terms]
         self._m, self._n = terms[0][1].shape
         ts = [c.ts for c in curves if c is not None]
@@ -120,7 +140,7 @@ class TermSum:
         # product with the stacked A_k gives every S_r, in row order
         weights = np.stack([value, slope], axis=1).reshape(-1, len(curves))
         stack = sp.vstack([A for _, A in terms], format="csr")
-        segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
+        segments = _kron_identity(weights, self._m) @ stack
         rows = 2 * self._m
         self._breaks = breaks.tolist()
         if rows * self._n < DENSE_SEGMENT_ENTRIES:
@@ -191,19 +211,23 @@ class ScheduledHamiltonian:
         """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
         return self.term_sum(t, y)
 
-    def at(self, t: float) -> sp.csr_matrix:
+    def at(self, t: float) -> scipy.sparse.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(self.term_sum.operator(t))
 
     def at_dense(self, t: float) -> np.ndarray:
         H = self.term_sum.operator(t)
         return H if isinstance(H, np.ndarray) else H.toarray()
 
-    def derivative_at(self, t: float) -> sp.csr_matrix:
+    def derivative_at(self, t: float) -> scipy.sparse.csr_matrix:
         """dH/dt from the segment store, right-sided at every breakpoint.
 
         At a curve's final breakpoint this is 0, the slope of the end value
         the curve holds from there on.
         """
+        import scipy.sparse as sp
+
         return sp.csr_matrix(self.term_sum.slope(t))
 
     def params_at(self, t: float) -> RabiParams:
@@ -332,6 +356,8 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
     curve, and D[a_i] follows with the schedule's ``kappa_c[i]``, in mode
     order, when the schedule has line couplings.
     """
+    import scipy.sparse as sp
+
     space = hamiltonian.space
     dim, M, N = space.dim, space.dims.M, space.dims.N
     a_ops = [build_mode_lowering(space, i).matrix for i in range(M)]
@@ -490,6 +516,8 @@ def evolve_eigenbasis_markovian(
     the bare-basis Lindblad route, integrated at rtol 1e-8 as one static
     term on row-major vec rho.
     """
+    import scipy.sparse as sp
+
     dim = space.dim
     if H_static.shape != (dim, dim) or rho0.shape != (dim, dim):
         raise SpaceMismatch("operator shapes do not match the space")

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import HilbertSpace, ModelDims, enumerate_basis
 from .schedules import PiecewiseLinear, ProtocolSchedule
@@ -95,7 +94,7 @@ class ModeReduction:
     schedule: ProtocolSchedule
     groups: tuple
     weights: np.ndarray
-    isometry: sp.csr_matrix
+    isometry: scipy.sparse.csr_matrix
 
     def embed(self, state: np.ndarray) -> np.ndarray:
         """V psi for a reduced state vector, V rho V^dag for a density matrix."""
@@ -122,6 +121,8 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     SpaceMismatch unless ``schedule`` has a ``g`` curve per mode and a
     ``delta`` curve per qubit of ``space``.
     """
+    import scipy.sparse as sp  # only runs that integrate form sparse products
+
     schedule.check_space(space)
     M, N, n_max = space.dims.M, space.dims.N, space.dims.n_max
     groups = mode_groups(schedule)

@@ -1,4 +1,4 @@
-"""Sparse operators on a truncated Hilbert space.
+"""Sparse operators on a truncated Hilbert space, held as numpy CSR arrays.
 
 Builds the multiqubit multimode Rabi Hamiltonian
 
@@ -31,6 +31,16 @@ sum_i omega_i n_i + sum_j delta_j s_j on it, each sum accumulated in mode
 (qubit) order, which fixes its rounding.  A build gives the same CSR
 arrays, bit for bit, as assembling the nonzero terms one by one.
 Patterns live in a small LRU cache.
+
+An operator is its CSR arrays, ``data``/``indices``/``indptr`` as numpy
+arrays, in the order and with the index dtype of scipy's
+``coo_matrix(...).tocsr()``.  The dense array, the product with a vector
+and the leading blocks of ``spectra``'s cutoff prefixes are numpy
+operations on those arrays.  The scipy ``csr_matrix`` is built only when
+``SparseOperator.matrix`` is first read, for a sparse product or an
+iterative eigensolve, so a run that forms none never imports
+``scipy.sparse``.
+
 The parity operator is diagonal in this basis; its diagonal is
 ``hilbert.parity_signs``, the formula that also selects parity sectors.
 
@@ -43,10 +53,9 @@ them (-i H in the equations of motion, and the states).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IndexOutOfRange, SpaceMismatch
 from .hilbert import DOWN, UP, HilbertSpace, parity_signs
@@ -92,35 +101,102 @@ class RabiParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A sparse matrix tied to the Hilbert space whose ordering it uses."""
+    """A square operator in CSR arrays, tied to the Hilbert space whose ordering it uses.
+
+    ``data``, ``indices`` and ``indptr`` are numpy arrays in CSR order:
+    rows ascending, columns ascending within a row, explicit zeros where a
+    builder keeps them.  ``dense()`` and ``op @ v`` work on the arrays
+    alone; ``matrix``, the scipy ``csr_matrix`` of the same arrays, is
+    built on first use, and only then is ``scipy.sparse`` imported.  The
+    arrays are not to be written: a Hamiltonian shares its ``indices`` and
+    ``indptr`` with the cached pattern of its space.
+    """
 
     space: HilbertSpace
-    matrix: sp.csr_matrix
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
+    @cached_property
+    def matrix(self):
+        """The ``scipy.sparse.csr_matrix`` of the arrays, on copies of them."""
+        import scipy.sparse as sp  # only here: no dense solve or product needs it
+
+        return sp.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.dim, self.dim), copy=True
+        )
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The dense array, each entry added into +0.0 as ``toarray`` does: -0.0 reads +0.0."""
+        out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
+        out[self._rows, self.indices] += self.data  # every (row, column) is stored once
+        return out
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The product with a vector, each row summed in storage order from +0, as scipy does."""
+        p = self.data * np.asarray(v)[self.indices]
+        if not np.iscomplexobj(p):
+            # bincount reads an empty operator's sums as int64 zeros
+            return np.bincount(self._rows, p, minlength=self.dim).astype(p.dtype, copy=False)
+        out = np.empty(self.dim, dtype=p.dtype)
+        out.real = np.bincount(self._rows, p.real, minlength=self.dim)
+        out.imag = np.bincount(self._rows, p.imag, minlength=self.dim)
+        return out
+
+    def leading_block(self, space: HilbertSpace) -> SparseOperator:
+        """The block of the first ``space.dim`` rows and columns, as an operator on ``space``.
+
+        ``space`` is one whose basis is a prefix of this operator's.  The
+        block keeps its entries in order, explicit zeros included, as
+        ``matrix[:d, :d]`` does.
+        """
+        d = space.dim
+        end = self.indptr[d]
+        keep = self.indices[:end] < d
+        kept_before = np.concatenate([[0], np.cumsum(keep)])
+        indptr = kept_before[self.indptr[: d + 1]].astype(self.indptr.dtype)
+        return SparseOperator(space, self.data[:end][keep], self.indices[:end][keep], indptr)
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
         return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
 
 
+def _csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray):
+    """(order, indices, indptr) that put entries at distinct (rows, cols) in CSR order.
+
+    Rows ascend and columns ascend within a row, the order
+    ``coo_matrix(...).tocsr()`` gives; the index arrays are int32 below
+    2**31 entries, as scipy picks them.
+    """
+    order = np.argsort(rows * dim + cols)
+    idx = np.int32 if max(dim, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))]).astype(idx)
+    return order, cols[order].astype(idx), indptr
+
+
 def _assemble(space: HilbertSpace, rows, cols, vals) -> SparseOperator:
-    """CSR operator from matrix-element arrays, float64 unless they are complex; zeros are kept."""
+    """Operator from matrix-element arrays, float64 unless they are complex; zeros are kept."""
     vals = np.asarray(vals, dtype=np.result_type(vals, float))
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(space.dim, space.dim)).tocsr()
-    return SparseOperator(space=space, matrix=m)
+    order, indices, indptr = _csr_layout(space.dim, np.asarray(rows), np.asarray(cols))
+    return SparseOperator(space, vals[order], indices, indptr)
 
 
 def _diagonal(space: HilbertSpace, diag) -> SparseOperator:
-    """Diagonal operator; zero entries are not stored."""
-    return SparseOperator(space=space, matrix=sp.diags(np.asarray(diag, dtype=float)).tocsr())
+    """Diagonal operator; zero entries are not stored, as in ``sp.diags(diag).tocsr()``."""
+    diag = np.asarray(diag, dtype=float)
+    nonzero = np.flatnonzero(diag)
+    return _assemble(space, nonzero, nonzero, diag[nonzero])
 
 
 def _targets(space: HilbertSpace, i: int | None = None, dn: int = 0, j: int | None = None):
@@ -194,13 +270,10 @@ def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]
                 cols.append(states[keep])
                 terms.append(np.full(np.count_nonzero(keep), i * N + j))
                 amplitudes.append(amplitude[keep])
-    # _assemble puts the entries in CSR order; the values carry each one's list position
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    m = _assemble(space, rows, cols, np.arange(len(rows), dtype=float)).matrix
-    order = m.data.astype(np.intp)
+    order, indices, indptr = _csr_layout(space.dim, np.concatenate(rows), np.concatenate(cols))
     pattern = _Pattern(
-        indptr=m.indptr,
-        indices=m.indices,
+        indptr=indptr,
+        indices=indices,
         term=np.concatenate(terms)[order],
         amplitude=np.concatenate(amplitudes)[order],
         # the diagonal entries are list positions 0..dim-1, one per row
@@ -218,10 +291,7 @@ def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -
     pattern = _pattern(space, rotating_wave, tuple((g != 0).tolist()))
     data = np.append(g, 1.0)[pattern.term] * pattern.amplitude
     data[pattern.diagonal] = _bare_diagonal(params, space)
-    m = sp.csr_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(space.dim, space.dim)
-    )
-    return SparseOperator(space=space, matrix=m)
+    return SparseOperator(space, data, pattern.indices, pattern.indptr)
 
 
 def build_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:

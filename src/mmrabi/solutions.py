@@ -263,7 +263,7 @@ def verify_eigenstate(H: SparseOperator, v: np.ndarray, E: float) -> float:
         raise CutoffTooSmall(
             f"state has support at {max_support} photons, cutoff {H.space.dims.n_max}"
         )
-    return float(np.linalg.norm(H.matrix @ v - E * v) / norm)
+    return float(np.linalg.norm(H @ v - E * v) / norm)
 
 
 def find_one_photon_solutions(
@@ -323,7 +323,7 @@ def find_one_photon_solutions(
             if nv < 1e-12:
                 continue
             v /= nv
-            resid = float(np.linalg.norm(H.matrix @ v - E * v))
+            resid = float(np.linalg.norm(H @ v - E * v))
             if resid < tol:
                 # drop duplicates (same energy, parallel vector)
                 dup = any(

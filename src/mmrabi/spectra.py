@@ -147,17 +147,13 @@ def _prefix_levels(H: SparseOperator, subs, n_levels: int) -> list:
 
     Each prefix of H's basis order spans its own space, and the block is
     that space's Hamiltonian.  Up to DENSE_THRESHOLD, where ``eigenspectrum``
-    solves every block dense, H is made dense once and the blocks are
-    sliced from it; above, each block is a sparse slice through
-    ``eigenspectrum``.
+    solves every block dense, H is scattered dense once and the blocks are
+    sliced from it; above, each block is sliced from H's CSR arrays
+    (``SparseOperator.leading_block``) and goes through ``eigenspectrum``.
     """
     if H.dim > DENSE_THRESHOLD:
         return [
-            eigenspectrum(
-                SparseOperator(space=sub, matrix=H.matrix[: sub.dim, : sub.dim]),
-                min(n_levels, sub.dim),
-                vectors=False,
-            )
+            eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim), vectors=False)
             for sub in subs
         ]
     dense = H.dense()

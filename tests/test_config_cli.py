@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -307,3 +308,52 @@ def test_integrating_commands_load_no_scipy_solver_module(tmp_path, figure):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.strip() == "0 []"
+
+
+NUMPY_ONLY_RUNS = {
+    "basis": ["basis"],
+    "dark-verify": ["dark-verify"],
+    "solve-one-photon": ["solve-one-photon"],
+    "circuit-map": ["circuit-map"],
+    "spectrum": ["spectrum"],
+    "sweep": ["sweep"],
+    "fig1a": ["reproduce", "fig1a"],
+    "fig1b": ["reproduce", "fig1b"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMPY_ONLY_RUNS.values(), ids=NUMPY_ONLY_RUNS.keys())
+def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(tmp_path, argv):
+    # the modules the benchmark workloads import, then a command whose
+    # operators are dense or multiplied by their numpy CSR arrays
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = (
+        "import sys; from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra; "
+        f"code = cli.main(['--quiet', '--out', {str(tmp_path)!r}, *{argv!r}]); "
+        "print(code, 'scipy.sparse' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "0 False"
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy is imported inside the functions that use it, never by a module
+    # body (a class body or a module-level block included)
+    package = Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        pending = list(ast.parse(path.read_text()).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

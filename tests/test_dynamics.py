@@ -251,6 +251,44 @@ def test_dense_and_sparse_segments_agree(monkeypatch):
                 assert np.all(np.abs(dense(t, y) - sparse(t, y)) <= bound), t
 
 
+def _csr_bytes(m):
+    return [(a.dtype, a.tobytes()) for a in (m.data, m.indices, m.indptr)]
+
+
+def test_weight_matrix_is_the_kron_form():
+    # written directly, kron(weights, I_m) keeps the nonzero weights only
+    # (a -0.0 included) with sp.kron's arrays, so its product is the same
+    rng = np.random.default_rng(11)
+    weights = rng.normal(size=(6, 4))
+    weights[rng.random(weights.shape) < 0.4] = 0.0
+    weights[1, 2], weights[4] = -0.0, 0.0
+    for m in (1, 3, 28):
+        got = dynamics._kron_identity(weights, m)
+        ref = sp.kron(weights, sp.identity(m), format="csr")
+        assert got.shape == ref.shape and _csr_bytes(got) == _csr_bytes(ref), m
+        stack = sp.random(4 * m, 5, density=0.5, format="csr", rng=rng) * (1 + 1j)
+        assert _csr_bytes(got @ stack) == _csr_bytes(ref @ stack), m
+
+
+def test_segments_equal_those_of_the_kron_form(monkeypatch):
+    def kron_form(weights, m):
+        return sp.kron(weights, sp.identity(m), format="csr")
+
+    for terms, _ in _term_sum_cases():
+        for entries in (0, 10**9):  # CSR and dense segments
+            monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
+            direct = TermSum(terms).segments
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_kron_identity", kron_form)
+                ref = TermSum(terms).segments
+            for (t, S), (t_ref, S_ref) in zip(direct, ref, strict=True):
+                assert t == t_ref
+                if entries:
+                    assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes(), t
+                else:
+                    assert _csr_bytes(S) == _csr_bytes(S_ref), t
+
+
 def test_operator_views_agree():
     space = w_space()
     ht = ScheduledHamiltonian(space, release_schedule())

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -422,3 +423,148 @@ def test_tensor_index_matches_per_state_formula(sector):
             return idx
 
         assert operators._tensor_index(space).tolist() == [full_index(st) for st in space.states]
+
+
+# --------------------------------------------------------------------------
+# CSR arrays held as numpy, pinned to scipy's own construction
+
+
+def assert_same_csr(got, ref, label=""):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (label, name)
+
+
+def per_state_reference(space, builder, *args):
+    """scipy CSR of one ladder, Pauli or diagonal builder, state by state in basis order.
+
+    Diagonal builders go through ``sp.diags(...).tocsr()`` (zeros dropped),
+    the others through ``coo_matrix(...).tocsr()`` (zeros kept).
+    """
+    states = space.states
+    if builder in ("parity", "excitation", "number"):
+        if builder == "parity":
+            diag = [(-1) ** sum(st.occupations) * np.prod(st.spins) for st in states]
+        elif builder == "excitation":
+            diag = [sum(st.occupations) + sum(st.spins) / 2 + space.dims.N / 2 for st in states]
+        else:
+            diag = [st.occupations[args[0]] for st in states]
+        return sp.diags(np.asarray(diag, dtype=float)).tocsr()
+    index = {st: k for k, st in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for col, st in enumerate(states):
+        occ, spins = list(st.occupations), list(st.spins)
+        if builder == "lowering":
+            i = args[0]
+            if occ[i] == 0:
+                continue
+            value = sqrt(occ[i])
+            occ[i] -= 1
+        else:
+            j, axis = args
+            s = spins[j]
+            if axis == "z":
+                rows.append(col), cols.append(col), vals.append(float(s))
+                continue
+            if (axis == "+" and s != DOWN) or (axis == "-" and s != UP):
+                continue
+            value = (1j if s == UP else -1j) if axis == "y" else 1.0
+            spins[j] = -s
+        target = BasisState(tuple(occ), tuple(spins))
+        if target in index:
+            rows.append(index[target]), cols.append(col), vals.append(value)
+    # sigma_y is complex even where no entry stays in a sector
+    vals = np.asarray(vals, dtype=complex if args[-1:] == ("y",) else float)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(space.dim,) * 2).tocsr()
+
+
+def every_builder(space, params):
+    """(label, operator, a thunk of its scipy reference) for every builder on ``space``."""
+    ref = partial(per_state_reference, space)
+    rabi = partial(per_state_hamiltonian, params, space)
+    yield "rabi", build_hamiltonian(params, space), rabi
+    yield "jc", build_jc_hamiltonian(params, space), partial(rabi, rotating_wave=True)
+    yield "parity", build_parity_operator(space), partial(ref, "parity")
+    yield "excitation", build_excitation_operator(space), partial(ref, "excitation")
+    for i in range(space.dims.M):
+        yield f"a_{i}", build_mode_lowering(space, i), partial(ref, "lowering", i)
+        yield f"n_{i}", build_mode_number(space, i), partial(ref, "number", i)
+    for j in range(space.dims.N):
+        for axis in "xyz+-":
+            yield f"s{axis}_{j}", build_qubit_op(space, j, axis), partial(ref, "qubit", j, axis)
+
+
+def zero_diagonal_params(M, N):
+    # delta_1 = sum of the other delta_j puts exact zeros on the vacuum diagonal
+    g = RNG.uniform(-1.0, 1.0, (M, N))
+    g[0, -1] = 0.0
+    return RabiParams(omega=np.ones(M), delta=[0.5] + [0.5 / (N - 1)] * (N - 1), g=g)
+
+
+@pytest.mark.parametrize("M,N,n_max", [(2, 2, 6), (3, 3, 4), (2, 3, 6)])
+def test_every_builder_csr_arrays_equal_scipy(M, N, n_max):
+    params = zero_diagonal_params(M, N)
+    for sector in (None, EVEN, ODD):
+        space = enumerate_basis(ModelDims(M, N, n_max), sector)
+        for label, op, reference in every_builder(space, params):
+            ref = reference()
+            assert_same_csr(op.matrix, ref, (label, sector))
+            assert_same_csr(op, ref, (label, sector))
+        if sector is None:
+            # the builders store explicit zeros where scipy does and drop them where it does
+            assert np.any(per_state_hamiltonian(params, space).data == 0)
+            assert build_excitation_operator(space).data.size < space.dim
+
+
+@pytest.mark.parametrize("M,N,n_max", [(2, 2, 6), (3, 3, 4), (2, 3, 6)])
+def test_every_builder_dense_and_product_equal_scipy_bit_for_bit(M, N, n_max):
+    params = zero_diagonal_params(M, N)
+    rng = np.random.default_rng(M * 100 + N * 10 + n_max)
+    for sector in (None, EVEN):
+        space = enumerate_basis(ModelDims(M, N, n_max), sector)
+        real = rng.normal(size=space.dim)
+        cplx = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        for label, op, _ in every_builder(space, params):
+            dense = op.dense()
+            assert dense.dtype == op.data.dtype and dense.flags.c_contiguous, label
+            assert dense.tobytes() == op.matrix.toarray().tobytes(), label
+            for v in (real, cplx):
+                got, ref = op @ v, op.matrix @ v
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (label, v.dtype)
+
+
+def test_assemble_keeps_zeros_and_diagonal_drops_them():
+    space = enumerate_basis(ModelDims(1, 2, 2))
+    d = space.dim
+    rows = np.array([3, 0, 5, 3, 1])
+    cols = np.array([2, 4, 0, 0, 1])
+    vals = np.array([0.0, 1.5, -0.0, -2.0, 0.25])
+    op = operators._assemble(space, rows, cols, vals)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(d, d)).tocsr()
+    assert_same_csr(op, ref)
+    assert np.count_nonzero(op.data == 0) == 2
+    # toarray adds every entry into +0.0, so the stored -0.0 reads +0.0
+    assert op.dense().tobytes() == ref.toarray().tobytes()
+    assert not np.signbit(op.dense()[5, 0])
+
+    diag = np.array([1.0, 0.0, -0.0, -3.0, 0.5] + [2.0] * (d - 5))
+    op = operators._diagonal(space, diag)
+    ref = sp.diags(diag).tocsr()
+    assert_same_csr(op, ref)
+    assert op.data.size == d - 2
+    assert op.dense().tobytes() == ref.toarray().tobytes()
+
+
+def test_leading_block_equals_scipy_slice():
+    # the cutoff prefixes of a sector, as the bright-mode sweep slices them;
+    # the vacuum diagonal holds an explicit zero
+    params = zero_diagonal_params(1, 3)
+    for sector in (EVEN, ODD):
+        H = build_hamiltonian(params, enumerate_basis(ModelDims(1, 3, 6), sector))
+        assert np.any(H.data == 0)
+        for n_max in range(7):
+            sub = enumerate_basis(ModelDims(1, 3, n_max), sector)
+            block = H.leading_block(sub)
+            assert block.space is sub
+            assert_same_csr(block, H.matrix[: sub.dim, : sub.dim], n_max)
+            assert np.array_equal(block.dense(), build_hamiltonian(params, sub).dense())
