@@ -27,12 +27,14 @@ included.  The protocol commands integrate with ``dynamics``'s own DOP853
 loop, so no command loads ``scipy.integrate``.
 
 ``scipy.sparse`` is loaded only by a command that forms a sparse product:
-the protocol commands (``adiabatic``, ``lindblad``, ``catch-release`` and
-``reproduce fig2|fig4|fig5``), whose mode reduction and integration terms
-are CSR, and an eigensolve above ``operators.DENSE_THRESHOLD``, which goes
-through ``eigsh``.  ``basis``, ``dark-verify``, ``solve-one-photon``,
-``circuit-map``, ``spectrum``, ``sweep`` and ``reproduce fig1a|fig1b``
-run on numpy alone at the sizes they are given by default.
+the open protocol commands (``lindblad``, ``catch-release`` and
+``reproduce fig4|fig5``), whose Lindblad generators are CSR, and an
+eigensolve above ``operators.DENSE_THRESHOLD``, which goes through
+``eigsh``.  ``basis``, ``dark-verify``, ``solve-one-photon``,
+``circuit-map``, ``spectrum``, ``sweep``, ``adiabatic`` and
+``reproduce fig1a|fig1b|fig2`` run on numpy alone at the sizes they are
+given by default: a closed run's isometry and terms are numpy arrays, and
+its segment operators are dense.
 """
 
 from __future__ import annotations

@@ -51,7 +51,15 @@ from .dop853 import solve_ivp
 from .errors import PositivityLoss, SpaceMismatch, StepFailure
 from .hilbert import HilbertSpace, parity_signs
 from .modes import mode_groups, reduce_modes
-from .operators import RabiParams, build_mode_lowering, build_mode_number, build_qubit_op
+from .operators import (
+    RabiParams,
+    SparseOperator,
+    build_hamiltonian,
+    build_mode_coupling,
+    build_mode_lowering,
+    build_photon_number,
+    build_qubit_op,
+)
 from .schedules import (  # noqa: F401  (re-exported: callers read them from dynamics)
     NoiseModel,
     PiecewiseLinear,
@@ -78,6 +86,51 @@ DENSE_SEGMENT_ENTRIES = 4096
 # scheduled Hamiltonian
 
 
+def _slopes(curve: PiecewiseLinear, times) -> np.ndarray:
+    """The curve's slope at each of ``times``, right-sided at every breakpoint.
+
+    At t it is the slope of the segment [t_j, t_j+1) that holds t, and 0
+    before the first breakpoint and from the last one on, where the curve
+    holds an end value.  ``TermSum`` and ``gap_monitor`` both read it.
+    """
+    ts, vs = curve.ts, curve.vs
+    j = np.searchsorted(ts, times, side="right") - 1
+    inside = (j >= 0) & (j < ts.size - 1)
+    out = np.zeros(j.shape)
+    j = j[inside]
+    out[inside] = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+    return out
+
+
+def _segment_weights(curves) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, weights) of ``TermSum``'s segment table over ``curves`` (a curve or None per term).
+
+    Row r of the table starts at starts[r]; rows 2r and 2r + 1 of weights
+    hold every c_k(starts[r]) and the slopes s_k there (see ``TermSum``).
+    """
+    ts = [c.ts for c in curves if c is not None]
+    breaks = np.unique(np.concatenate(ts)) if ts else np.zeros(0)
+    starts = np.concatenate([breaks[:1], breaks]) if ts else np.zeros(1)
+    value = np.ones((starts.size, len(curves)))
+    slope = np.zeros_like(value)
+    for k, c in enumerate(curves):
+        if c is not None:
+            value[:, k] = np.interp(starts, c.ts, c.vs)
+            slope[:, k] = _slopes(c, starts)
+    slope[0] = 0.0  # row 0 lies before every breakpoint
+    return starts, np.stack([value, slope], axis=1).reshape(-1, len(curves))
+
+
+def _dense(A) -> np.ndarray:
+    """A term as a dense array: a ``SparseOperator``'s ``dense()``, a scipy matrix's ``toarray()``."""
+    return A.dense() if isinstance(A, SparseOperator) else A.toarray()
+
+
+def _csr(A):
+    """A term as scipy CSR: a ``SparseOperator``'s ``matrix``, a scipy matrix as it is."""
+    return A.matrix if isinstance(A, SparseOperator) else A
+
+
 def _kron_identity(weights: np.ndarray, m: int):
     """kron(weights, I_m) in CSR, its arrays written directly.
 
@@ -100,6 +153,8 @@ def _kron_identity(weights: np.ndarray, m: int):
 class TermSum:
     """y -> sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``, n the columns of A_k.
 
+    Each A_k is a ``SparseOperator`` or a scipy sparse matrix.
+
     The coefficients c_k(t) are a curve's value or 1 for a term without
     one.  Every curve is piecewise linear, so on each row of a table over
     the merged breakpoints B of all curves (row 0 before B[0], row r on
@@ -108,44 +163,37 @@ class TermSum:
     row 0, where every curve holds its first value) and s_k the slope of
     curve k's segment there (0 where it holds an end value).  Row r stores
     one stacked operator S_r = [P_r; Q_r] with P_r = sum_k c_k(t_r) A_k =
-    the operator at t_r and Q_r = sum_k s_k A_k, so one call is a search on
-    B, one product S_r @ y and one axpy P_r y + (t - t_r) Q_r y.  Taking
-    t_r as the origin keeps t - t_r within the row, so P_r holds no
-    cancelling intercept.  The result is the term-by-term sum to rounding.
+    the operator at t_r and Q_r = sum_k s_k A_k (s_k from ``_slopes``), so
+    one call is a search on B, one product S_r @ y and one axpy
+    P_r y + (t - t_r) Q_r y.  Taking t_r as the origin keeps t - t_r within
+    the row, so P_r holds no cancelling intercept.  The result is the
+    term-by-term sum to rounding.
 
     S_r is a dense array when it holds fewer than ``DENSE_SEGMENT_ENTRIES``
-    entries, where a dense product is the faster one, and CSR from there on.
+    entries, where a dense product is the faster one, and CSR from there
+    on.  A dense S_r is summed in numpy as the CSR product sums it, so both
+    stores hold the same values: term by term over the nonzero weights, k
+    ascending, from +0.
     """
 
     def __init__(self, terms):
-        import scipy.sparse as sp  # only runs that integrate form sparse products
-
-        curves = [c for c, _ in terms]
         self._m, self._n = terms[0][1].shape
-        ts = [c.ts for c in curves if c is not None]
-        breaks = np.unique(np.concatenate(ts)) if ts else np.zeros(0)
-        starts = np.concatenate([breaks[:1], breaks]) if ts else np.zeros(1)
-        value = np.ones((starts.size, len(curves)))
-        slope = np.zeros_like(value)
-        for k, c in enumerate(curves):
-            if c is None:
-                continue
-            value[:, k] = np.interp(starts, c.ts, c.vs)
-            j = np.searchsorted(c.ts, starts, side="right") - 1
-            inside = (j >= 0) & (j < c.ts.size - 1)
-            inside[0] = False  # row 0 lies before every breakpoint
-            j = j[inside]
-            slope[inside, k] = (c.vs[j + 1] - c.vs[j]) / (c.ts[j + 1] - c.ts[j])
-        # rows 2r and 2r + 1 of the weights are value[r] and slope[r], so one
-        # product with the stacked A_k gives every S_r, in row order
-        weights = np.stack([value, slope], axis=1).reshape(-1, len(curves))
-        stack = sp.vstack([A for _, A in terms], format="csr")
-        segments = _kron_identity(weights, self._m) @ stack
+        starts, weights = _segment_weights([c for c, _ in terms])
         rows = 2 * self._m
-        self._breaks = breaks.tolist()
+        self._breaks = starts[1:].tolist()
         if rows * self._n < DENSE_SEGMENT_ENTRIES:
-            blocks = list(segments.toarray().reshape(starts.size, rows, self._n))
+            dense = [_dense(A) for _, A in terms]
+            stacked = np.zeros((weights.shape[0], self._m, self._n), dtype=np.result_type(*dense))
+            for k, A in enumerate(dense):
+                r = np.flatnonzero(weights[:, k])
+                stacked[r] += weights[r, k, None, None] * A
+            blocks = list(stacked.reshape(starts.size, rows, self._n))
         else:
+            import scipy.sparse as sp  # only large segments form sparse products
+
+            # one product with the stacked A_k gives every S_r, in row order
+            stack = sp.vstack([_csr(A) for _, A in terms], format="csr")
+            segments = _kron_identity(weights, self._m) @ stack
             blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
         self.segments = list(zip(starts.tolist(), blocks))
 
@@ -174,14 +222,15 @@ class TermSum:
 class ScheduledHamiltonian:
     """H(t) = sum_k c_k(t) H_k over ``terms``, (curve or None, H_k) pairs.
 
-    The terms are sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
+    The terms are ``SparseOperator``s from the numpy builders: the total
+    photon number sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
     protocol requires.  The terms are built on first use: a closed run that
     reduces never reads them.  ``apply``, ``at``, ``at_dense`` and
-    ``derivative_at`` read the segment operators of their ``TermSum``.  A
-    schedule whose mode or qubit count differs from the space's raises
-    SpaceMismatch.
+    ``derivative_at`` read the segment operators of their ``TermSum``;
+    ``at`` and ``derivative_at`` return scipy CSR.  A schedule whose mode
+    or qubit count differs from the space's raises SpaceMismatch.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
@@ -192,14 +241,9 @@ class ScheduledHamiltonian:
     @cached_property
     def terms(self) -> list:
         space, schedule = self.space, self.schedule
-        static = sum(build_mode_number(space, i).matrix for i in range(space.dims.M))
-        sx = [build_qubit_op(space, j, "x").matrix for j in range(space.dims.N)]
-        terms = [(None, static)]
-        for j, c in enumerate(schedule.delta):
-            terms.append((c, build_qubit_op(space, j, "z").matrix))
-        for i, c in enumerate(schedule.g):
-            a = build_mode_lowering(space, i).matrix
-            terms.append((c, sum((a + a.getH()) @ x for x in sx)))
+        terms = [(None, build_photon_number(space))]
+        terms += [(c, build_qubit_op(space, j, "z")) for j, c in enumerate(schedule.delta)]
+        terms += [(c, build_mode_coupling(space, i)) for i, c in enumerate(schedule.g)]
         return terms
 
     @cached_property
@@ -311,7 +355,7 @@ def evolve_schrodinger(
     closed = ProtocolSchedule(sched.duration, sched.delta, sched.g)
     if len(mode_groups(closed)) < space.dims.M:
         red = reduce_modes(space, closed)
-        start = red.isometry.T @ psi0
+        start = red.isometry.rmatvec(psi0)
         if np.linalg.norm(red.isometry @ start - psi0) <= RANGE_TOL * np.linalg.norm(psi0):
             run, V, psi0 = ScheduledHamiltonian(red.space, red.schedule), red.isometry, start
     terms = [(c, -1j * H) for c, H in run.terms]
@@ -381,7 +425,7 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
         return sp.vstack([superop, *rows], format="csr")
 
     terms = [
-        (c, block(commutator(h), {M + 1: -1j * (N_tot @ h - h @ N_tot)}))
+        (c, block(commutator(h.matrix), {M + 1: -1j * (N_tot @ h.matrix - h.matrix @ N_tot)}))
         for c, h in hamiltonian.terms
     ]
     static = sum(noise.kappa_in * dissipator(a) for a in a_ops)
@@ -567,6 +611,16 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # adiabatic diagnostics
 
 
+def _derivative_apply(hamiltonian: ScheduledHamiltonian, t: float, v: np.ndarray) -> np.ndarray:
+    """dH/dt v = sum_k s_k(t) (H_k @ v) over ``hamiltonian.terms``, s_k the ``_slopes`` of term k's curve."""
+    w = np.zeros(v.shape, dtype=np.result_type(v, float))
+    for c, H in hamiltonian.terms:
+        s = 0.0 if c is None else _slopes(c, [t])[0]
+        if s:
+            w += s * (H @ v)
+    return w
+
+
 def gap_monitor(
     hamiltonian: ScheduledHamiltonian,
     tracked_state,
@@ -581,13 +635,17 @@ def gap_monitor(
     orthonormalizing the degenerate subspace), the max adiabatic ratio
     |element| / gap^2 over nondegenerate levels, and the effective gap to
     the closest level actually coupled by Hdot.
+
+    H(t) is ``build_hamiltonian`` at ``params_at(t)``, diagonalised dense,
+    and Hdot v is ``_derivative_apply``'s term sum, so no sample forms a
+    sparse product.
     """
     samples = []
     for t in times:
-        H = hamiltonian.at_dense(t)
+        H = build_hamiltonian(hamiltonian.params_at(t), hamiltonian.space).dense()
         E, V = np.linalg.eigh(H)
         v, E_tracked = tracked_state(t)
-        w = hamiltonian.derivative_at(t) @ v
+        w = _derivative_apply(hamiltonian, t, v)
         elements = np.abs(V.conj().T @ w)
         degenerate = np.abs(E - E_tracked) < 1e-8
         # gauge-fix: orthonormal basis of the degenerate subspace

@@ -80,21 +80,61 @@ def mode_groups(schedule: ProtocolSchedule) -> list[list[int]]:
     return groups
 
 
+@dataclass(frozen=True, eq=False)
+class Isometry:
+    """The (full dim, reduced dim) matrix V, one entry per row: V[k, cols[k]] = amp[k].
+
+    Each full state lies in exactly one reduced state, so V is a weighted
+    gather and its products are numpy operations with the bytes of scipy's
+    CSR products.  ``V @ x`` is ``amp * x[cols]`` added into +0, for a
+    vector or for a matrix of reduced rows; ``rmatvec`` is V^T psi, each
+    reduced entry summed over its full states in index order from +0, the
+    real and the imaginary parts separately.
+    """
+
+    cols: np.ndarray
+    amp: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        out = np.zeros((self.shape[0], *x.shape[1:]), dtype=np.result_type(self.amp, x))
+        out += self.amp.reshape(-1, *(1,) * (x.ndim - 1)) * x[self.cols]
+        return out
+
+    def rmatvec(self, psi: np.ndarray) -> np.ndarray:
+        """V^T psi for a full state vector psi (V is real, so also V^dag psi)."""
+        p = self.amp * np.asarray(psi)
+        n = self.shape[1]
+        if not np.iscomplexobj(p):
+            return np.bincount(self.cols, p, minlength=n)
+        out = np.empty(n, dtype=p.dtype)
+        out.real = np.bincount(self.cols, p.real, minlength=n)
+        out.imag = np.bincount(self.cols, p.imag, minlength=n)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """V as a dense array, each entry added into +0.0 as scipy's ``toarray`` does."""
+        out = np.zeros(self.shape)
+        out[np.arange(self.shape[0]), self.cols] += self.amp
+        return out
+
+
 @dataclass(frozen=True)
 class ModeReduction:
     """A schedule rewritten on one bright mode per group.
 
     ``space`` and ``schedule`` are the reduced problem, ``groups`` the
     0-based full modes of each reduced mode, ``weights`` the u_i of every
-    full mode (sum u_i^2 = 1 over a group) and ``isometry`` the sparse
-    (full dim, reduced dim) matrix V.
+    full mode (sum u_i^2 = 1 over a group) and ``isometry`` the
+    (full dim, reduced dim) ``Isometry`` V.
     """
 
     space: HilbertSpace
     schedule: ProtocolSchedule
     groups: tuple
     weights: np.ndarray
-    isometry: scipy.sparse.csr_matrix
+    isometry: Isometry
 
     def embed(self, state: np.ndarray) -> np.ndarray:
         """V psi for a reduced state vector, V rho V^dag for a density matrix."""
@@ -121,8 +161,6 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     SpaceMismatch unless ``schedule`` has a ``g`` curve per mode and a
     ``delta`` curve per qubit of ``space``.
     """
-    import scipy.sparse as sp  # only runs that integrate form sparse products
-
     schedule.check_space(space)
     M, N, n_max = space.dims.M, space.dims.N, space.dims.n_max
     groups = mode_groups(schedule)
@@ -145,7 +183,7 @@ def reduce_modes(space: HilbertSpace, schedule: ProtocolSchedule) -> ModeReducti
     cols = reduced.indices(totals, space.spins)
     fact = np.array([factorial(n) for n in range(n_max + 1)], dtype=float)
     amp = np.sqrt(fact[totals].prod(axis=1) / fact[occ].prod(axis=1)) * (weights**occ).prod(axis=1)
-    V = sp.csr_matrix((amp, (np.arange(space.dim), cols)), shape=(space.dim, reduced.dim))
+    V = Isometry(cols, amp, (space.dim, reduced.dim))
     return ModeReduction(
         space=reduced,
         schedule=ProtocolSchedule(schedule.duration, schedule.delta, tuple(g), kappa_c),

@@ -123,6 +123,18 @@ class SparseOperator:
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __rmul__(self, c) -> SparseOperator:
+        """The scalar c times the operator, its entries ``data * c`` as scipy's ``c * matrix`` forms them."""
+        return SparseOperator(self.space, self.data * c, self.indices, self.indptr)
+
     @cached_property
     def matrix(self):
         """The ``scipy.sparse.csr_matrix`` of the arrays, on copies of them."""
@@ -356,6 +368,54 @@ def build_mode_number(space: HilbertSpace, i: int) -> SparseOperator:
     if not 0 <= i < space.dims.M:
         raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
     return _diagonal(space, space.occupations[:, i])
+
+
+def build_photon_number(space: HilbertSpace) -> SparseOperator:
+    """Total photon number sum_i a_i^dag a_i (diagonal)."""
+    return _diagonal(space, space.occupations.sum(axis=1))
+
+
+def build_mode_coupling(space: HilbertSpace, i: int) -> SparseOperator:
+    """X_i = sum_j (a_i + a_i^dag) sigma_jx, the operator product on ``space``.
+
+    Column c holds sqrt(n_i) at the state with qubit j flipped and one
+    photon fewer in mode i, and sqrt(n_i + 1) at the one with a photon
+    more, for every j, wherever both the flipped state and the target lie
+    in the space.  A parity sector holds no flipped state (sigma_jx maps it
+    out of itself), so there X_i is empty, as the product of the sector's
+    own a_i and sigma_jx is.
+
+    The arrays, row order included, are those of scipy's
+    ``sum((a + a.getH()) @ sx_j)``, whose rows are not sorted, so a CSR
+    product over X_i sums each row in that order.  scipy's product ends a
+    row with the entry it met first (a_i^dag, met before a_i), and its sum
+    of matrices whose rows are not sorted reverses their joined rows:
+    ``slots`` replays both.  Below n_max = 2 a row of a product holds one
+    entry at most, so the products are sorted and their sum sorts its rows.
+    """
+    if not 0 <= i < space.dims.M:
+        raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
+    n_i = space.occupations[:, i]
+    moves = {+1: (_targets(space, i, +1), np.sqrt(n_i + 1)), -1: (_targets(space, i, -1), np.sqrt(n_i))}
+    flips = [_targets(space, j=j) for j in range(space.dims.N)]
+    slots = [(0, -1), (0, +1)]
+    for j in range(1, space.dims.N):
+        slots = [(j, +1), (j, -1), *slots[::-1]]
+    rows, cols, vals, ranks = [], [], [], []
+    for rank, (j, dn) in enumerate(slots):
+        # sigma_jx takes c to k = flip[c], and a_i^dag or a_i takes k to tgt[k]
+        tgt, amplitude = moves[dn]
+        c = np.flatnonzero(flips[j] >= 0)
+        k = flips[j][c]
+        keep = tgt[k] >= 0
+        rows.append(tgt[k][keep])
+        cols.append(c[keep])
+        vals.append(amplitude[k][keep])
+        ranks.append(np.full(np.count_nonzero(keep), rank))
+    rows, cols, vals, ranks = (np.concatenate(x) for x in (rows, cols, vals, ranks))
+    # a row holds one entry per slot, so (row, rank) is distinct and rank < 2N < dim
+    order, _, indptr = _csr_layout(space.dim, rows, ranks if space.dims.n_max >= 2 else cols)
+    return SparseOperator(space, vals[order], cols[order].astype(indptr.dtype), indptr)
 
 
 def kronecker_oracle(params: RabiParams, space: HilbertSpace) -> np.ndarray:

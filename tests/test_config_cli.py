@@ -319,6 +319,8 @@ NUMPY_ONLY_RUNS = {
     "sweep": ["sweep"],
     "fig1a": ["reproduce", "fig1a"],
     "fig1b": ["reproduce", "fig1b"],
+    "adiabatic": ["adiabatic"],
+    "fig2": ["reproduce", "fig2"],
 }
 
 
@@ -335,6 +337,39 @@ def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(tmp_pa
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.strip() == "0 False"
+
+
+def test_closed_generation_and_gap_monitor_leave_scipy_sparse_unloaded():
+    # a W generation at (3, 2, 6) that integrates its bright mode, and the
+    # gap monitor on the full (2, 2, 4) space: their terms, isometry,
+    # segments and instantaneous Hamiltonians are numpy arrays
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = """
+import sys
+import numpy as np
+from mmrabi import dynamics, hilbert, solutions
+
+def vacuum_up(space):
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[space.index(hilbert.BasisState((0,) * space.dims.M, (hilbert.UP,) * space.dims.N))] = 1.0
+    return psi
+
+space = hilbert.enumerate_basis(hilbert.ModelDims(3, 2, 6))
+ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(3, 100.0))
+traj = dynamics.evolve_schrodinger(ht, vacuum_up(space), n_samples=3)
+target = solutions.dark_state_2q(ht.params_at(100.0), space).vector
+assert dynamics.fidelity(traj.final_state, target) > 0.99
+
+space = hilbert.enumerate_basis(hilbert.ModelDims(2, 2, 4))
+ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(2, 10.0))
+samples = dynamics.gap_monitor(
+    ht, lambda t: (solutions.dark_state_2q(ht.params_at(t), space).vector, 1.0), [1.0, 5.0, 9.0])
+assert max(s["max_degenerate_element"] for s in samples) < 1e-10
+print("scipy.sparse" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_no_module_imports_scipy_at_import_time():

@@ -208,7 +208,7 @@ def _term_sum_cases():
 def _rounding_scale(terms, y):
     """sum_k max|c_k| (|A_k| |y|): the size of each entry's products, for its rounding bound."""
     peaks = [1.0 if c is None else np.max(np.abs(c.vs)) for c, _ in terms]
-    return sum(peak * (abs(A) @ np.abs(y)) for peak, (_, A) in zip(peaks, terms))
+    return sum(peak * (abs(dynamics._csr(A)) @ np.abs(y)) for peak, (_, A) in zip(peaks, terms))
 
 
 ULP = np.finfo(float).eps
@@ -275,18 +275,24 @@ def test_segments_equal_those_of_the_kron_form(monkeypatch):
         return sp.kron(weights, sp.identity(m), format="csr")
 
     for terms, _ in _term_sum_cases():
-        for entries in (0, 10**9):  # CSR and dense segments
-            monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
-            direct = TermSum(terms).segments
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_kron_identity", kron_form)
-                ref = TermSum(terms).segments
-            for (t, S), (t_ref, S_ref) in zip(direct, ref, strict=True):
-                assert t == t_ref
-                if entries:
-                    assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes(), t
-                else:
-                    assert _csr_bytes(S) == _csr_bytes(S_ref), t
+        # CSR segments: the product with kron(weights, I_m) written directly
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
+        direct = TermSum(terms).segments
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_kron_identity", kron_form)
+            ref = TermSum(terms).segments
+        for (t, S), (t_ref, S_ref) in zip(direct, ref, strict=True):
+            assert t == t_ref and _csr_bytes(S) == _csr_bytes(S_ref), t
+        # dense segments, summed in numpy: the bytes of scipy's CSR product turned dense
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
+        starts, weights = dynamics._segment_weights([c for c, _ in terms])
+        m, n = terms[0][1].shape
+        stack = sp.vstack([dynamics._csr(A) for _, A in terms], format="csr")
+        product = (sp.kron(weights, sp.identity(m)) @ stack).toarray()
+        for r, (t, S) in enumerate(TermSum(terms).segments):
+            S_ref = product[2 * m * r : 2 * m * (r + 1)]
+            assert t == starts[r] and S.shape == (2 * m, n), t
+            assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes(), t
 
 
 def test_operator_views_agree():
@@ -316,9 +322,23 @@ def test_derivative_is_zero_where_a_curve_is_flat():
         assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-9
     # right-sided at every breakpoint, the final one included
     rise = 0.4 / 40.0
-    X = sum(A for c, A in ht.terms if c is ramp).toarray()
+    X = sum(A.dense() for c, A in ht.terms if c is ramp)
     for t, slope in zip((9.0, 10.0, 50.0, 51.0), (0.0, rise, 0.0, 0.0)):
         assert np.max(np.abs(ht.derivative_at(t).toarray() - slope * X)) < 1e-15, t
+
+
+def test_gap_monitor_derivative_is_derivative_at():
+    # the gap monitor's Hdot v sums the terms' products with the slopes that
+    # TermSum stores, so it is derivative_at(t) @ v to rounding, right-sided
+    # at every breakpoint of the flat-ramp schedule above
+    space = enumerate_basis(ModelDims(2, 2, 2))
+    ramp = PiecewiseLinear(np.array([10.0, 50.0]), np.array([0.0, 0.4]))
+    flat = PiecewiseLinear.constant(0.5, 100.0)
+    ht = ScheduledHamiltonian(space, ProtocolSchedule(100.0, (flat, flat), (ramp, ramp)))
+    v = np.array([1.0, 1j]) @ np.random.default_rng(7).normal(size=(2, space.dim))
+    for t in (9.0, 10.0, 50.0, 51.0):
+        got = dynamics._derivative_apply(ht, t, v)
+        assert np.max(np.abs(got - ht.derivative_at(t) @ v)) < 1e-15, t
 
 
 def test_lindblad_generator_matches_dense_master_equation():

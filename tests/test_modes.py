@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmrabi import dynamics
 from mmrabi.cli import cmd_adiabatic, cmd_catch_release, cmd_lindblad
@@ -110,7 +111,7 @@ def test_single_mode_groups_leave_the_problem_unchanged():
         for r, c in zip(getattr(red.schedule, role), getattr(sched, role)):
             assert np.array_equal(r.ts, c.ts)
             assert np.array_equal(r.vs, c.vs)
-    assert np.array_equal(red.isometry.toarray(), np.eye(space.dim))
+    assert np.array_equal(red.isometry.dense(), np.eye(space.dim))
 
 
 def test_reduction_refuses_a_schedule_that_does_not_fit():
@@ -128,13 +129,44 @@ def test_isometry_embeds_the_dark_state(sector):
     space = enumerate_basis(ModelDims(3, 2, 3), sector)
     sched = release_schedule(weights=(1.0, 1.0, np.sqrt(2.0)), delays=(5.0, 5.0, 0.0))
     red = reduce_modes(space, sched)
-    V = red.isometry
+    V = red.isometry.dense()
     assert red.space.dims == ModelDims(2, 2, 3) and red.space.sector == sector
-    assert np.max(np.abs((V.T @ V).toarray() - np.eye(red.space.dim))) < 1e-14
+    assert np.max(np.abs(V.T @ V - np.eye(red.space.dim))) < 1e-14
     t = 30.0
     full = dark_state_2q(sched.params_at(t), space).vector
     reduced = dark_state_2q(red.schedule.params_at(t), red.space).vector
     assert np.max(np.abs(red.embed(reduced) - full)) < 1e-14
+
+
+@pytest.mark.parametrize("sector", [None, EVEN])
+def test_isometry_products_equal_scipy_bit_for_bit(sector):
+    # a negative and a zero weight give negative and exactly zero
+    # amplitudes, and the vectors hold zeros of both signs, so the signed
+    # zeros of scipy's sums from +0 are pinned as well
+    ts = hand_schedule(G1).g[0].ts
+    g = tuple(PiecewiseLinear(ts, f * G1) for f in (1.0, -0.5, 0.0))
+    sched = ProtocolSchedule(20.0, hand_schedule(G1).delta, g)
+    V = reduce_modes(enumerate_basis(ModelDims(3, 2, 3), sector), sched).isometry
+    n, d = V.shape
+    assert d < n and np.any(V.amp < 0) and np.any(V.amp == 0)
+    ref = sp.csr_matrix((V.amp, (np.arange(n), V.cols)), shape=V.shape)
+    assert V.dense().tobytes() == ref.toarray().tobytes()
+    rng = np.random.default_rng(29)
+
+    def draw(dtype, *shape):
+        x = rng.normal(size=shape)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=shape)
+            x.imag[..., 2::4], x.imag[..., 3::8] = -0.0, 0.0
+        x.real[..., ::4], x.real[..., 1::4] = 0.0, -0.0
+        return x
+
+    for dtype in (float, complex):
+        x, psi = draw(dtype, d), draw(dtype, n)
+        X = draw(dtype, 7, d).T  # a strided view of reduced columns, as evolve_schrodinger hands them
+        for got, want in ((V @ x, ref @ x), (V @ X, ref @ X), (V.rmatvec(psi), ref.T @ psi)):
+            assert got.dtype == want.dtype and got.shape == want.shape, dtype
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), dtype
 
 
 def test_embedded_operators_match():
@@ -143,7 +175,7 @@ def test_embedded_operators_match():
     sched = hand_schedule(SHAPE)
     red = reduce_modes(space, sched)
     full_h, red_h = ScheduledHamiltonian(space, sched), ScheduledHamiltonian(red.space, red.schedule)
-    V = red.isometry
+    V = red.isometry.dense()
     for t in (0.0, 3.3, 7.0, 15.0):
         diff = V.T @ full_h.at(t) @ V - red_h.at(t)
         assert abs(diff).max() < 1e-14

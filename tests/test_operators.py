@@ -22,9 +22,11 @@ from mmrabi.operators import (
     build_excitation_operator,
     build_hamiltonian,
     build_jc_hamiltonian,
+    build_mode_coupling,
     build_mode_lowering,
     build_mode_number,
     build_parity_operator,
+    build_photon_number,
     build_qubit_op,
     kronecker_oracle,
 )
@@ -478,6 +480,19 @@ def per_state_reference(space, builder, *args):
     return sp.coo_matrix((vals, (rows, cols)), shape=(space.dim,) * 2).tocsr()
 
 
+def scheduled_term_reference(space, i=None):
+    """The scipy products that define ``ScheduledHamiltonian``'s terms.
+
+    sum_i n_i, or X_i = sum_j (a_i + a_i^dag) sigma_jx, whose rows are
+    left in the order of scipy's product and sum, not sorted.  On a parity
+    sector a_i and sigma_jx store nothing, and so X_i is empty.
+    """
+    if i is None:
+        return sum(build_mode_number(space, k).matrix for k in range(space.dims.M))
+    a = build_mode_lowering(space, i).matrix
+    return sum((a + a.getH()) @ build_qubit_op(space, j, "x").matrix for j in range(space.dims.N))
+
+
 def every_builder(space, params):
     """(label, operator, a thunk of its scipy reference) for every builder on ``space``."""
     ref = partial(per_state_reference, space)
@@ -486,9 +501,11 @@ def every_builder(space, params):
     yield "jc", build_jc_hamiltonian(params, space), partial(rabi, rotating_wave=True)
     yield "parity", build_parity_operator(space), partial(ref, "parity")
     yield "excitation", build_excitation_operator(space), partial(ref, "excitation")
+    yield "photons", build_photon_number(space), partial(scheduled_term_reference, space)
     for i in range(space.dims.M):
         yield f"a_{i}", build_mode_lowering(space, i), partial(ref, "lowering", i)
         yield f"n_{i}", build_mode_number(space, i), partial(ref, "number", i)
+        yield f"X_{i}", build_mode_coupling(space, i), partial(scheduled_term_reference, space, i)
     for j in range(space.dims.N):
         for axis in "xyz+-":
             yield f"s{axis}_{j}", build_qubit_op(space, j, axis), partial(ref, "qubit", j, axis)
@@ -531,6 +548,30 @@ def test_every_builder_dense_and_product_equal_scipy_bit_for_bit(M, N, n_max):
             for v in (real, cplx):
                 got, ref = op @ v, op.matrix @ v
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (label, v.dtype)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_mode_coupling_rows_keep_scipys_order(N):
+    # below n_max = 2 scipy's sum sorts the rows, from 2 on it keeps an
+    # order of its own, and the rows of X_i follow it either way
+    for M, n_max in itertools.product((1, 2), (0, 1, 2, 3)):
+        space = enumerate_basis(ModelDims(M, N, n_max))
+        for i in range(M):
+            ref = scheduled_term_reference(space, i)
+            assert_same_csr(build_mode_coupling(space, i), ref, (M, n_max, i))
+            if n_max >= 2:
+                assert not ref.has_sorted_indices
+
+
+def test_scalar_multiple_equals_scipy():
+    # -1j * H_k is how closed runs turn their terms into the equations of motion
+    params = zero_diagonal_params(2, 2)
+    space = enumerate_basis(ModelDims(2, 2, 3))
+    for label, op, _ in every_builder(space, params):
+        for c in (-1j, 0.5, -2.0):
+            scaled = c * op
+            assert scaled.space is space and scaled.shape == op.shape
+            assert_same_csr(scaled, c * op.matrix, (label, c))
 
 
 def test_assemble_keeps_zeros_and_diagonal_drops_them():
