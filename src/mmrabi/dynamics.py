@@ -59,6 +59,7 @@ from .operators import (
     build_mode_lowering,
     build_photon_number,
     build_qubit_op,
+    fill_hamiltonian,
 )
 from .schedules import (  # noqa: F401  (re-exported: callers read them from dynamics)
     NoiseModel,
@@ -91,7 +92,7 @@ def _slopes(curve: PiecewiseLinear, times) -> np.ndarray:
 
     At t it is the slope of the segment [t_j, t_j+1) that holds t, and 0
     before the first breakpoint and from the last one on, where the curve
-    holds an end value.  ``TermSum`` and ``gap_monitor`` both read it.
+    holds an end value.  ``TermSum`` and ``derivative_at`` both read it.
     """
     ts, vs = curve.ts, curve.vs
     j = np.searchsorted(ts, times, side="right") - 1
@@ -197,26 +198,10 @@ class TermSum:
             blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
         self.segments = list(zip(starts.tolist(), blocks))
 
-    def _segment(self, t: float):
-        return self.segments[bisect.bisect_right(self._breaks, t)]
-
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        t0, S = self._segment(t)
+        t0, S = self.segments[bisect.bisect_right(self._breaks, t)]
         pq = S @ y[: self._n]
         return pq[: self._m] + (t - t0) * pq[self._m :]
-
-    def operator(self, t: float):
-        """sum_k c_k(t) A_k, a dense array or CSR as the segments are stored."""
-        t0, S = self._segment(t)
-        return S[: self._m] + (t - t0) * S[self._m :]
-
-    def slope(self, t: float):
-        """sum_k s_k A_k on the row that holds t, stored as ``operator``'s result is.
-
-        Right-sided at every breakpoint, the last one of a curve included,
-        where the curve starts to hold its end value and its slope is 0.
-        """
-        return self._segment(t)[1][self._m :]
 
 
 class ScheduledHamiltonian:
@@ -226,11 +211,13 @@ class ScheduledHamiltonian:
     photon number sum_i n_i (no curve, omega = 1), Sz_j (``delta[j]``) and
     X_i = (a_i + a_i^dag) sum_j sigma_jx (``g[i]``): mode i couples
     symmetrically to every qubit, the g_ij = g_i structure the dark-state
-    protocol requires.  The terms are built on first use: a closed run that
-    reduces never reads them.  ``apply``, ``at``, ``at_dense`` and
-    ``derivative_at`` read the segment operators of their ``TermSum``;
-    ``at`` and ``derivative_at`` return scipy CSR.  A schedule whose mode
-    or qubit count differs from the space's raises SpaceMismatch.
+    protocol requires.  X_i is a slice of the space's Hamiltonian pattern,
+    so on a parity sector it couples within the sector, as H does.  The
+    terms are built on first use: a closed run that reduces never reads
+    them.  ``apply`` is their ``TermSum``.  ``at`` is ``build_hamiltonian``
+    at ``params_at(t)`` and ``derivative_at`` the same pattern filled with
+    the slopes, both ``SparseOperator``s.  A schedule whose mode or qubit
+    count differs from the space's raises SpaceMismatch.
     """
 
     def __init__(self, space: HilbertSpace, schedule: ProtocolSchedule):
@@ -255,24 +242,22 @@ class ScheduledHamiltonian:
         """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
         return self.term_sum(t, y)
 
-    def at(self, t: float) -> scipy.sparse.csr_matrix:
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(self.term_sum.operator(t))
+    def at(self, t: float) -> SparseOperator:
+        return build_hamiltonian(self.params_at(t), self.space)
 
     def at_dense(self, t: float) -> np.ndarray:
-        H = self.term_sum.operator(t)
-        return H if isinstance(H, np.ndarray) else H.toarray()
+        return self.at(t).dense()
 
-    def derivative_at(self, t: float) -> scipy.sparse.csr_matrix:
-        """dH/dt from the segment store, right-sided at every breakpoint.
+    def derivative_at(self, t: float) -> SparseOperator:
+        """dH/dt: the Hamiltonian pattern filled with omega = 0 and the curves' ``_slopes``.
 
-        At a curve's final breakpoint this is 0, the slope of the end value
-        the curve holds from there on.
+        Right-sided at every breakpoint, so 0 from a curve's final
+        breakpoint on, where the curve holds its end value.
         """
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(self.term_sum.slope(t))
+        delta = np.array([_slopes(c, [t])[0] for c in self.schedule.delta])
+        g = np.array([_slopes(c, [t])[0] for c in self.schedule.g])
+        g_ij = np.outer(g, np.ones(delta.size))
+        return fill_hamiltonian(self.space, np.zeros(g.size), delta, g_ij)
 
     def params_at(self, t: float) -> RabiParams:
         return self.schedule.params_at(t)
@@ -398,11 +383,16 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
     -i tr(N [H, rho]).  Each H_k lifts to -i[H_k, .] with H_k's curve, the
     constant kappa_in, gamma and gamma_phi terms join the block without a
     curve, and D[a_i] follows with the schedule's ``kappa_c[i]``, in mode
-    order, when the schedule has line couplings.
+    order, when the schedule has line couplings.  A parity-sector space
+    raises SpaceMismatch: a_i and s_j^- leave it, so their jumps would be
+    lost.
     """
+    space = hamiltonian.space
+    if space.sector is not None:
+        sign = space.sector.sign
+        raise SpaceMismatch(f"open runs need the full space, not the parity {sign:+d} sector")
     import scipy.sparse as sp
 
-    space = hamiltonian.space
     dim, M, N = space.dim, space.dims.M, space.dims.N
     a_ops = [build_mode_lowering(space, i).matrix for i in range(M)]
     n_ops = [a.getH() @ a for a in a_ops]
@@ -611,16 +601,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # adiabatic diagnostics
 
 
-def _derivative_apply(hamiltonian: ScheduledHamiltonian, t: float, v: np.ndarray) -> np.ndarray:
-    """dH/dt v = sum_k s_k(t) (H_k @ v) over ``hamiltonian.terms``, s_k the ``_slopes`` of term k's curve."""
-    w = np.zeros(v.shape, dtype=np.result_type(v, float))
-    for c, H in hamiltonian.terms:
-        s = 0.0 if c is None else _slopes(c, [t])[0]
-        if s:
-            w += s * (H @ v)
-    return w
-
-
 def gap_monitor(
     hamiltonian: ScheduledHamiltonian,
     tracked_state,
@@ -636,16 +616,14 @@ def gap_monitor(
     |element| / gap^2 over nondegenerate levels, and the effective gap to
     the closest level actually coupled by Hdot.
 
-    H(t) is ``build_hamiltonian`` at ``params_at(t)``, diagonalised dense,
-    and Hdot v is ``_derivative_apply``'s term sum, so no sample forms a
-    sparse product.
+    H(t) is ``at_dense``, diagonalised dense, and Hdot v is
+    ``derivative_at(t) @ v``, so no sample forms a sparse product.
     """
     samples = []
     for t in times:
-        H = build_hamiltonian(hamiltonian.params_at(t), hamiltonian.space).dense()
-        E, V = np.linalg.eigh(H)
+        E, V = np.linalg.eigh(hamiltonian.at_dense(t))
         v, E_tracked = tracked_state(t)
-        w = _derivative_apply(hamiltonian, t, v)
+        w = hamiltonian.derivative_at(t) @ v
         elements = np.abs(V.conj().T @ w)
         degenerate = np.abs(E - E_tracked) < 1e-8
         # gauge-fix: orthonormal basis of the degenerate subspace

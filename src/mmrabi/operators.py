@@ -30,7 +30,10 @@ only fills in values: g_ij * sqrt(n) off the diagonal and
 sum_i omega_i n_i + sum_j delta_j s_j on it, each sum accumulated in mode
 (qubit) order, which fixes its rounding.  A build gives the same CSR
 arrays, bit for bit, as assembling the nonzero terms one by one.
-Patterns live in a small LRU cache.
+Patterns live in a small LRU cache.  The pattern is the one layout of
+every Hamiltonian mmrabi forms: ``fill_hamiltonian`` also fills it with
+the slopes of a schedule for dH/dt, and the coupling terms X_i of a
+schedule (``build_mode_coupling``) are slices of it.
 
 An operator is its CSR arrays, ``data``/``indices``/``indptr`` as numpy
 arrays, in the order and with the index dtype of scipy's
@@ -175,13 +178,17 @@ class SparseOperator:
         d = space.dim
         end = self.indptr[d]
         keep = self.indices[:end] < d
-        kept_before = np.concatenate([[0], np.cumsum(keep)])
-        indptr = kept_before[self.indptr[: d + 1]].astype(self.indptr.dtype)
+        indptr = _kept_indptr(keep, self.indptr[: d + 1])
         return SparseOperator(space, self.data[:end][keep], self.indices[:end][keep], indptr)
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
         return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
+
+
+def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The ``indptr`` of the entries where ``keep`` holds, their rows delimited by ``indptr``."""
+    return np.concatenate([[0], np.cumsum(keep)])[indptr].astype(indptr.dtype)
 
 
 def _csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray):
@@ -223,14 +230,14 @@ def _targets(space: HilbertSpace, i: int | None = None, dn: int = 0, j: int | No
     return space.indices(occ, spins)
 
 
-def _bare_diagonal(params: RabiParams, space: HilbertSpace) -> np.ndarray:
+def _bare_diagonal(omega, delta, space: HilbertSpace) -> np.ndarray:
     """sum_i omega_i n_i + sum_j delta_j s_j, each sum accumulated in index order."""
     photons = np.zeros(space.dim)
-    for i in range(params.M):
-        photons = photons + params.omega[i] * space.occupations[:, i]
+    for i, w in enumerate(omega):
+        photons = photons + w * space.occupations[:, i]
     qubits = np.zeros(space.dim)
-    for j in range(params.N):
-        qubits = qubits + params.delta[j] * space.spins[:, j]
+    for j, d in enumerate(delta):
+        qubits = qubits + d * space.spins[:, j]
     return photons + qubits
 
 
@@ -296,14 +303,24 @@ def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]
     return pattern
 
 
-def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
-    """H filled into the cached pattern of its space and of its nonzero couplings."""
-    params.check_space(space)
-    g = params.g.ravel()
+def fill_hamiltonian(
+    space: HilbertSpace, omega, delta, g, rotating_wave: bool = False
+) -> SparseOperator:
+    """The Hamiltonian of (omega, delta, g) filled into the cached pattern of its nonzero g.
+
+    The values are not checked as ``RabiParams`` checks them, so the same
+    fill forms dH/dt from omega = 0 and the slopes of delta and g.
+    """
+    g = np.asarray(g, dtype=float).ravel()
     pattern = _pattern(space, rotating_wave, tuple((g != 0).tolist()))
     data = np.append(g, 1.0)[pattern.term] * pattern.amplitude
-    data[pattern.diagonal] = _bare_diagonal(params, space)
+    data[pattern.diagonal] = _bare_diagonal(omega, delta, space)
     return SparseOperator(space, data, pattern.indices, pattern.indptr)
+
+
+def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
+    params.check_space(space)
+    return fill_hamiltonian(space, params.omega, params.delta, params.g, rotating_wave)
 
 
 def build_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
@@ -376,46 +393,22 @@ def build_photon_number(space: HilbertSpace) -> SparseOperator:
 
 
 def build_mode_coupling(space: HilbertSpace, i: int) -> SparseOperator:
-    """X_i = sum_j (a_i + a_i^dag) sigma_jx, the operator product on ``space``.
+    """X_i = sum_j (a_i + a_i^dag) sigma_jx, mode i's slice of the Rabi pattern with every g_ij on.
 
     Column c holds sqrt(n_i) at the state with qubit j flipped and one
     photon fewer in mode i, and sqrt(n_i + 1) at the one with a photon
-    more, for every j, wherever both the flipped state and the target lie
-    in the space.  A parity sector holds no flipped state (sigma_jx maps it
-    out of itself), so there X_i is empty, as the product of the sector's
-    own a_i and sigma_jx is.
-
-    The arrays, row order included, are those of scipy's
-    ``sum((a + a.getH()) @ sx_j)``, whose rows are not sorted, so a CSR
-    product over X_i sums each row in that order.  scipy's product ends a
-    row with the entry it met first (a_i^dag, met before a_i), and its sum
-    of matrices whose rows are not sorted reverses their joined rows:
-    ``slots`` replays both.  Below n_max = 2 a row of a product holds one
-    entry at most, so the products are sorted and their sum sorts its rows.
+    more, for every j.  Each move keeps the parity, so on a parity sector
+    X_i couples the sector's own states, as H does there.  The entries are
+    those of the coupling slots i N .. i N + N - 1 in ``_pattern``, which
+    is sorted CSR; the diagonal slot M N falls in no mode.
     """
-    if not 0 <= i < space.dims.M:
-        raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
-    n_i = space.occupations[:, i]
-    moves = {+1: (_targets(space, i, +1), np.sqrt(n_i + 1)), -1: (_targets(space, i, -1), np.sqrt(n_i))}
-    flips = [_targets(space, j=j) for j in range(space.dims.N)]
-    slots = [(0, -1), (0, +1)]
-    for j in range(1, space.dims.N):
-        slots = [(j, +1), (j, -1), *slots[::-1]]
-    rows, cols, vals, ranks = [], [], [], []
-    for rank, (j, dn) in enumerate(slots):
-        # sigma_jx takes c to k = flip[c], and a_i^dag or a_i takes k to tgt[k]
-        tgt, amplitude = moves[dn]
-        c = np.flatnonzero(flips[j] >= 0)
-        k = flips[j][c]
-        keep = tgt[k] >= 0
-        rows.append(tgt[k][keep])
-        cols.append(c[keep])
-        vals.append(amplitude[k][keep])
-        ranks.append(np.full(np.count_nonzero(keep), rank))
-    rows, cols, vals, ranks = (np.concatenate(x) for x in (rows, cols, vals, ranks))
-    # a row holds one entry per slot, so (row, rank) is distinct and rank < 2N < dim
-    order, _, indptr = _csr_layout(space.dim, rows, ranks if space.dims.n_max >= 2 else cols)
-    return SparseOperator(space, vals[order], cols[order].astype(indptr.dtype), indptr)
+    M, N = space.dims.M, space.dims.N
+    if not 0 <= i < M:
+        raise IndexOutOfRange(f"mode index {i} for M={M}")
+    pattern = _pattern(space, False, (True,) * (M * N))
+    keep = pattern.term // N == i
+    indptr = _kept_indptr(keep, pattern.indptr)
+    return SparseOperator(space, pattern.amplitude[keep], pattern.indices[keep], indptr)
 
 
 def kronecker_oracle(params: RabiParams, space: HilbertSpace) -> np.ndarray:

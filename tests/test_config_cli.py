@@ -372,6 +372,28 @@ print("scipy.sparse" in sys.modules)
     assert run.stdout.strip() == "False"
 
 
+def test_hamiltonian_views_leave_scipy_sparse_unloaded():
+    # at, at_dense and derivative_at fill the numpy pattern of the space
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
+    code = """
+import sys
+import numpy as np
+from mmrabi import dynamics, hilbert
+
+space = hilbert.enumerate_basis(hilbert.ModelDims(2, 2, 4))
+ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(2, 10.0))
+v = np.ones(space.dim)
+for t in (0.0, 1.0, 5.0, 10.0):
+    H = ht.at(t)
+    assert np.array_equal(H.dense(), ht.at_dense(t))
+    assert (ht.derivative_at(t) @ v).shape == v.shape
+print("scipy.sparse" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_no_module_imports_scipy_at_import_time():
     # scipy is imported inside the functions that use it, never by a module
     # body (a class body or a module-level block included)

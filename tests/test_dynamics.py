@@ -35,7 +35,7 @@ from mmrabi.dynamics import (
     trace_distance,
 )
 from mmrabi.errors import InvalidSchedule, PositivityLoss, SpaceMismatch
-from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
+from mmrabi.hilbert import EVEN, ODD, UP, BasisState, ModelDims, enumerate_basis
 from mmrabi.modes import mode_groups
 from mmrabi.operators import (
     RabiParams,
@@ -244,8 +244,9 @@ def test_dense_and_sparse_segments_agree(monkeypatch):
         dense = TermSum(terms)
         assert all(sp.issparse(S) for _, S in sparse.segments)
         assert all(isinstance(S, np.ndarray) for _, S in dense.segments)
+        for (t, S), (t_sparse, S_sparse) in zip(dense.segments, sparse.segments, strict=True):
+            assert t == t_sparse and np.array_equal(S, S_sparse.toarray()), t
         for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
-            assert np.array_equal(dense.operator(t), sparse.operator(t).toarray()), t
             for y in states:
                 bound = 4 * ULP * _rounding_scale(terms, y)
                 assert np.all(np.abs(dense(t, y) - sparse(t, y)) <= bound), t
@@ -302,12 +303,23 @@ def test_operator_views_agree():
     for t in PHASE_TIMES:
         H = ht.at(t)
         reference = build_hamiltonian(ht.params_at(t), space).dense()
-        assert np.max(np.abs(H.toarray() - reference)) < 1e-14
+        assert np.max(np.abs(H.dense() - reference)) < 1e-14
         assert np.allclose(ht.apply(t, y), H @ y, rtol=0.0, atol=1e-14)
-        assert np.array_equal(ht.at_dense(t), H.toarray())
+        assert np.array_equal(ht.at_dense(t), H.dense())
         h = 1e-4
-        central = (ht.at(t + h) - ht.at(t - h)).toarray() / (2 * h)
-        assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-8
+        central = (ht.at_dense(t + h) - ht.at_dense(t - h)) / (2 * h)
+        assert np.max(np.abs(ht.derivative_at(t).dense() - central)) < 1e-8
+
+
+@pytest.mark.parametrize("sector", [EVEN, ODD], ids=["even", "odd"])
+def test_scheduled_terms_couple_within_a_sector(sector):
+    # X_i keeps the parity, so on a sector the term sum is H(t) there
+    space = enumerate_basis(ModelDims(2, 2, 3), sector)
+    ht = ScheduledHamiltonian(space, release_schedule())
+    y = np.array([1.0, 1j]) @ np.random.default_rng(17).normal(size=(2, space.dim))
+    for t in PHASE_TIMES:
+        H = build_hamiltonian(ht.params_at(t), space).dense()
+        assert np.max(np.abs(ht.apply(t, y) - H @ y)) < 1e-14, t
 
 
 def test_derivative_is_zero_where_a_curve_is_flat():
@@ -318,27 +330,29 @@ def test_derivative_is_zero_where_a_curve_is_flat():
     ht = ScheduledHamiltonian(space, ProtocolSchedule(100.0, (flat, flat), (ramp, ramp)))
     for t in (5.0, 30.0, 70.0):
         h = 1e-4
-        central = (ht.at(t + h) - ht.at(t - h)).toarray() / (2 * h)
-        assert np.max(np.abs(ht.derivative_at(t).toarray() - central)) < 1e-9
+        central = (ht.at_dense(t + h) - ht.at_dense(t - h)) / (2 * h)
+        assert np.max(np.abs(ht.derivative_at(t).dense() - central)) < 1e-9
     # right-sided at every breakpoint, the final one included
     rise = 0.4 / 40.0
     X = sum(A.dense() for c, A in ht.terms if c is ramp)
     for t, slope in zip((9.0, 10.0, 50.0, 51.0), (0.0, rise, 0.0, 0.0)):
-        assert np.max(np.abs(ht.derivative_at(t).toarray() - slope * X)) < 1e-15, t
+        assert np.max(np.abs(ht.derivative_at(t).dense() - slope * X)) < 1e-15, t
 
 
 def test_gap_monitor_derivative_is_derivative_at():
-    # the gap monitor's Hdot v sums the terms' products with the slopes that
-    # TermSum stores, so it is derivative_at(t) @ v to rounding, right-sided
-    # at every breakpoint of the flat-ramp schedule above
+    # the gap monitor's Hdot v is derivative_at(t) @ v, the pattern filled
+    # with the slopes: the terms' products weighted by the same right-sided
+    # slopes TermSum stores, at every breakpoint of the flat-ramp schedule above
     space = enumerate_basis(ModelDims(2, 2, 2))
     ramp = PiecewiseLinear(np.array([10.0, 50.0]), np.array([0.0, 0.4]))
     flat = PiecewiseLinear.constant(0.5, 100.0)
     ht = ScheduledHamiltonian(space, ProtocolSchedule(100.0, (flat, flat), (ramp, ramp)))
     v = np.array([1.0, 1j]) @ np.random.default_rng(7).normal(size=(2, space.dim))
     for t in (9.0, 10.0, 50.0, 51.0):
-        got = dynamics._derivative_apply(ht, t, v)
-        assert np.max(np.abs(got - ht.derivative_at(t) @ v)) < 1e-15, t
+        expected = sum(
+            dynamics._slopes(c, [t])[0] * (H @ v) for c, H in ht.terms if c is not None
+        )
+        assert np.max(np.abs(ht.derivative_at(t) @ v - expected)) < 1e-15, t
 
 
 def test_lindblad_generator_matches_dense_master_equation():
@@ -527,6 +541,20 @@ def test_schrodinger_integrates_the_hamiltonian_view(M):
     assert np.array_equal(traj.states, ref.y.T)
 
 
+@pytest.mark.parametrize("schedule", [make_w_generation_schedule, distinct_schedule],
+                         ids=["reduced", "unreduced"])
+def test_sector_run_is_the_full_run_restricted(schedule):
+    # the even sector holds |0, up, up> and every state H(t) reaches from it
+    full = w_space()
+    even = enumerate_basis(full.dims, EVEN)
+    sched = schedule(2, 20.0)
+    runs = [evolve_schrodinger(ScheduledHamiltonian(s, sched), vacuum_up(s), n_samples=5)
+            for s in (full, even)]
+    sel = full.indices(even.occupations, even.spins)
+    assert np.max(np.abs(runs[0].states[:, sel] - runs[1].states)) < 1e-7
+    assert np.max(np.abs(np.delete(runs[0].states, sel, axis=1))) == 0.0
+
+
 def test_one_right_hand_side():
     # every run hands its terms to _integrate, which alone calls the solver;
     # call sites are counted, not the solver's own def or its docstring
@@ -708,6 +736,18 @@ def test_zero_rate_lindblad_matches_schrodinger():
     )
     psi = pure.final_state
     assert trace_distance(mixed.final_state, np.outer(psi, psi.conj())) < 1e-6
+
+
+def test_open_runs_on_a_sector_raise():
+    # a_i and s_j^- leave a parity sector, so no open run can stay in one
+    space = enumerate_basis(ModelDims(2, 2, 3), EVEN)
+    ht = ScheduledHamiltonian(space, make_w_generation_schedule(2, 20.0))
+    psi0 = vacuum_up(space)
+    noise = NoiseModel(kappa_in=1e-3)
+    with pytest.raises(SpaceMismatch, match="full space"):
+        lindblad_generator(ht, noise)
+    with pytest.raises(SpaceMismatch, match="full space"):
+        evolve_lindblad(ht, noise, np.outer(psi0, psi0.conj()), n_samples=3)
 
 
 def test_lindblad_trace_preserved_and_ledger():

@@ -177,7 +177,7 @@ def test_embedded_operators_match():
     full_h, red_h = ScheduledHamiltonian(space, sched), ScheduledHamiltonian(red.space, red.schedule)
     V = red.isometry.dense()
     for t in (0.0, 3.3, 7.0, 15.0):
-        diff = V.T @ full_h.at(t) @ V - red_h.at(t)
+        diff = V.T @ full_h.at_dense(t) @ V - red_h.at_dense(t)
         assert abs(diff).max() < 1e-14
 
 

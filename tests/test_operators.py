@@ -483,14 +483,19 @@ def per_state_reference(space, builder, *args):
 def scheduled_term_reference(space, i=None):
     """The scipy products that define ``ScheduledHamiltonian``'s terms.
 
-    sum_i n_i, or X_i = sum_j (a_i + a_i^dag) sigma_jx, whose rows are
-    left in the order of scipy's product and sum, not sorted.  On a parity
-    sector a_i and sigma_jx store nothing, and so X_i is empty.
+    sum_i n_i, or X_i = sum_j (a_i + a_i^dag) sigma_jx with its rows
+    sorted.  a_i and sigma_jx each leave a parity sector, so there X_i is
+    the full-space X_i restricted to the sector's states.
     """
     if i is None:
         return sum(build_mode_number(space, k).matrix for k in range(space.dims.M))
-    a = build_mode_lowering(space, i).matrix
-    return sum((a + a.getH()) @ build_qubit_op(space, j, "x").matrix for j in range(space.dims.N))
+    full = enumerate_basis(space.dims)
+    a = build_mode_lowering(full, i).matrix
+    X = sum((a + a.getH()) @ build_qubit_op(full, j, "x").matrix for j in range(full.dims.N))
+    if space.sector is not None:
+        sel = full.indices(space.occupations, space.spins)
+        X = X[sel][:, sel]
+    return X.sorted_indices()
 
 
 def every_builder(space, params):
@@ -551,16 +556,16 @@ def test_every_builder_dense_and_product_equal_scipy_bit_for_bit(M, N, n_max):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_mode_coupling_rows_keep_scipys_order(N):
-    # below n_max = 2 scipy's sum sorts the rows, from 2 on it keeps an
-    # order of its own, and the rows of X_i follow it either way
+def test_mode_coupling_is_the_sorted_scipy_product(N):
+    # X_i is a slice of the Hamiltonian pattern, whose rows are sorted, on
+    # the full space and within either parity sector
     for M, n_max in itertools.product((1, 2), (0, 1, 2, 3)):
-        space = enumerate_basis(ModelDims(M, N, n_max))
-        for i in range(M):
-            ref = scheduled_term_reference(space, i)
-            assert_same_csr(build_mode_coupling(space, i), ref, (M, n_max, i))
-            if n_max >= 2:
-                assert not ref.has_sorted_indices
+        for sector in (None, EVEN, ODD):
+            space = enumerate_basis(ModelDims(M, N, n_max), sector)
+            for i in range(M):
+                ref = scheduled_term_reference(space, i)
+                assert_same_csr(build_mode_coupling(space, i), ref, (M, n_max, sector, i))
+                assert (ref.nnz > 0) == (n_max > 0)
 
 
 def test_scalar_multiple_equals_scipy():
