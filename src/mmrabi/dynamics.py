@@ -132,25 +132,6 @@ def _csr(A):
     return A.matrix if isinstance(A, SparseOperator) else A
 
 
-def _kron_identity(weights: np.ndarray, m: int):
-    """kron(weights, I_m) in CSR, its arrays written directly.
-
-    Row r m + i holds weights[r, k] at column k m + i for each nonzero
-    weights[r, k], k ascending: the entries, order and int32 indices of
-    ``sp.kron(weights, sp.identity(m), format="csr")``.
-    """
-    import scipy.sparse as sp
-
-    rows, cols = weights.shape
-    nonzero = weights != 0
-    r, i, k = np.nonzero(np.broadcast_to(nonzero[:, None, :], (rows, m, cols)))
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(nonzero.sum(axis=1), m))])
-    return sp.csr_matrix(
-        (weights[r, k], (k * m + i).astype(np.int32), indptr.astype(np.int32)),
-        shape=(rows * m, cols * m),
-    )
-
-
 class TermSum:
     """y -> sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``, n the columns of A_k.
 
@@ -172,9 +153,10 @@ class TermSum:
 
     S_r is a dense array when it holds fewer than ``DENSE_SEGMENT_ENTRIES``
     entries, where a dense product is the faster one, and CSR from there
-    on.  A dense S_r is summed in numpy as the CSR product sums it, so both
-    stores hold the same values: term by term over the nonzero weights, k
-    ascending, from +0.
+    on.  The CSR store is one scipy product, kron(weights, I_m) @ [A_k],
+    which gives every S_r in row order.  A dense S_r is summed in numpy as
+    that product sums it, so both stores hold the same values: term by
+    term over the nonzero weights, k ascending, from +0.
     """
 
     def __init__(self, terms):
@@ -192,9 +174,8 @@ class TermSum:
         else:
             import scipy.sparse as sp  # only large segments form sparse products
 
-            # one product with the stacked A_k gives every S_r, in row order
             stack = sp.vstack([_csr(A) for _, A in terms], format="csr")
-            segments = _kron_identity(weights, self._m) @ stack
+            segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
             blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
         self.segments = list(zip(starts.tolist(), blocks))
 
@@ -375,6 +356,13 @@ def check_positivity(times: np.ndarray, rhos: np.ndarray, blocks):
         raise PositivityLoss(f"density matrix at t={times[k]} has eigenvalue {min_eig[k]}")
 
 
+def _check_full_space(space: HilbertSpace):
+    """SpaceMismatch on a parity sector: a_i, s_j^- and the dressed couplers leave it, so no decay."""
+    if space.sector is not None:
+        sign = space.sector.sign
+        raise SpaceMismatch(f"open runs need the full space, not the parity {sign:+d} sector")
+
+
 def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> list:
     """(curve or None, A_k) pairs with d/dt [vec rho, ledger] = sum_k c_k(t) A_k vec rho.
 
@@ -384,13 +372,10 @@ def lindblad_generator(hamiltonian: ScheduledHamiltonian, noise: NoiseModel) -> 
     constant kappa_in, gamma and gamma_phi terms join the block without a
     curve, and D[a_i] follows with the schedule's ``kappa_c[i]``, in mode
     order, when the schedule has line couplings.  A parity-sector space
-    raises SpaceMismatch: a_i and s_j^- leave it, so their jumps would be
-    lost.
+    raises SpaceMismatch (``_check_full_space``).
     """
     space = hamiltonian.space
-    if space.sector is not None:
-        sign = space.sector.sign
-        raise SpaceMismatch(f"open runs need the full space, not the parity {sign:+d} sector")
+    _check_full_space(space)
     import scipy.sparse as sp
 
     dim, M, N = space.dim, space.dims.M, space.dims.N
@@ -548,8 +533,10 @@ def evolve_eigenbasis_markovian(
     a_m + a_m^dag for modes and sigma_mx for qubits.  Defined for
     static Hamiltonians only; serves as an independent cross-check of
     the bare-basis Lindblad route, integrated at rtol 1e-8 as one static
-    term on row-major vec rho.
+    term on row-major vec rho.  A parity-sector space raises
+    SpaceMismatch (``_check_full_space``).
     """
+    _check_full_space(space)
     import scipy.sparse as sp
 
     dim = space.dim

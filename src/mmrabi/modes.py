@@ -42,6 +42,7 @@ from math import factorial
 import numpy as np
 
 from .hilbert import HilbertSpace, ModelDims, enumerate_basis
+from .operators import row_sums
 from .schedules import PiecewiseLinear, ProtocolSchedule
 
 TOL = 1e-12
@@ -87,9 +88,10 @@ class Isometry:
     Each full state lies in exactly one reduced state, so V is a weighted
     gather and its products are numpy operations with the bytes of scipy's
     CSR products.  ``V @ x`` is ``amp * x[cols]`` added into +0, for a
-    vector or for a matrix of reduced rows; ``rmatvec`` is V^T psi, each
-    reduced entry summed over its full states in index order from +0, the
-    real and the imaginary parts separately.
+    vector or for a matrix of reduced rows (``V @ np.eye(V.shape[1])`` is
+    V dense, as ``toarray`` gives it); ``rmatvec`` is V^T psi, each reduced
+    entry summed over its full states in index order by
+    ``operators.row_sums``.
     """
 
     cols: np.ndarray
@@ -104,20 +106,7 @@ class Isometry:
 
     def rmatvec(self, psi: np.ndarray) -> np.ndarray:
         """V^T psi for a full state vector psi (V is real, so also V^dag psi)."""
-        p = self.amp * np.asarray(psi)
-        n = self.shape[1]
-        if not np.iscomplexobj(p):
-            return np.bincount(self.cols, p, minlength=n)
-        out = np.empty(n, dtype=p.dtype)
-        out.real = np.bincount(self.cols, p.real, minlength=n)
-        out.imag = np.bincount(self.cols, p.imag, minlength=n)
-        return out
-
-    def dense(self) -> np.ndarray:
-        """V as a dense array, each entry added into +0.0 as scipy's ``toarray`` does."""
-        out = np.zeros(self.shape)
-        out[np.arange(self.shape[0]), self.cols] += self.amp
-        return out
+        return row_sums(self.cols, self.amp * np.asarray(psi), self.shape[1])
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,12 @@ schedule (``build_mode_coupling``) are slices of it.
 
 An operator is its CSR arrays, ``data``/``indices``/``indptr`` as numpy
 arrays, in the order and with the index dtype of scipy's
-``coo_matrix(...).tocsr()``.  The dense array, the product with a vector
-and the leading blocks of ``spectra``'s cutoff prefixes are numpy
-operations on those arrays.  The scipy ``csr_matrix`` is built only when
-``SparseOperator.matrix`` is first read, for a sparse product or an
-iterative eigensolve, so a run that forms none never imports
-``scipy.sparse``.
+``coo_matrix(...).tocsr()``.  The dense array and the product with a
+vector are numpy operations on those arrays; ``row_sums`` holds scipy's
+rule for summing a product's rows, which ``modes.Isometry`` shares.  The
+scipy ``csr_matrix`` is built only when ``SparseOperator.matrix`` is
+first read, for a sparse product, a leading block or an iterative
+eigensolve, so a run that forms none never imports ``scipy.sparse``.
 
 The parity operator is diagonal in this basis; its diagonal is
 ``hilbert.parity_signs``, the formula that also selects parity sectors.
@@ -158,37 +158,38 @@ class SparseOperator:
         return out
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """The product with a vector, each row summed in storage order from +0, as scipy does."""
-        p = self.data * np.asarray(v)[self.indices]
-        if not np.iscomplexobj(p):
-            # bincount reads an empty operator's sums as int64 zeros
-            return np.bincount(self._rows, p, minlength=self.dim).astype(p.dtype, copy=False)
-        out = np.empty(self.dim, dtype=p.dtype)
-        out.real = np.bincount(self._rows, p.real, minlength=self.dim)
-        out.imag = np.bincount(self._rows, p.imag, minlength=self.dim)
-        return out
+        """The product with a vector, each row summed by ``row_sums`` as scipy sums it."""
+        return row_sums(self._rows, self.data * np.asarray(v)[self.indices], self.dim)
 
     def leading_block(self, space: HilbertSpace) -> SparseOperator:
         """The block of the first ``space.dim`` rows and columns, as an operator on ``space``.
 
         ``space`` is one whose basis is a prefix of this operator's.  The
-        block keeps its entries in order, explicit zeros included, as
-        ``matrix[:d, :d]`` does.
+        block is scipy's slice ``matrix[:d, :d]``, which keeps the entries
+        in order, explicit zeros included.  Only iterative solves above
+        ``DENSE_THRESHOLD`` slice blocks, and they load ``scipy.sparse``.
         """
-        d = space.dim
-        end = self.indptr[d]
-        keep = self.indices[:end] < d
-        indptr = _kept_indptr(keep, self.indptr[: d + 1])
-        return SparseOperator(space, self.data[:end][keep], self.indices[:end][keep], indptr)
+        block = self.matrix[: space.dim, : space.dim]
+        return SparseOperator(space, block.data, block.indices, block.indptr)
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.getH()
         return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
 
 
-def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """The ``indptr`` of the entries where ``keep`` holds, their rows delimited by ``indptr``."""
-    return np.concatenate([[0], np.cumsum(keep)])[indptr].astype(indptr.dtype)
+def row_sums(index: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """The n sums of the entries p[k] into row index[k], as scipy's CSR products form them.
+
+    Each row is summed in the order of p from +0, the real and the
+    imaginary parts separately, and the sums keep p's dtype.
+    """
+    if not np.iscomplexobj(p):
+        # bincount reads the sums of an empty p as int64 zeros
+        return np.bincount(index, p, minlength=n).astype(p.dtype, copy=False)
+    out = np.empty(n, dtype=p.dtype)
+    out.real = np.bincount(index, p.real, minlength=n)
+    out.imag = np.bincount(index, p.imag, minlength=n)
+    return out
 
 
 def _csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray):
@@ -407,7 +408,8 @@ def build_mode_coupling(space: HilbertSpace, i: int) -> SparseOperator:
         raise IndexOutOfRange(f"mode index {i} for M={M}")
     pattern = _pattern(space, False, (True,) * (M * N))
     keep = pattern.term // N == i
-    indptr = _kept_indptr(keep, pattern.indptr)
+    # row r ends after the entries kept among the pattern's first indptr[r + 1]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr].astype(pattern.indptr.dtype)
     return SparseOperator(space, pattern.amplitude[keep], pattern.indices[keep], indptr)
 
 

@@ -256,40 +256,20 @@ def _csr_bytes(m):
     return [(a.dtype, a.tobytes()) for a in (m.data, m.indices, m.indptr)]
 
 
-def test_weight_matrix_is_the_kron_form():
-    # written directly, kron(weights, I_m) keeps the nonzero weights only
-    # (a -0.0 included) with sp.kron's arrays, so its product is the same
-    rng = np.random.default_rng(11)
-    weights = rng.normal(size=(6, 4))
-    weights[rng.random(weights.shape) < 0.4] = 0.0
-    weights[1, 2], weights[4] = -0.0, 0.0
-    for m in (1, 3, 28):
-        got = dynamics._kron_identity(weights, m)
-        ref = sp.kron(weights, sp.identity(m), format="csr")
-        assert got.shape == ref.shape and _csr_bytes(got) == _csr_bytes(ref), m
-        stack = sp.random(4 * m, 5, density=0.5, format="csr", rng=rng) * (1 + 1j)
-        assert _csr_bytes(got @ stack) == _csr_bytes(ref @ stack), m
-
-
 def test_segments_equal_those_of_the_kron_form(monkeypatch):
-    def kron_form(weights, m):
-        return sp.kron(weights, sp.identity(m), format="csr")
-
     for terms, _ in _term_sum_cases():
-        # CSR segments: the product with kron(weights, I_m) written directly
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
-        direct = TermSum(terms).segments
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_kron_identity", kron_form)
-            ref = TermSum(terms).segments
-        for (t, S), (t_ref, S_ref) in zip(direct, ref, strict=True):
-            assert t == t_ref and _csr_bytes(S) == _csr_bytes(S_ref), t
-        # dense segments, summed in numpy: the bytes of scipy's CSR product turned dense
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
         starts, weights = dynamics._segment_weights([c for c, _ in terms])
         m, n = terms[0][1].shape
         stack = sp.vstack([dynamics._csr(A) for _, A in terms], format="csr")
-        product = (sp.kron(weights, sp.identity(m)) @ stack).toarray()
+        product = sp.kron(weights, sp.identity(m)) @ stack
+        # CSR segments: row slices of scipy's product, bit for bit
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
+        for r, (t, S) in enumerate(TermSum(terms).segments):
+            S_ref = product[2 * m * r : 2 * m * (r + 1)]
+            assert t == starts[r] and _csr_bytes(S) == _csr_bytes(S_ref), t
+        # dense segments, summed in numpy: the bytes of scipy's CSR product turned dense
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
+        product = product.toarray()
         for r, (t, S) in enumerate(TermSum(terms).segments):
             S_ref = product[2 * m * r : 2 * m * (r + 1)]
             assert t == starts[r] and S.shape == (2 * m, n), t
@@ -748,6 +728,11 @@ def test_open_runs_on_a_sector_raise():
         lindblad_generator(ht, noise)
     with pytest.raises(SpaceMismatch, match="full space"):
         evolve_lindblad(ht, noise, np.outer(psi0, psi0.conj()), n_samples=3)
+    # the dressed-basis couplers a_i + a_i^dag and s_jx leave it as well
+    with pytest.raises(SpaceMismatch, match="full space"):
+        evolve_eigenbasis_markovian(
+            ht.at_dense(0.0), space, noise, 1e-3, np.outer(psi0, psi0.conj()), T=1.0, n_samples=3
+        )
 
 
 def test_lindblad_trace_preserved_and_ledger():
