@@ -32,8 +32,9 @@ sum_i omega_i n_i + sum_j delta_j s_j on it, each sum accumulated in mode
 arrays, bit for bit, as assembling the nonzero terms one by one.
 Patterns live in a small LRU cache.  The pattern is the one layout of
 every Hamiltonian mmrabi forms: ``fill_hamiltonian`` also fills it with
-the slopes of a schedule for dH/dt, and the coupling terms X_i of a
-schedule (``build_mode_coupling``) are slices of it.
+the slopes of a schedule for dH/dt, ``fill_hamiltonians`` fills it for a
+stack of points at once (a coupling sweep), and the coupling terms X_i
+of a schedule (``build_mode_coupling``) are slices of it.
 
 An operator is its CSR arrays, ``data``/``indices``/``indptr`` as numpy
 arrays, in the order and with the index dtype of scipy's
@@ -153,9 +154,7 @@ class SparseOperator:
 
     def dense(self) -> np.ndarray:
         """The dense array, each entry added into +0.0 as ``toarray`` does: -0.0 reads +0.0."""
-        out = np.zeros((self.dim, self.dim), dtype=self.data.dtype)
-        out[self._rows, self.indices] += self.data  # every (row, column) is stored once
-        return out
+        return dense_blocks(self.indptr, self.indices, self.data[None], self.dim)[0]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """The product with a vector, each row summed by ``row_sums`` as scipy sums it."""
@@ -189,6 +188,22 @@ def row_sums(index: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(n, dtype=p.dtype)
     out.real = np.bincount(index, p.real, minlength=n)
     out.imag = np.bincount(index, p.imag, minlength=n)
+    return out
+
+
+def dense_blocks(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, dim: int) -> np.ndarray:
+    """The leading dim x dim blocks of a stack of operators on one CSR layout, shape (P, dim, dim).
+
+    Row p of ``data`` holds operator p's entries in the order of
+    ``indices``.  Each entry is added into +0.0, as ``toarray`` does, so
+    -0.0 reads +0.0.
+    """
+    end = indptr[dim]
+    rows = np.repeat(np.arange(dim), np.diff(indptr[: dim + 1]))
+    keep = indices[:end] < dim
+    out = np.zeros((len(data), dim, dim), dtype=data.dtype)
+    # every (row, column) is stored once
+    out[:, rows[keep], indices[:end][keep]] += data[:, :end][:, keep]
     return out
 
 
@@ -232,13 +247,13 @@ def _targets(space: HilbertSpace, i: int | None = None, dn: int = 0, j: int | No
 
 
 def _bare_diagonal(omega, delta, space: HilbertSpace) -> np.ndarray:
-    """sum_i omega_i n_i + sum_j delta_j s_j, each sum accumulated in index order."""
-    photons = np.zeros(space.dim)
-    for i, w in enumerate(omega):
-        photons = photons + w * space.occupations[:, i]
-    qubits = np.zeros(space.dim)
-    for j, d in enumerate(delta):
-        qubits = qubits + d * space.spins[:, j]
+    """sum_i omega_i n_i + sum_j delta_j s_j per row of omega and delta, each sum in index order."""
+    photons = np.zeros((len(omega), space.dim))
+    for i in range(omega.shape[1]):
+        photons = photons + omega[:, i, None] * space.occupations[:, i]
+    qubits = np.zeros((len(delta), space.dim))
+    for j in range(delta.shape[1]):
+        qubits = qubits + delta[:, j, None] * space.spins[:, j]
     return photons + qubits
 
 
@@ -312,11 +327,27 @@ def fill_hamiltonian(
     The values are not checked as ``RabiParams`` checks them, so the same
     fill forms dH/dt from omega = 0 and the slopes of delta and g.
     """
-    g = np.asarray(g, dtype=float).ravel()
-    pattern = _pattern(space, rotating_wave, tuple((g != 0).tolist()))
-    data = np.append(g, 1.0)[pattern.term] * pattern.amplitude
-    data[pattern.diagonal] = _bare_diagonal(omega, delta, space)
-    return SparseOperator(space, data, pattern.indices, pattern.indptr)
+    pattern, data = fill_hamiltonians(space, [omega], [delta], [g], rotating_wave)
+    return SparseOperator(space, data[0], pattern.indices, pattern.indptr)
+
+
+def fill_hamiltonians(space: HilbertSpace, omega, delta, g, rotating_wave: bool = False):
+    """(pattern, data): the values of P Hamiltonians on the pattern of the g nonzero at any of them.
+
+    ``omega``, ``delta`` and ``g`` stack P points, shapes (P, M), (P, N)
+    and (P, M, N); row p of ``data`` holds the stored entries of point p in
+    the order of ``pattern.indices``.  A coupling that is zero at p fills
+    its entries with a signed zero, which ``SparseOperator.dense`` reads as
+    +0.0 and a product adds as nothing.  A row does not depend on the other
+    points: filled alone, on its own pattern, a point gets the same values
+    at the entries it stores.
+    """
+    omega, delta = np.asarray(omega, dtype=float), np.asarray(delta, dtype=float)
+    g = np.asarray(g, dtype=float).reshape(len(omega), -1)
+    pattern = _pattern(space, rotating_wave, tuple(np.any(g != 0, axis=0).tolist()))
+    data = np.hstack([g, np.ones((len(g), 1))])[:, pattern.term] * pattern.amplitude
+    data[:, pattern.diagonal] = _bare_diagonal(omega, delta, space)
+    return pattern, data
 
 
 def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:

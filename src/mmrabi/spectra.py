@@ -7,9 +7,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, SpaceMismatch
 from .hilbert import HilbertSpace, ModelDims, ParitySector, enumerate_basis
-from .operators import DENSE_THRESHOLD, RabiParams, SparseOperator, build_hamiltonian
+from .operators import DENSE_THRESHOLD, SparseOperator, dense_blocks, fill_hamiltonians
 
 
 @dataclass
@@ -65,7 +65,8 @@ def sweep_coupling(
 ) -> SpectrumTable:
     """Lowest ``n_levels`` levels per parity sector at each grid point, fixed cutoff.
 
-    ``params_template`` maps a grid value g to RabiParams.  With
+    ``params_template`` maps a grid value g to RabiParams with dims.M modes
+    and dims.N qubits; any other point is a SpaceMismatch.  With
     parity=None both sectors are solved and reported separately.  Asking
     for more levels than a sector holds (half the states) is a ValueError.
 
@@ -79,9 +80,14 @@ def sweep_coupling(
     cutoff n_max - k in sector s (-1)^k, shifted by k omega, each repeated
     C(k + M - r - 1, k) times.  The canonical basis order puts the
     cutoff-(n_max - k) sector first in the cutoff-n_max one, so its
-    Hamiltonian is a leading block of the one r-mode Hamiltonian built per
-    bright sector and point.  Otherwise (unequal omega_i, or r = M) each
-    sector's Hamiltonian is built and solved in full.
+    Hamiltonian is a leading block of the r-mode Hamiltonian.  Otherwise
+    (unequal omega_i, or r = M) each sector's M-mode Hamiltonian is solved
+    in full.
+
+    The grid is solved in groups, not point by point: one group per bright
+    rank r, and one for the points solved in full.  ``_prefix_levels``
+    fills each group's Hamiltonians on every bright sector (or full
+    sector) at once and solves each block as one stacked ``eigvalsh``.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0:
@@ -90,74 +96,96 @@ def sweep_coupling(
     if n_levels > dims.dim // 2:
         raise ValueError(f"requested {n_levels} levels from dim {dims.dim // 2}")
     signs = [parity.sign] if parity is not None else [+1, -1]
-    spaces = {}
+    M, n_max = dims.M, dims.n_max
+    points = [params_template(g) for g in g_grid]
+    for ig, params in enumerate(points):
+        if (params.M, params.N) != (M, dims.N):
+            raise SpaceMismatch(
+                f"at grid index {ig} (g={g_grid[ig]}): params for (M={params.M}, "
+                f"N={params.N}) on sweep dims {dims}"
+            )
+    omega = np.array([params.omega for params in points])
+    delta = np.array([params.delta for params in points])
+    g = np.array([params.g for params in points])
+    _, S, Wt = np.linalg.svd(g, full_matrices=False)
+    rank = np.maximum(1, np.sum(S > 1e-12 * S[:, :1], axis=1))
+    # r = M marks the points solved in full
+    rank[np.any(omega != omega[:, :1], axis=1)] = M
 
     def space(M: int, n_max: int, sign: int) -> HilbertSpace:
-        if (M, n_max, sign) not in spaces:
-            sub_dims = ModelDims(M, dims.N, n_max)
-            spaces[M, n_max, sign] = enumerate_basis(sub_dims, ParitySector(sign))
-        return spaces[M, n_max, sign]
+        return enumerate_basis(ModelDims(M, dims.N, n_max), ParitySector(sign))
 
     levels = {sign: np.empty((g_grid.size, n_levels)) for sign in signs}
-    for ig, g in enumerate(g_grid):
-        params = params_template(g)
-        try:
-            for sign, E in _levels_at(params, signs, n_levels, dims, space).items():
-                levels[sign][ig] = E
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"at grid index {ig} (g={g}): {exc}") from exc
+    for r in sorted(set(rank.tolist())):
+        at = np.flatnonzero(rank == r)
+        where = [(ig, g_grid[ig]) for ig in at]
+        if r == M:
+            for sign in signs:
+                full = [space(M, n_max, sign)]
+                (levels[sign][at],) = _prefix_levels(
+                    full, omega[at], delta[at], g[at], n_levels, where
+                )
+            continue
+        bright_g = S[at, :r, None] * Wt[at, :r]
+        # k dark photons take sector s to the bright sector s * (-1)^k at cutoff n_max - k
+        solved = {}
+        for b in (+1, -1):
+            ks = [k for k in range(n_max + 1) if b * (-1) ** k in signs]
+            if ks:
+                subs = [space(r, n_max - k, b) for k in ks]
+                blocks = _prefix_levels(subs, omega[at, :r], delta[at], bright_g, n_levels, where)
+                solved.update(zip([(b, k) for k in ks], blocks))
+        for sign in signs:
+            parts = [
+                np.repeat(
+                    solved[sign * (-1) ** k, k] + k * omega[at, :1],
+                    min(comb(k + M - r - 1, k), n_levels),
+                    axis=1,
+                )
+                for k in range(n_max + 1)
+            ]
+            levels[sign][at] = np.sort(np.concatenate(parts, axis=1), axis=1)[:, :n_levels]
     return SpectrumTable(sweep_values=g_grid, levels=levels)
 
 
-def _levels_at(params: RabiParams, signs, n_levels: int, dims: ModelDims, space) -> dict:
-    """Parity sign -> lowest levels at one point, on the bright modes when g is rank-deficient."""
-    M, n_max, omega = dims.M, dims.n_max, params.omega
-    _, S, Wt = np.linalg.svd(params.g, full_matrices=False)
-    r = max(1, int(np.sum(S > 1e-12 * S[0])))
-    if np.any(omega != omega[0]) or r == M:
-        return {
-            sign: eigenspectrum(
-                build_hamiltonian(params, space(M, n_max, sign)), n_levels, vectors=False
-            )
-            for sign in signs
-        }
-    bright = RabiParams(omega=omega[:r], delta=params.delta, g=S[:r, None] * Wt[:r])
-    # k dark photons take sector s to the bright sector s * (-1)^k at cutoff n_max - k
-    solved = {}
-    for b in (+1, -1):
-        ks = [k for k in range(n_max + 1) if b * (-1) ** k in signs]
-        subs = [space(r, n_max - k, b) for k in ks]
-        if subs:
-            H = build_hamiltonian(bright, subs[0])
-            solved.update(zip([(b, k) for k in ks], _prefix_levels(H, subs, n_levels)))
-    out = {}
-    for sign in signs:
-        parts = [
-            np.repeat(
-                solved[sign * (-1) ** k, k] + k * omega[0], min(comb(k + M - r - 1, k), n_levels)
-            )
-            for k in range(n_max + 1)
-        ]
-        out[sign] = np.sort(np.concatenate(parts))[:n_levels]
-    return out
+def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
+    """Lowest levels of each point's Hamiltonian on each prefix space in ``subs``.
 
+    ``omega``, ``delta`` and ``g`` stack the points (``fill_hamiltonians``),
+    whose Hamiltonians live on ``subs[0]``; each later prefix of its basis
+    order spans its own space, and the leading block is that space's
+    Hamiltonian.  ``where`` holds each point's (grid index, g), for errors.
+    Returns one (points, levels) array per space.
 
-def _prefix_levels(H: SparseOperator, subs, n_levels: int) -> list:
-    """Lowest levels of the leading block of H on each prefix space in ``subs``.
-
-    Each prefix of H's basis order spans its own space, and the block is
-    that space's Hamiltonian.  Up to DENSE_THRESHOLD, where ``eigenspectrum``
-    solves every block dense, H is scattered dense once and the blocks are
-    sliced from it; above, each block is sliced from H's CSR arrays
-    (``SparseOperator.leading_block``) and goes through ``eigenspectrum``.
+    The points are filled and solved in chunks that never hold more
+    entries than one DENSE_THRESHOLD x DENSE_THRESHOLD matrix, the largest
+    dense array ``eigenspectrum`` forms.  A chunk is scattered dense once,
+    up to the largest block at or below DENSE_THRESHOLD, and each such
+    block is one stacked ``eigvalsh``.  A larger block is sliced from each
+    point's CSR arrays (``SparseOperator.leading_block``) and goes through
+    ``eigenspectrum`` point by point; above DENSE_THRESHOLD a chunk is one
+    point, filled on its own pattern.
     """
-    if H.dim > DENSE_THRESHOLD:
-        return [
-            eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim), vectors=False)
-            for sub in subs
-        ]
-    dense = H.dense()
-    return [np.linalg.eigvalsh(dense[: sub.dim, : sub.dim])[:n_levels] for sub in subs]
+    space = subs[0]
+    out = [np.empty((len(omega), min(n_levels, sub.dim))) for sub in subs]
+    dense_dim = max((sub.dim for sub in subs if sub.dim <= DENSE_THRESHOLD), default=0)
+    chunk = max(1, DENSE_THRESHOLD**2 // space.dim**2)
+    for first in range(0, len(omega), chunk):
+        rows = slice(first, first + chunk)
+        pattern, data = fill_hamiltonians(space, omega[rows], delta[rows], g[rows])
+        dense = dense_blocks(pattern.indptr, pattern.indices, data, dense_dim)
+        for sub, E in zip(subs, out):
+            if sub.dim <= DENSE_THRESHOLD:
+                E[rows] = np.linalg.eigvalsh(dense[:, : sub.dim, : sub.dim])[:, :n_levels]
+                continue
+            for p, values in enumerate(data, first):
+                H = SparseOperator(space, values, pattern.indices, pattern.indptr)
+                try:
+                    E[p] = eigenspectrum(H.leading_block(sub), E.shape[1], vectors=False)
+                except ConvergenceFailure as exc:
+                    ig, g_value = where[p]
+                    raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc
+    return out
 
 
 def degeneracy_count(H: SparseOperator, E_target: float) -> int:

@@ -376,8 +376,9 @@ def test_jc_hamiltonian_csr_arrays_equal_per_state_reference():
 
 
 def test_sweep_makes_each_pattern_once(monkeypatch):
-    # a rank-deficient sweep builds on the same bright spaces at every point,
-    # so the per-term work runs once for g = 0 and once for all other points
+    # a rank-deficient sweep fills its points on the same bright spaces, on the
+    # pattern of the couplings nonzero at any point, so the per-term work runs
+    # once per space whatever the number of points
     calls = []
     targets = operators._targets
 

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 import mmrabi.spectra as spectra
+from mmrabi.errors import ConvergenceFailure, SpaceMismatch
 from mmrabi.hilbert import EVEN, ODD, ModelDims, ParitySector, enumerate_basis
-from mmrabi.operators import RabiParams, build_hamiltonian, build_jc_hamiltonian, build_qubit_op
+from mmrabi.operators import (
+    RabiParams,
+    build_hamiltonian,
+    build_jc_hamiltonian,
+    build_qubit_op,
+    fill_hamiltonians,
+)
 from mmrabi.spectra import (
     SpectrumTable,
     degeneracy_count,
@@ -239,14 +246,14 @@ def _oracle_levels(template, grid, sector, n_levels, dims):
 
 
 def _count_builds(monkeypatch):
-    """Record the mode count M of every Hamiltonian sweep_coupling builds."""
+    """Record the mode count M of every Hamiltonian sweep_coupling fills, one entry per point."""
     built = []
 
-    def counting(params, space):
-        built.append(space.dims.M)
-        return build_hamiltonian(params, space)
+    def counting(space, omega, delta, g, *args):
+        built.extend([space.dims.M] * len(g))
+        return fill_hamiltonians(space, omega, delta, g, *args)
 
-    monkeypatch.setattr(spectra, "build_hamiltonian", counting)
+    monkeypatch.setattr(spectra, "fill_hamiltonians", counting)
     return built
 
 
@@ -337,3 +344,203 @@ def test_uniform_coupling_keeps_degenerate_copies_at_scale():
         assert np.max(np.abs(got - ref)) < 1e-12
         assert _multiplicities(got, 1e-6) == _multiplicities(ref, 1e-6)
         assert max(_multiplicities(ref, 1e-6)) >= 4
+
+
+def _per_point_levels(template, grid, signs, n_levels, dims):
+    """Sector sign -> levels, solved one point at a time as the sweep did before it was stacked.
+
+    Each point builds its own Hamiltonian on its own nonzero couplings;
+    below DENSE_THRESHOLD the bright blocks are slices of one dense array,
+    above it each goes through ``eigenspectrum``.
+    """
+    M, n_max = dims.M, dims.n_max
+
+    def space(M, n_max, sign):
+        return enumerate_basis(ModelDims(M, dims.N, n_max), ParitySector(sign))
+
+    def prefix_levels(H, subs):
+        if H.dim > spectra.DENSE_THRESHOLD:
+            return [
+                eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim), vectors=False)
+                for sub in subs
+            ]
+        dense = H.dense()
+        return [np.linalg.eigvalsh(dense[: sub.dim, : sub.dim])[:n_levels] for sub in subs]
+
+    levels = {sign: [] for sign in signs}
+    for g in grid:
+        params = template(g)
+        omega = params.omega
+        _, S, Wt = np.linalg.svd(params.g, full_matrices=False)
+        r = max(1, int(np.sum(S > 1e-12 * S[0])))
+        if np.any(omega != omega[0]) or r == M:
+            for sign in signs:
+                H = build_hamiltonian(params, space(M, n_max, sign))
+                levels[sign].append(eigenspectrum(H, n_levels, vectors=False))
+            continue
+        bright = RabiParams(omega=omega[:r], delta=params.delta, g=S[:r, None] * Wt[:r])
+        solved = {}
+        for b in (+1, -1):
+            ks = [k for k in range(n_max + 1) if b * (-1) ** k in signs]
+            subs = [space(r, n_max - k, b) for k in ks]
+            if subs:
+                H = build_hamiltonian(bright, subs[0])
+                solved.update(zip([(b, k) for k in ks], prefix_levels(H, subs)))
+        for sign in signs:
+            parts = [
+                np.repeat(
+                    solved[sign * (-1) ** k, k] + k * omega[0],
+                    min(comb(k + M - r - 1, k), n_levels),
+                )
+                for k in range(n_max + 1)
+            ]
+            levels[sign].append(np.sort(np.concatenate(parts))[:n_levels])
+    return {sign: np.array(rows) for sign, rows in levels.items()}
+
+
+_FULL_RANK = np.array([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.4, 0.9]])
+# name -> (dims, omega, coupling pattern, grid); the sweep's points are g * pattern
+STACKED_CASES = {
+    # g = 0 joins the rank-1 group
+    "rank-1": (ModelDims(3, 2, 4), np.ones(3), np.full((3, 2), 1.0), [0.0, 0.2, 0.45, 0.7]),
+    # g = 0 is rank 1, the other points rank 2: two bright groups
+    "rank-2": (
+        ModelDims(4, 2, 4),
+        np.ones(4),
+        np.random.default_rng(7).normal(size=(4, 2)) @ np.diag([1.0, 1e-3]),
+        [0.0, 0.15, 0.4, -0.3],
+    ),
+    "unequal-omega": (
+        ModelDims(3, 2, 3), np.array([1.0, 1.1, 0.9]), np.full((3, 2), 1.0), [0.0, 0.3, 0.6]
+    ),
+    # g = 0 takes the rank-1 path, the other points the full one
+    "full-rank": (ModelDims(3, 3, 3), np.ones(3), _FULL_RANK, [0.0, 0.1, 0.3, 0.6]),
+    # as cmd_spectrum calls it
+    "one-point": (
+        ModelDims(4, 2, 4), np.ones(4), np.outer([1.0, 0.5, -0.2, 0.3], [0.7, 1.0]), [0.35]
+    ),
+}
+
+
+def _stacked_case(name):
+    dims, omega, pattern, grid = STACKED_CASES[name]
+    delta = [0.8, 0.5, 0.3][: dims.N]
+
+    def template(g):
+        return RabiParams(omega=omega, delta=delta, g=g * pattern)
+
+    return dims, template, grid
+
+
+def _assert_same_bytes(table, ref):
+    assert list(table.levels) == list(ref)
+    for sign, lv in table.levels.items():
+        assert lv.shape == ref[sign].shape
+        assert lv.tobytes() == ref[sign].tobytes(), sign
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+@pytest.mark.parametrize("parity", [None, ODD], ids=["both", "odd"])
+def test_stacked_sweep_equals_per_point_solves(name, parity):
+    dims, template, grid = _stacked_case(name)
+    signs = [parity.sign] if parity else [+1, -1]
+    table = sweep_coupling(template, grid, parity, 12, dims)
+    _assert_same_bytes(table, _per_point_levels(template, grid, signs, 12, dims))
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+def test_stacked_sweep_splits_into_bounded_chunks(monkeypatch, name):
+    # DENSE_THRESHOLD at 1.5 times the largest Hamiltonian filled: no block
+    # is iterative, and a chunk holds at most two points of that size
+    dims, template, grid = _stacked_case(name)
+    fills = []
+
+    def recording(space, omega, delta, g, *args):
+        fills.append((space.dim, len(g)))
+        return fill_hamiltonians(space, omega, delta, g, *args)
+
+    monkeypatch.setattr(spectra, "fill_hamiltonians", recording)
+    sweep_coupling(template, grid, None, 12, dims)
+    whole = len(fills)
+    threshold = max(dim for dim, _ in fills) * 3 // 2
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", threshold)
+    fills.clear()
+    table = sweep_coupling(template, grid, None, 12, dims)
+    assert all(points * dim**2 <= threshold**2 for dim, points in fills)
+    assert len(fills) > whole or len(grid) == 1
+    _assert_same_bytes(table, _per_point_levels(template, grid, [+1, -1], 12, dims))
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+def test_blocks_above_dense_threshold_are_solved_per_point(monkeypatch, name):
+    dims, template, grid = _stacked_case(name)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
+    solved = []
+    eigen = spectra.eigenspectrum
+
+    def recording(H, *args, **kwargs):
+        solved.append(H.dim)
+        return eigen(H, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigenspectrum", recording)
+    table = sweep_coupling(template, grid, None, 12, dims)
+    assert solved and min(solved) > 3
+    ref = _per_point_levels(template, grid, [+1, -1], 12, dims)
+    # at g = 0 every block is diagonal, and eigsh gives a level at 0 as noise
+    # that differs from call to call (test_iterative_solve_of_a_diagonal_block_repeats)
+    zero = np.asarray(grid) == 0
+    assert list(table.levels) == list(ref)
+    for sign, lv in table.levels.items():
+        assert lv.shape == ref[sign].shape
+        assert lv[~zero].tobytes() == ref[sign][~zero].tobytes(), sign
+        assert np.max(np.abs(lv[zero] - ref[sign][zero]), initial=0.0) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True, reason="eigsh restarts a broken-down Lanczos run from ARPACK's own random state"
+)
+def test_iterative_solve_of_a_diagonal_block_repeats(monkeypatch):
+    # uncoupled qubits with 0.8 - 0.5 - 0.3 = 0 put a level at 0 in the odd
+    # sector of (1, 3, 3); Lanczos on the diagonal H stops early and
+    # restarts, and eigsh gives that level as noise near 1e-91 that changes
+    # from one call to the next
+    space = enumerate_basis(ModelDims(1, 3, 3), ODD)
+    H = build_hamiltonian(RabiParams([1.0], [0.8, 0.5, 0.3], [[0.0, 0.0, 0.0]]), space)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
+    first = eigenspectrum(H, 12, vectors=False)
+    for _ in range(3):
+        assert eigenspectrum(H, 12, vectors=False).tobytes() == first.tobytes()
+
+
+def test_iterative_failure_names_its_grid_point(monkeypatch):
+    dims, template, grid = _stacked_case("full-rank")
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
+
+    def failing(H, *args, **kwargs):
+        raise ConvergenceFailure("no convergence")
+
+    monkeypatch.setattr(spectra, "eigenspectrum", failing)
+    with pytest.raises(ConvergenceFailure, match=r"at grid index 0 \(g=0.0\): no convergence"):
+        sweep_coupling(template, grid, None, 12, dims)
+
+
+@pytest.mark.parametrize("omega", [np.ones(3), np.array([1.0, 1.1, 0.9])], ids=["bright", "full"])
+def test_sweep_rejects_params_of_other_dims(omega):
+    # three-mode points on a two-mode sweep: the bright path once took them
+    # and wrote levels of neither model
+    dims = ModelDims(2, 2, 3)
+
+    def three_modes(g):
+        return RabiParams(omega=omega, delta=[0.9, 0.1], g=np.full((3, 2), g))
+
+    def mixed(g):
+        return three_modes(g) if g else uniform_params(g=g)
+
+    def three_qubits(g):
+        return uniform_params(N=3, delta=[0.9, 0.1, 0.5], g=g)
+
+    message = r"at grid index 1 \(g=0.7\): params for \(M=3, N=2\) on sweep dims ModelDims\(M=2"
+    with pytest.raises(SpaceMismatch, match=message):
+        sweep_coupling(mixed, [0.0, 0.7], None, 3, dims)
+    with pytest.raises(SpaceMismatch, match=r"\(M=2, N=3\) on sweep dims ModelDims\(M=2, N=2"):
+        sweep_coupling(three_qubits, [0.7], None, 3, dims)
