@@ -14,8 +14,8 @@ the parity-sector Hamiltonian contiguous in index space.
 
 A ``HilbertSpace`` stores the basis only as integer arrays,
 ``occupations`` (dim x M) and ``spins`` (dim x N), row k being state k;
-``enumerate_basis`` builds them whole-array, and ``states``/``state(i)``
-are ``BasisState`` views made from them on demand.  ``HilbertSpace.indices``
+``enumerate_basis`` builds them whole-array, and ``states`` holds the
+``BasisState`` of each row, made from them on demand.  ``HilbertSpace.indices``
 maps arrays of target occupations and spins back to canonical indices by
 arithmetic: the occupation vector is ranked in the combinatorial number
 system (the number of occupation vectors that precede it in the canonical
@@ -176,9 +176,6 @@ class HilbertSpace:
         if i < 0:
             raise StateNotInSpace(f"{state} not in space {self.dims}, sector={self.sector}")
         return i
-
-    def state(self, i: int) -> BasisState:
-        return BasisState(tuple(self.occupations[i].tolist()), tuple(self.spins[i].tolist()))
 
     def indices(self, occupations, spins) -> np.ndarray:
         """Canonical indices of the states given as rows of ``occupations`` and ``spins``.

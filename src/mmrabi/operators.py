@@ -6,8 +6,8 @@ Builds the multiqubit multimode Rabi Hamiltonian
       + sum_ij g_ij sigma_jx (a_i + a_i^dag)
       + sum_j delta_j sigma_jz,
 
-its rotating-wave (Jaynes-Cummings) variant, the Z2 parity operator,
-the excitation-number operator and mode/qubit ladder operators.
+its rotating-wave (Jaynes-Cummings) slice, and the mode and qubit
+operators that schedules and noise terms are made of.
 
 Truncation is hard: matrix elements that would exceed the total-photon
 cutoff are dropped.  All builders are pure functions of immutable
@@ -20,10 +20,10 @@ flipped), map the shifted rows back to canonical indices with one
 ``HilbertSpace.indices`` call, and keep the targets inside the space
 (index >= 0) together with one array of matrix elements.
 
-Where the Rabi and JC Hamiltonians have entries depends only on the
-space and on which couplings g_ij are nonzero (a zero coupling stores no
-entries), not on the values.  So the term-by-term work above is done once
-per (space, rotating wave, nonzero couplings) and kept as a pattern: the
+Where the Rabi Hamiltonian has entries depends only on the space and on
+which couplings g_ij are nonzero (a zero coupling stores no entries), not
+on the values.  So the term-by-term work above is done once per (space,
+nonzero couplings) and kept as a pattern: the
 CSR ``indices``/``indptr``, and for each stored entry its coupling g_ij
 and its amplitude sqrt(n), or that it is diagonal.  A Hamiltonian build
 only fills in values: g_ij * sqrt(n) off the diagonal and
@@ -34,7 +34,9 @@ Patterns live in a small LRU cache.  The pattern is the one layout of
 every Hamiltonian mmrabi forms: ``fill_hamiltonian`` also fills it with
 the slopes of a schedule for dH/dt, ``fill_hamiltonians`` fills it for a
 stack of points at once (a coupling sweep), and the coupling terms X_i
-of a schedule (``build_mode_coupling``) are slices of it.
+of a schedule (``build_mode_coupling``) and the JC Hamiltonian
+(``build_jc_hamiltonian``) are slices of it, taken by one rule
+(``SparseOperator.entries``).
 
 An operator is its CSR arrays, ``data``/``indices``/``indptr`` as numpy
 arrays, in the order and with the index dtype of scipy's
@@ -45,13 +47,10 @@ scipy ``csr_matrix`` is built only when ``SparseOperator.matrix`` is
 first read, for a sparse product, a leading block or an iterative
 eigensolve, so a run that forms none never imports ``scipy.sparse``.
 
-The parity operator is diagonal in this basis; its diagonal is
-``hilbert.parity_signs``, the formula that also selects parity sectors.
-
-An operator keeps the dtype of its entries: every builder stores float64
-except ``build_qubit_op(..., "y")``, whose entries are +-i and which is
-complex128.  Complex numbers enter elsewhere only where the physics puts
-them (-i H in the equations of motion, and the states).
+Every builder stores float64 entries.  Complex numbers enter only where
+the physics puts them (-i H in the equations of motion, and the states);
+an operator keeps the dtype of its entries, so ``c * op`` with a complex
+c is complex.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, SpaceMismatch
-from .hilbert import DOWN, UP, HilbertSpace, parity_signs
+from .hilbert import DOWN, UP, HilbertSpace
 
 DENSE_THRESHOLD = 4096
 
@@ -149,7 +148,8 @@ class SparseOperator:
         )
 
     @cached_property
-    def _rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, as ``indices`` holds its column."""
         return np.repeat(np.arange(self.dim), np.diff(self.indptr))
 
     def dense(self) -> np.ndarray:
@@ -158,7 +158,13 @@ class SparseOperator:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """The product with a vector, each row summed by ``row_sums`` as scipy sums it."""
-        return row_sums(self._rows, self.data * np.asarray(v)[self.indices], self.dim)
+        return row_sums(self.rows, self.data * np.asarray(v)[self.indices], self.dim)
+
+    def entries(self, keep: np.ndarray) -> SparseOperator:
+        """The operator of the stored entries where ``keep`` holds, in their CSR order."""
+        # row r ends after the entries kept among the first indptr[r + 1]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr].astype(self.indptr.dtype)
+        return SparseOperator(self.space, self.data[keep], self.indices[keep], indptr)
 
     def leading_block(self, space: HilbertSpace) -> SparseOperator:
         """The block of the first ``space.dim`` rows and columns, as an operator on ``space``.
@@ -170,10 +176,6 @@ class SparseOperator:
         """
         block = self.matrix[: space.dim, : space.dim]
         return SparseOperator(space, block.data, block.indices, block.indptr)
-
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
 
 
 def row_sums(index: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
@@ -221,8 +223,8 @@ def _csr_layout(dim: int, rows: np.ndarray, cols: np.ndarray):
 
 
 def _assemble(space: HilbertSpace, rows, cols, vals) -> SparseOperator:
-    """Operator from matrix-element arrays, float64 unless they are complex; zeros are kept."""
-    vals = np.asarray(vals, dtype=np.result_type(vals, float))
+    """float64 operator from matrix-element arrays; zeros are kept."""
+    vals = np.asarray(vals, dtype=float)
     order, indices, indptr = _csr_layout(space.dim, np.asarray(rows), np.asarray(cols))
     return SparseOperator(space, vals[order], indices, indptr)
 
@@ -277,8 +279,8 @@ class _Pattern:
 
 
 @lru_cache(maxsize=32)
-def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]) -> _Pattern:
-    """The Rabi (sigma_x coupling) or JC (rotating-wave) pattern on ``space``.
+def _pattern(space: HilbertSpace, coupled: tuple[bool, ...]) -> _Pattern:
+    """The Rabi (sigma_x coupling) pattern on ``space``.
 
     ``coupled`` holds g_ij != 0 for g.ravel(); the terms of zero couplings
     store no entries.
@@ -290,17 +292,14 @@ def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]
     terms, amplitudes = [np.full(space.dim, M * N)], [np.ones(space.dim)]
     for i in range(M):
         n_i = space.occupations[:, i]
-        # a_i^dag (dn = +1) with sqrt(n_i + 1) and a_i (dn = -1) with sqrt(n_i);
-        # the rotating wave keeps a_i^dag sigma_j^- (from up) and a_i sigma_j^+ (from down)
-        ladders = ((+1, np.sqrt(n_i + 1), UP), (-1, np.sqrt(n_i), DOWN))
+        # a_i^dag (dn = +1) with sqrt(n_i + 1) and a_i (dn = -1) with sqrt(n_i)
+        ladders = ((+1, np.sqrt(n_i + 1)), (-1, np.sqrt(n_i)))
         for j in range(N):
             if not coupled[i * N + j]:
                 continue
-            for dn, amplitude, spin in ladders:
+            for dn, amplitude in ladders:
                 tgt = _targets(space, i, dn, j)
                 keep = tgt >= 0
-                if rotating_wave:
-                    keep &= space.spins[:, j] == spin
                 rows.append(tgt[keep])
                 cols.append(states[keep])
                 terms.append(np.full(np.count_nonzero(keep), i * N + j))
@@ -319,19 +318,17 @@ def _pattern(space: HilbertSpace, rotating_wave: bool, coupled: tuple[bool, ...]
     return pattern
 
 
-def fill_hamiltonian(
-    space: HilbertSpace, omega, delta, g, rotating_wave: bool = False
-) -> SparseOperator:
+def fill_hamiltonian(space: HilbertSpace, omega, delta, g) -> SparseOperator:
     """The Hamiltonian of (omega, delta, g) filled into the cached pattern of its nonzero g.
 
     The values are not checked as ``RabiParams`` checks them, so the same
     fill forms dH/dt from omega = 0 and the slopes of delta and g.
     """
-    pattern, data = fill_hamiltonians(space, [omega], [delta], [g], rotating_wave)
+    pattern, data = fill_hamiltonians(space, [omega], [delta], [g])
     return SparseOperator(space, data[0], pattern.indices, pattern.indptr)
 
 
-def fill_hamiltonians(space: HilbertSpace, omega, delta, g, rotating_wave: bool = False):
+def fill_hamiltonians(space: HilbertSpace, omega, delta, g):
     """(pattern, data): the values of P Hamiltonians on the pattern of the g nonzero at any of them.
 
     ``omega``, ``delta`` and ``g`` stack P points, shapes (P, M), (P, N)
@@ -344,36 +341,28 @@ def fill_hamiltonians(space: HilbertSpace, omega, delta, g, rotating_wave: bool 
     """
     omega, delta = np.asarray(omega, dtype=float), np.asarray(delta, dtype=float)
     g = np.asarray(g, dtype=float).reshape(len(omega), -1)
-    pattern = _pattern(space, rotating_wave, tuple(np.any(g != 0, axis=0).tolist()))
+    pattern = _pattern(space, tuple(np.any(g != 0, axis=0).tolist()))
     data = np.hstack([g, np.ones((len(g), 1))])[:, pattern.term] * pattern.amplitude
     data[:, pattern.diagonal] = _bare_diagonal(omega, delta, space)
     return pattern, data
 
 
-def _hamiltonian(params: RabiParams, space: HilbertSpace, rotating_wave: bool) -> SparseOperator:
-    params.check_space(space)
-    return fill_hamiltonian(space, params.omega, params.delta, params.g, rotating_wave)
-
-
 def build_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
     """Rabi Hamiltonian with sigma_x coupling, hard-truncated at n_max."""
-    return _hamiltonian(params, space, rotating_wave=False)
+    params.check_space(space)
+    return fill_hamiltonian(space, params.omega, params.delta, params.g)
 
 
 def build_jc_hamiltonian(params: RabiParams, space: HilbertSpace) -> SparseOperator:
-    """Rotating-wave variant: only a_i sigma_j^+ + a_i^dag sigma_j^- retained."""
-    return _hamiltonian(params, space, rotating_wave=True)
+    """Rotating-wave variant: only a_i sigma_j^+ + a_i^dag sigma_j^- retained.
 
-
-def build_parity_operator(space: HilbertSpace) -> SparseOperator:
-    """Z2 generator exp(i pi sum a^dag a) * prod_j sigma_jz, diagonal ``parity_signs``."""
-    return _diagonal(space, parity_signs(space.occupations, space.spins))
-
-
-def build_excitation_operator(space: HilbertSpace) -> SparseOperator:
-    """Excitation number sum_i a_i^dag a_i + sum_j sigma_jz/2 + N/2 (diagonal)."""
-    N = space.dims.N
-    return _diagonal(space, space.occupations.sum(axis=1) + space.spins.sum(axis=1) / 2 + N / 2)
+    These are the entries of the Rabi Hamiltonian that keep the excitation
+    number, photons plus qubits up; a_i sigma_j^- and a_i^dag sigma_j^+
+    change it by two.
+    """
+    H = build_hamiltonian(params, space)
+    excitations = space.occupations.sum(axis=1) + (space.spins == UP).sum(axis=1)
+    return H.entries(excitations[H.rows] == excitations[H.indices])
 
 
 def build_mode_lowering(space: HilbertSpace, i: int) -> SparseOperator:
@@ -388,14 +377,14 @@ def build_mode_lowering(space: HilbertSpace, i: int) -> SparseOperator:
 
 
 def build_qubit_op(space: HilbertSpace, j: int, axis: str) -> SparseOperator:
-    """Pauli or ladder operator on qubit j; axis in {x, y, z, +, -}.
+    """sigma_x, sigma_z or the lowering operator sigma^- on qubit j; axis in {x, z, -}.
 
-    sigma^- lowers up to down (the relaxation jump operator); x/y flip and
-    map a parity sector out of itself, so use them on full spaces only.
+    sigma^- lowers up to down (the relaxation jump operator); x flips and
+    maps a parity sector out of itself, so use it on full spaces only.
     """
     if not 0 <= j < space.dims.N:
         raise IndexOutOfRange(f"qubit index {j} for N={space.dims.N}")
-    if axis not in ("x", "y", "z", "+", "-"):
+    if axis not in ("x", "z", "-"):
         raise ValueError(f"unknown axis {axis!r}")
     s = space.spins[:, j]
     cols = np.arange(space.dim)
@@ -403,20 +392,9 @@ def build_qubit_op(space: HilbertSpace, j: int, axis: str) -> SparseOperator:
         return _assemble(space, cols, cols, s)
     tgt = _targets(space, j=j)
     keep = tgt >= 0
-    if axis == "+":
-        keep &= s == DOWN
-    elif axis == "-":
+    if axis == "-":
         keep &= s == UP
-    # sigma_y |up> = i|down>, sigma_y |down> = -i|up>
-    vals = np.where(s == UP, 1j, -1j) if axis == "y" else np.ones(space.dim)
-    return _assemble(space, tgt[keep], cols[keep], vals[keep])
-
-
-def build_mode_number(space: HilbertSpace, i: int) -> SparseOperator:
-    """Photon number a_i^dag a_i (diagonal)."""
-    if not 0 <= i < space.dims.M:
-        raise IndexOutOfRange(f"mode index {i} for M={space.dims.M}")
-    return _diagonal(space, space.occupations[:, i])
+    return _assemble(space, tgt[keep], cols[keep], np.ones(np.count_nonzero(keep)))
 
 
 def build_photon_number(space: HilbertSpace) -> SparseOperator:
@@ -437,11 +415,9 @@ def build_mode_coupling(space: HilbertSpace, i: int) -> SparseOperator:
     M, N = space.dims.M, space.dims.N
     if not 0 <= i < M:
         raise IndexOutOfRange(f"mode index {i} for M={M}")
-    pattern = _pattern(space, False, (True,) * (M * N))
-    keep = pattern.term // N == i
-    # row r ends after the entries kept among the pattern's first indptr[r + 1]
-    indptr = np.concatenate([[0], np.cumsum(keep)])[pattern.indptr].astype(pattern.indptr.dtype)
-    return SparseOperator(space, pattern.amplitude[keep], pattern.indices[keep], indptr)
+    pattern = _pattern(space, (True,) * (M * N))
+    amplitudes = SparseOperator(space, pattern.amplitude, pattern.indices, pattern.indptr)
+    return amplitudes.entries(pattern.term // N == i)
 
 
 def kronecker_oracle(params: RabiParams, space: HilbertSpace) -> np.ndarray:

@@ -20,17 +20,23 @@ class SpectrumTable:
     levels: dict  # parity sign -> array of shape (n_points, n_levels)
 
 
-def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool = True):
-    """Lowest eigenpairs, ascending.
+def eigenspectrum(H: SparseOperator, n_levels: int | None = None) -> np.ndarray:
+    """Lowest ``n_levels`` eigenvalues (all by default), ascending.
 
-    Dense below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``, smallest
-    algebraic) above, from a fixed seeded start vector, so that a solve
-    depends only on H and not on the solves before it.  The start is
+    Dense ``eigvalsh`` below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``,
+    smallest algebraic) above, from a fixed seeded start vector, so that a
+    solve depends only on H and not on the solves before it.  The start is
     random, not uniform: a uniform vector is symmetric under every basis
     permutation and never reaches the antisymmetric levels.  A real
     operator is solved as real symmetric, a complex one as complex
-    Hermitian.  Returns (energies, vectors) with the vectors as columns in
-    the operator's dtype, or energies alone.
+    Hermitian.
+
+    Above DENSE_THRESHOLD, an operator with no nonzero off-diagonal entry
+    (uncoupled qubits, g = 0) is its sorted diagonal, each entry added
+    into +0.0 as ``dense()`` reads it; these are the bytes ``eigvalsh``
+    gives for that diagonal.  Lanczos breaks down on such an operator and
+    restarts from ARPACK's own random state, so a level at 0 would come out
+    as noise that changes from call to call.
     """
     dim = H.dim
     if n_levels is None:
@@ -38,22 +44,20 @@ def eigenspectrum(H: SparseOperator, n_levels: int | None = None, vectors: bool 
     if n_levels > dim:
         raise ValueError(f"requested {n_levels} levels from dim {dim}")
     if dim <= DENSE_THRESHOLD or n_levels >= dim - 1:
-        dense = H.dense()
-        if vectors:
-            E, V = np.linalg.eigh(dense)
-            return E[:n_levels], V[:, :n_levels]
-        return np.linalg.eigvalsh(dense)[:n_levels]
+        return np.linalg.eigvalsh(H.dense())[:n_levels]
+    on_diagonal = H.indices == H.rows
+    if not np.any(H.data[~on_diagonal]):
+        diagonal = np.zeros(dim)
+        diagonal[H.rows[on_diagonal]] += H.data[on_diagonal].real
+        return np.sort(diagonal)[:n_levels]
     import scipy.sparse.linalg as spla  # only here: it is a large import that no dense solve needs
 
     try:
         v0 = np.random.default_rng(0).standard_normal(dim)
-        E, V = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA", v0=v0)
+        E, _ = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"iterative eigensolve failed: {exc}") from exc
-    order = np.argsort(E)
-    if vectors:
-        return E[order], V[:, order]
-    return E[order]
+    return E[np.argsort(E)]
 
 
 def sweep_coupling(
@@ -181,7 +185,7 @@ def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
             for p, values in enumerate(data, first):
                 H = SparseOperator(space, values, pattern.indices, pattern.indptr)
                 try:
-                    E[p] = eigenspectrum(H.leading_block(sub), E.shape[1], vectors=False)
+                    E[p] = eigenspectrum(H.leading_block(sub), E.shape[1])
                 except ConvergenceFailure as exc:
                     ig, g_value = where[p]
                     raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc
@@ -190,5 +194,5 @@ def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
 
 def degeneracy_count(H: SparseOperator, E_target: float) -> int:
     """Number of eigenvalues within |E - E_target| < 1e-6."""
-    E = eigenspectrum(H, n_levels=H.dim, vectors=False)
+    E = eigenspectrum(H, n_levels=H.dim)
     return int(np.sum(np.abs(E - E_target) < 1e-6))

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -273,43 +274,6 @@ def test_only_cli_formats_output():
     assert formatting == []
 
 
-def test_config_and_schedules_leave_the_integrator_unloaded():
-    # reading a config, building a schedule or reducing one integrates nothing
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = "import sys, mmrabi.config, mmrabi.modes, mmrabi.schedules; print('scipy.integrate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "False"
-
-
-@pytest.mark.parametrize("argv", [["dark-verify"], ["reproduce", "fig1a"]], ids=["dark-verify", "fig1a"])
-def test_commands_that_integrate_nothing_leave_the_integrator_unloaded(tmp_path, argv):
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = (
-        "import sys; from mmrabi.cli import main; "
-        f"code = main(['--quiet', '--out', {str(tmp_path)!r}, *{argv!r}]); "
-        "print(code, 'scipy.integrate' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "0 False"
-
-
-@pytest.mark.parametrize("figure", ["fig2", "fig4"])
-def test_integrating_commands_load_no_scipy_solver_module(tmp_path, figure):
-    # the modules the benchmark workloads import, then a command that
-    # integrates: the ODE loop is mmrabi's own and no solve here is iterative
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = (
-        "import sys; from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra; "
-        f"code = cli.main(['--quiet', '--out', {str(tmp_path)!r}, 'reproduce', {figure!r}]); "
-        "print(code, [m for m in ('scipy.integrate', 'scipy.sparse.linalg') if m in sys.modules])"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "0 []"
-
-
 NUMPY_ONLY_RUNS = {
     "basis": ["basis"],
     "dark-verify": ["dark-verify"],
@@ -322,30 +286,9 @@ NUMPY_ONLY_RUNS = {
     "adiabatic": ["adiabatic"],
     "fig2": ["reproduce", "fig2"],
 }
+WATCHED = ("scipy.integrate", "scipy.sparse", "scipy.sparse.linalg")
 
-
-@pytest.mark.parametrize("argv", NUMPY_ONLY_RUNS.values(), ids=NUMPY_ONLY_RUNS.keys())
-def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(tmp_path, argv):
-    # the modules the benchmark workloads import, then a command whose
-    # operators are dense or multiplied by their numpy CSR arrays
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = (
-        "import sys; from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra; "
-        f"code = cli.main(['--quiet', '--out', {str(tmp_path)!r}, *{argv!r}]); "
-        "print(code, 'scipy.sparse' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "0 False"
-
-
-def test_closed_generation_and_gap_monitor_leave_scipy_sparse_unloaded():
-    # a W generation at (3, 2, 6) that integrates its bright mode, and the
-    # gap monitor on the full (2, 2, 4) space: their terms, isometry,
-    # segments and instantaneous Hamiltonians are numpy arrays
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = """
-import sys
+CLOSED_GENERATION_AND_GAP_MONITOR = """
 import numpy as np
 from mmrabi import dynamics, hilbert, solutions
 
@@ -365,18 +308,9 @@ ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(2,
 samples = dynamics.gap_monitor(
     ht, lambda t: (solutions.dark_state_2q(ht.params_at(t), space).vector, 1.0), [1.0, 5.0, 9.0])
 assert max(s["max_degenerate_element"] for s in samples) < 1e-10
-print("scipy.sparse" in sys.modules)
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "False"
 
-
-def test_hamiltonian_views_leave_scipy_sparse_unloaded():
-    # at, at_dense and derivative_at fill the numpy pattern of the space
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    code = """
-import sys
+HAMILTONIAN_VIEWS = """
 import numpy as np
 from mmrabi import dynamics, hilbert
 
@@ -387,11 +321,104 @@ for t in (0.0, 1.0, 5.0, 10.0):
     H = ht.at(t)
     assert np.array_equal(H.dense(), ht.at_dense(t))
     assert (ht.derivative_at(t) @ v).shape == v.shape
-print("scipy.sparse" in sys.modules)
 """
+
+# runs (name, code) steps in order in one namespace and logs, after each,
+# its ``result``, its traceback and which watched modules are loaded
+STEP_RUNNER = """
+import json, sys, traceback
+watched, steps, log_path = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+namespace, log = {}, []
+for name, code in steps:
+    error = None
+    try:
+        exec(code, namespace)
+    except Exception:
+        error = traceback.format_exc()
+    loaded = [m for m in watched if m in sys.modules]
+    log.append({"step": name, "result": namespace.pop("result", None), "error": error, "loaded": loaded})
+with open(log_path, "w") as f:
+    json.dump(log, f)
+"""
+
+
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    """Step name -> its log entry, every step run in order in one fresh interpreter.
+
+    A loaded module stays loaded, so a module absent after a step was loaded
+    by none of the steps before it either.  The order puts the imports
+    first, then the commands that load no ``scipy.sparse``, then fig4,
+    which does; no step loads ``scipy.integrate`` or ``scipy.sparse.linalg``.
+    """
+    out = tmp_path_factory.mktemp("steps")
+
+    def command(name, argv):
+        return f"result = cli.main(['--quiet', '--out', {str(out / name)!r}, *{argv!r}])"
+
+    plan = [
+        ("import config, modes, schedules", "import mmrabi.config, mmrabi.modes, mmrabi.schedules"),
+        # the modules the benchmark workloads import
+        ("import", "from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra"),
+        *((name, command(name, argv)) for name, argv in NUMPY_ONLY_RUNS.items()),
+        ("closed generation and gap monitor", CLOSED_GENERATION_AND_GAP_MONITOR),
+        ("hamiltonian views", HAMILTONIAN_VIEWS),
+        ("fig4", command("fig4", ["reproduce", "fig4"])),
+    ]
+    src = str(Path(mmrabi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "False"
+    log_path = out / "steps.json"
+    argv = [sys.executable, "-c", STEP_RUNNER, json.dumps(WATCHED), json.dumps(plan), str(log_path)]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return {entry["step"]: entry for entry in json.loads(log_path.read_text())}
+
+
+def assert_step(steps, name, result, unloaded):
+    """The step ran without error, gave ``result`` and left the ``unloaded`` modules unloaded."""
+    entry = steps[name]
+    assert entry["error"] is None, entry["error"]
+    assert entry["result"] == result, name
+    for module in unloaded:
+        if module in entry["loaded"]:
+            first = next(step for step, e in steps.items() if module in e["loaded"])
+            pytest.fail(f"{module} is loaded after {name!r}; step {first!r} loaded it")
+
+
+def test_config_and_schedules_leave_the_integrator_unloaded(steps):
+    # reading a config, building a schedule or reducing one integrates nothing
+    assert_step(steps, "import config, modes, schedules", None, ["scipy.integrate"])
+
+
+@pytest.mark.parametrize("argv", [["dark-verify"], ["reproduce", "fig1a"]], ids=["dark-verify", "fig1a"])
+def test_commands_that_integrate_nothing_leave_the_integrator_unloaded(steps, argv):
+    assert_step(steps, argv[-1], 0, ["scipy.integrate"])
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig4"])
+def test_integrating_commands_load_no_scipy_solver_module(steps, figure):
+    # the modules the benchmark workloads import, then a command that
+    # integrates: the ODE loop is mmrabi's own and no solve here is iterative
+    assert_step(steps, figure, 0, ["scipy.integrate", "scipy.sparse.linalg"])
+
+
+@pytest.mark.parametrize("name", NUMPY_ONLY_RUNS)
+def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(steps, name):
+    # the modules the benchmark workloads import, then a command whose
+    # operators are dense or multiplied by their numpy CSR arrays
+    assert_step(steps, name, 0, ["scipy.sparse"])
+
+
+def test_closed_generation_and_gap_monitor_leave_scipy_sparse_unloaded(steps):
+    # a W generation at (3, 2, 6) that integrates its bright mode, and the
+    # gap monitor on the full (2, 2, 4) space: their terms, isometry,
+    # segments and instantaneous Hamiltonians are numpy arrays
+    assert_step(steps, "closed generation and gap monitor", None, ["scipy.sparse"])
+
+
+def test_hamiltonian_views_leave_scipy_sparse_unloaded(steps):
+    # at, at_dense and derivative_at fill the numpy pattern of the space
+    assert_step(steps, "hamiltonian views", None, ["scipy.sparse"])
 
 
 def test_no_module_imports_scipy_at_import_time():

@@ -35,13 +35,12 @@ from mmrabi.dynamics import (
     trace_distance,
 )
 from mmrabi.errors import InvalidSchedule, PositivityLoss, SpaceMismatch
-from mmrabi.hilbert import EVEN, ODD, UP, BasisState, ModelDims, enumerate_basis
+from mmrabi.hilbert import EVEN, ODD, UP, BasisState, ModelDims, enumerate_basis, parity_signs
 from mmrabi.modes import mode_groups
 from mmrabi.operators import (
     RabiParams,
     build_hamiltonian,
     build_mode_lowering,
-    build_parity_operator,
     build_qubit_op,
     kronecker_oracle,
 )
@@ -382,7 +381,7 @@ def test_restricted_generator_matches_full_generator():
     sched = release_schedule()
     ht = ScheduledHamiltonian(space, sched)
     noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
-    p = build_parity_operator(space).matrix.diagonal().real
+    p = parity_signs(space.occupations, space.spins)
     rng = np.random.default_rng(11)
     A = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
     rho = A @ A.conj().T

@@ -64,7 +64,6 @@ def test_index_state_bijection():
     space = enumerate_basis(ModelDims(2, 2, 2))
     for i, st in enumerate(space.states):
         assert space.index(st) == i
-        assert space.state(i) == st
 
 
 def test_first_state_is_index_zero():
@@ -168,7 +167,6 @@ def test_enumeration_matches_per_state_reference():
                 assert not arr.flags.writeable
             assert space.dim == len(reference)
             assert space.states == tuple(reference)
-            assert [space.state(i) for i in range(space.dim)] == reference
 
 
 def test_equality_follows_dims_and_sector():

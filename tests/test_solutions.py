@@ -98,11 +98,12 @@ def test_odd_dark_states_both_variants():
 def test_odd_dark_state_parity_purity():
     space = enumerate_basis(ModelDims(2, 2, 2))
     state = dark_state_2q_odd(params_2q(delta=(1.2, 0.2), g=0.4), space, variant="a")
+    states = space.states
     for i in np.flatnonzero(np.abs(state.vector) > 0):
-        assert parity_of(space.state(i)) == ODD
+        assert parity_of(states[i]) == ODD
     even = dark_state_2q(params_2q(g=0.4), space)
     for i in np.flatnonzero(np.abs(even.vector) > 0):
-        assert parity_of(space.state(i)) == EVEN
+        assert parity_of(states[i]) == EVEN
 
 
 def params_3q(g, M=2):
@@ -177,7 +178,7 @@ def test_photon_confinement():
     state = dark_state_2q(params_2q(g=0.8), space)
     assert state.max_photon_support() == 1
     for i in np.flatnonzero(np.abs(state.vector) > 0):
-        assert space.state(i).total_photons <= 1
+        assert space.states[i].total_photons <= 1
 
 
 def test_residual_independent_of_cutoff():
@@ -296,8 +297,9 @@ def _reference_3q(params, space):
 def _reference_product(base, n_pairs, space):
     singlet = [((DOWN, UP), 1 / np.sqrt(2)), ((UP, DOWN), -1 / np.sqrt(2))]
     vec = np.zeros(space.dim, dtype=complex)
+    states = base.space.states
     for k in np.flatnonzero(np.abs(base.vector) > 0):
-        state = base.space.state(k)
+        state = states[k]
         for choice in itertools.product(singlet, repeat=n_pairs):
             spins, amp = state.spins, base.vector[k]
             for pair_spins, pair_amp in choice:

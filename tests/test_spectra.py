@@ -6,12 +6,12 @@ import pytest
 
 import mmrabi.spectra as spectra
 from mmrabi.errors import ConvergenceFailure, SpaceMismatch
-from mmrabi.hilbert import EVEN, ODD, ModelDims, ParitySector, enumerate_basis
+from mmrabi.hilbert import EVEN, ODD, UP, ModelDims, ParitySector, enumerate_basis
 from mmrabi.operators import (
     RabiParams,
+    SparseOperator,
     build_hamiltonian,
     build_jc_hamiltonian,
-    build_qubit_op,
     fill_hamiltonians,
 )
 from mmrabi.spectra import (
@@ -31,7 +31,7 @@ def uniform_params(M=2, N=2, delta=(0.9, 0.1), g=0.5):
 def test_zero_coupling_closed_form():
     space = enumerate_basis(ModelDims(2, 2, 2))
     params = uniform_params(g=0.0)
-    E = eigenspectrum(build_hamiltonian(params, space), vectors=False)
+    E = eigenspectrum(build_hamiltonian(params, space))
     expected = sorted(
         n1 + n2 + s1 * 0.9 + s2 * 0.1
         for n1 in range(3)
@@ -43,21 +43,25 @@ def test_zero_coupling_closed_form():
 
 
 def test_eigenpair_residuals():
+    # the smallest residual |(H - E) v| over unit vectors v is the smallest
+    # singular value of H - E, which vanishes at an eigenvalue
     space = enumerate_basis(ModelDims(2, 2, 3))
-    H = build_hamiltonian(uniform_params(g=0.6), space)
-    E, V = eigenspectrum(H, n_levels=10)
-    scale = np.abs(H.dense()).max()
+    op = build_hamiltonian(uniform_params(g=0.6), space)
+    H = op.dense()
+    E = eigenspectrum(op, n_levels=10)
+    assert E.shape == (10,) and np.all(np.diff(E) >= 0)
+    scale = np.abs(H).max()
     for k in range(10):
-        r = np.linalg.norm(H.dense() @ V[:, k] - E[k] * V[:, k])
+        r = np.linalg.svd(H - E[k] * np.eye(space.dim), compute_uv=False).min()
         assert r < 1e-9 * max(scale, 1.0)
 
 
 def test_dense_iterative_agreement(monkeypatch):
     space = enumerate_basis(ModelDims(2, 2, 4))
     H = build_hamiltonian(uniform_params(g=0.45), space)
-    dense = eigenspectrum(H, n_levels=6, vectors=False)
+    dense = eigenspectrum(H, n_levels=6)
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
-    iterative = eigenspectrum(H, n_levels=6, vectors=False)
+    iterative = eigenspectrum(H, n_levels=6)
     assert np.allclose(dense, iterative, atol=1e-8)
 
 
@@ -69,10 +73,10 @@ def test_iterative_solve_depends_only_on_its_matrix(monkeypatch):
     H = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.5] * 6, g=0.2), space)
     other = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.7] * 6, g=0.3), space)
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
-    first = eigenspectrum(H, n_levels=20, vectors=False)
+    first = eigenspectrum(H, n_levels=20)
     for _ in range(2):
-        eigenspectrum(other, n_levels=20, vectors=False)
-        assert np.array_equal(eigenspectrum(H, n_levels=20, vectors=False), first)
+        eigenspectrum(other, n_levels=20)
+        assert np.array_equal(eigenspectrum(H, n_levels=20), first)
 
 
 @pytest.mark.xfail(strict=True, reason="eigsh drops copies of degenerate levels")
@@ -88,7 +92,7 @@ def test_iterative_solve_keeps_every_degenerate_copy(monkeypatch):
 
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
     for _ in range(3):
-        levels = eigenspectrum(H, n_levels=20, vectors=False)
+        levels = eigenspectrum(H, n_levels=20)
         assert multiplicities(levels) == multiplicities(dense)
         assert np.max(np.abs(levels - dense)) < 1e-8
 
@@ -96,9 +100,9 @@ def test_iterative_solve_keeps_every_degenerate_copy(monkeypatch):
 def test_sector_completeness():
     dims = ModelDims(2, 2, 3)
     params = uniform_params(g=0.7)
-    full = eigenspectrum(build_hamiltonian(params, enumerate_basis(dims)), vectors=False)
+    full = eigenspectrum(build_hamiltonian(params, enumerate_basis(dims)))
     merged = np.concatenate([
-        eigenspectrum(build_hamiltonian(params, enumerate_basis(dims, s)), vectors=False)
+        eigenspectrum(build_hamiltonian(params, enumerate_basis(dims, s)))
         for s in (EVEN, ODD)
     ])
     assert np.allclose(np.sort(merged), np.sort(full), atol=1e-9)
@@ -164,7 +168,7 @@ def test_convergence_ground_state_monotone():
     # a higher cutoff adds states, so the lowest level cannot rise
     params = uniform_params(g=0.5)
     spaces = [enumerate_basis(ModelDims(2, 2, n_max)) for n_max in range(1, 6)]
-    E0 = [eigenspectrum(build_hamiltonian(params, s), 1, vectors=False)[0] for s in spaces]
+    E0 = [eigenspectrum(build_hamiltonian(params, s), 1)[0] for s in spaces]
     assert all(b - a <= 1e-14 for a, b in zip(E0, E0[1:]))
 
 
@@ -190,22 +194,26 @@ def test_real_dense_eigensolve_keeps_degenerate_multiplicities():
 
     for sector in (EVEN, ODD):
         H = build_hamiltonian(params, enumerate_basis(dims, sector))
-        E, V = eigenspectrum(H, 14)
+        E = eigenspectrum(H, 14)
         ref = np.linalg.eigvalsh(H.dense())[:14]
         assert np.max(np.abs(E - ref)) < 1e-12
         assert multiplicities(E) == multiplicities(ref)
         assert max(multiplicities(ref)) > 1
-        assert V.dtype == H.matrix.dtype
-        assert np.max(np.linalg.norm(H.matrix @ V - V * E, axis=0)) < 1e-10
 
 
 def test_complex_hermitian_dense_eigensolve():
-    # sigma_y has only imaginary entries; its spectrum is +-1
+    # sigma_y on qubit 2 has only imaginary entries; its spectrum is +-1.
+    # Flipping the last qubit pairs states 2k and 2k + 1, and
+    # sigma_y |up> = i |down>, sigma_y |down> = -i |up>.
     space = enumerate_basis(ModelDims(1, 2, 2))
-    Y = build_qubit_op(space, 1, "y")
-    E, V = eigenspectrum(Y)
+    cols = np.arange(space.dim)
+    data = np.where(space.spins[:, 1] == UP, -1j, 1j)
+    Y = SparseOperator(space, data, (cols ^ 1).astype(np.int32), np.arange(space.dim + 1, dtype=np.int32))
+    dense = Y.dense()
+    assert np.array_equal(dense, dense.conj().T) and not dense.real.any()
+    E = eigenspectrum(Y)
+    assert E.dtype == np.float64
     assert np.allclose(E, np.repeat([-1.0, 1.0], space.dim // 2), atol=1e-12)
-    assert np.max(np.linalg.norm(Y.matrix @ V - V * E, axis=0)) < 1e-12
 
 
 def _multiplicities(levels, gap=1e-9):
@@ -224,11 +232,11 @@ def test_rank_one_coupling_spectrum_from_single_mode_spectra(sector):
     params = RabiParams(omega=np.ones(M), delta=delta, g=np.outer(w, g))
     bright = RabiParams(omega=np.ones(1), delta=delta, g=np.linalg.norm(w) * g[None, :])
     space = enumerate_basis(ModelDims(M, N, n_max), sector)
-    levels = eigenspectrum(build_hamiltonian(params, space), vectors=False)
+    levels = eigenspectrum(build_hamiltonian(params, space))
     union = []
     for k in range(n_max + 1):
         sub = enumerate_basis(ModelDims(1, N, n_max - k), ParitySector(sector.sign * (-1) ** k))
-        one = eigenspectrum(build_hamiltonian(bright, sub), vectors=False) + k
+        one = eigenspectrum(build_hamiltonian(bright, sub)) + k
         union += list(one) * comb(k + M - 2, M - 2)
     union = np.sort(union)
     assert levels.shape == union.shape == (space.dim,)
@@ -241,7 +249,7 @@ def _oracle_levels(template, grid, sector, n_levels, dims):
     """Per-point full-space levels: one M-mode sector Hamiltonian built and solved per point."""
     space = enumerate_basis(dims, sector)
     return np.array([
-        eigenspectrum(build_hamiltonian(template(g), space), n_levels, vectors=False) for g in grid
+        eigenspectrum(build_hamiltonian(template(g), space), n_levels) for g in grid
     ])
 
 
@@ -361,7 +369,7 @@ def _per_point_levels(template, grid, signs, n_levels, dims):
     def prefix_levels(H, subs):
         if H.dim > spectra.DENSE_THRESHOLD:
             return [
-                eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim), vectors=False)
+                eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim))
                 for sub in subs
             ]
         dense = H.dense()
@@ -376,7 +384,7 @@ def _per_point_levels(template, grid, signs, n_levels, dims):
         if np.any(omega != omega[0]) or r == M:
             for sign in signs:
                 H = build_hamiltonian(params, space(M, n_max, sign))
-                levels[sign].append(eigenspectrum(H, n_levels, vectors=False))
+                levels[sign].append(eigenspectrum(H, n_levels))
             continue
         bright = RabiParams(omega=omega[:r], delta=params.delta, g=S[:r, None] * Wt[:r])
         solved = {}
@@ -486,30 +494,26 @@ def test_blocks_above_dense_threshold_are_solved_per_point(monkeypatch, name):
     table = sweep_coupling(template, grid, None, 12, dims)
     assert solved and min(solved) > 3
     ref = _per_point_levels(template, grid, [+1, -1], 12, dims)
-    # at g = 0 every block is diagonal, and eigsh gives a level at 0 as noise
-    # that differs from call to call (test_iterative_solve_of_a_diagonal_block_repeats)
-    zero = np.asarray(grid) == 0
+    # at g = 0 every block is diagonal and solved by sorting its diagonal
+    # (test_iterative_solve_of_a_diagonal_block_repeats)
     assert list(table.levels) == list(ref)
     for sign, lv in table.levels.items():
         assert lv.shape == ref[sign].shape
-        assert lv[~zero].tobytes() == ref[sign][~zero].tobytes(), sign
-        assert np.max(np.abs(lv[zero] - ref[sign][zero]), initial=0.0) < 1e-12
+        assert lv.tobytes() == ref[sign].tobytes(), sign
 
 
-@pytest.mark.xfail(
-    strict=True, reason="eigsh restarts a broken-down Lanczos run from ARPACK's own random state"
-)
 def test_iterative_solve_of_a_diagonal_block_repeats(monkeypatch):
     # uncoupled qubits with 0.8 - 0.5 - 0.3 = 0 put a level at 0 in the odd
     # sector of (1, 3, 3); Lanczos on the diagonal H stops early and
-    # restarts, and eigsh gives that level as noise near 1e-91 that changes
+    # restarts, and eigsh gave that level as noise near 1e-91 that changed
     # from one call to the next
     space = enumerate_basis(ModelDims(1, 3, 3), ODD)
     H = build_hamiltonian(RabiParams([1.0], [0.8, 0.5, 0.3], [[0.0, 0.0, 0.0]]), space)
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
-    first = eigenspectrum(H, 12, vectors=False)
+    first = eigenspectrum(H, 12)
+    assert first.tobytes() == np.linalg.eigvalsh(H.dense())[:12].tobytes()
     for _ in range(3):
-        assert eigenspectrum(H, 12, vectors=False).tobytes() == first.tobytes()
+        assert eigenspectrum(H, 12).tobytes() == first.tobytes()
 
 
 def test_iterative_failure_names_its_grid_point(monkeypatch):
