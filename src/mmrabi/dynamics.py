@@ -34,7 +34,8 @@ Energies and times are in units of the common mode frequency, omega = 1.
 Closed runs reduce themselves: when modes group and the start lies in
 the range of the reduction, ``evolve_schrodinger`` integrates the
 bright-mode problem of ``modes.reduce_modes``, the same problem with
-fewer modes, and returns the states in the caller's space.  Open runs
+fewer modes, and returns the states in the caller's space; ``gap_monitor``
+diagonalises that problem by the same rule.  Open runs
 integrate the space they are given; the CLI reduces them first.  The
 schedules and noise rates live in ``schedules`` and are re-exported here.
 """
@@ -79,7 +80,7 @@ RANGE_TOL = 1e-13
 # with a state runs on one OpenBLAS thread and beats CSR's fixed cost
 # (2.9 us against 10 us at 56 x 28 on a 2-vCPU Xeon); from it on OpenBLAS
 # splits the product over threads, for a small wall-time gain at twice the
-# CPU time.
+# CPU time.  ``fidelity`` forms rho @ b in row blocks below this size too.
 DENSE_SEGMENT_ENTRIES = 4096
 
 
@@ -263,7 +264,15 @@ class Trajectory:
 
 
 def fidelity(a, b: np.ndarray) -> float:
-    """|<b|a>|^2 for pure a, <b|rho|b> for density a; b must be normalized."""
+    """|<b|a>|^2 for pure a, <b|rho|b> for density a; b must be normalized.
+
+    rho @ b is formed in near-equal row blocks of fewer than
+    ``DENSE_SEGMENT_ENTRIES`` entries, each on one OpenBLAS thread, so no
+    BLAS worker wakes to spin on past the call.  Each entry is its row's
+    own dot product with b in OpenBLAS's gemv, so the blocks give the bytes
+    of one product.  A one-row block would be numpy's dot, summed in
+    another order, so a matrix too wide for blocks of 3 rows is one product.
+    """
     b = np.asarray(b)
     a = np.asarray(a)
     if a.ndim == 1:
@@ -272,7 +281,10 @@ def fidelity(a, b: np.ndarray) -> float:
         return float(abs(np.vdot(b, a)) ** 2)
     if a.shape != (b.size, b.size):
         raise SpaceMismatch(f"density shape {a.shape} vs state dim {b.size}")
-    return float(np.real(np.vdot(b, a @ b)))
+    rows = (DENSE_SEGMENT_ENTRIES - 1) // b.size  # the most rows of a block
+    blocks = np.array_split(a, -(-b.size // rows)) if rows > 2 else [a]  # each of 2 rows or more
+    ab = np.concatenate([block @ b for block in blocks])
+    return float(np.real(np.vdot(b, ab)))
 
 
 def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
@@ -297,6 +309,33 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     return t_eval, sol.y.T, stats
 
 
+def _bright_modes(hamiltonian: ScheduledHamiltonian):
+    """v -> (H, V, x): the problem on which a state v of ``hamiltonian``'s space runs.
+
+    kappa_c does not enter H, so modes group by proportional g alone
+    (``modes.mode_groups``).  With fewer groups than modes and v in the
+    range of the reduction's isometry V (``RANGE_TOL``), H is the
+    bright-mode problem of ``modes.reduce_modes`` on the closed schedule
+    and x = V^T v: H(t) and dH/dt keep the dark-mode occupation, so on V's
+    range they are V H V^T and V dH/dt V^T.  Otherwise H is ``hamiltonian``,
+    V None and x = v.  The reduction is built once, here.
+    """
+    space, sched = hamiltonian.space, hamiltonian.schedule
+    closed = ProtocolSchedule(sched.duration, sched.delta, sched.g)
+    if len(mode_groups(closed)) == space.dims.M:
+        return lambda v: (hamiltonian, None, v)
+    red = reduce_modes(space, closed)
+    run, V = ScheduledHamiltonian(red.space, red.schedule), red.isometry
+
+    def reduce(v):
+        x = V.rmatvec(v)
+        if np.linalg.norm(V @ x - v) <= RANGE_TOL * np.linalg.norm(v):
+            return run, V, x
+        return hamiltonian, None, v
+
+    return reduce
+
+
 def evolve_schrodinger(
     hamiltonian: ScheduledHamiltonian,
     psi0: np.ndarray,
@@ -306,24 +345,16 @@ def evolve_schrodinger(
 ) -> Trajectory:
     """Adaptive integration of the closed-system dynamics over [0, T].
 
-    kappa_c does not enter H, so modes group by proportional g alone
-    (``modes.mode_groups``).  With fewer groups than modes and psi0 in the
-    range of the reduction's isometry V (``RANGE_TOL``), the run integrates
-    the bright-mode problem of ``modes.reduce_modes`` from V^T psi0, which
-    is the same dynamics, and returns the states V psi(t) in the caller's
-    space.  Every other run integrates ``hamiltonian`` itself.
+    When psi0 reduces (``_bright_modes``), the run integrates the
+    bright-mode problem from V^T psi0, which is the same dynamics, and
+    returns the states V psi(t) in the caller's space.  Every other run
+    integrates ``hamiltonian`` itself.
     """
     space, sched = hamiltonian.space, hamiltonian.schedule
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (space.dim,):
         raise SpaceMismatch(f"psi0 length {psi0.shape} vs dim {space.dim}")
-    run, V = hamiltonian, None
-    closed = ProtocolSchedule(sched.duration, sched.delta, sched.g)
-    if len(mode_groups(closed)) < space.dims.M:
-        red = reduce_modes(space, closed)
-        start = red.isometry.rmatvec(psi0)
-        if np.linalg.norm(red.isometry @ start - psi0) <= RANGE_TOL * np.linalg.norm(psi0):
-            run, V, psi0 = ScheduledHamiltonian(red.space, red.schedule), red.isometry, start
+    run, V, psi0 = _bright_modes(hamiltonian)(psi0)
     terms = [(c, -1j * H) for c, H in run.terms]
     t_eval, states, stats = _integrate(terms, psi0, sched.duration, n_samples, rtol, atol)
     if V is not None:
@@ -603,14 +634,23 @@ def gap_monitor(
     |element| / gap^2 over nondegenerate levels, and the effective gap to
     the closest level actually coupled by Hdot.
 
-    H(t) is ``at_dense``, diagonalised dense, and Hdot v is
-    ``derivative_at(t) @ v``, so no sample forms a sparse product.
+    A sample whose tracked state reduces (``_bright_modes``, the rule
+    ``evolve_schrodinger`` follows) works on the bright-mode problem with
+    V^T v.  H(t) and Hdot keep the dark-mode occupation and v has none, so
+    no level outside that block couples to v, and ``energies`` holds the
+    levels of the tracked block only (20 instead of 60 at (2, 2, 4) under
+    the W schedule).  Other samples work on the full space and
+    ``energies`` holds every level.  H(t) is ``at_dense``, diagonalised
+    dense, and Hdot v is ``derivative_at(t) @ v``, so no sample forms a
+    sparse product.
     """
+    reduce = _bright_modes(hamiltonian)
     samples = []
     for t in times:
-        E, V = np.linalg.eigh(hamiltonian.at_dense(t))
         v, E_tracked = tracked_state(t)
-        w = hamiltonian.derivative_at(t) @ v
+        run, _, v = reduce(v)
+        E, V = np.linalg.eigh(run.at_dense(t))
+        w = run.derivative_at(t) @ v
         elements = np.abs(V.conj().T @ w)
         degenerate = np.abs(E - E_tracked) < 1e-8
         # gauge-fix: orthonormal basis of the degenerate subspace

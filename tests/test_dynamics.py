@@ -700,6 +700,105 @@ def test_effective_gap_small_coupling():
     assert abs(sample["effective_gap"] - 0.8) < 0.05
 
 
+def full_space_sample(ht, v, E_tracked, t, element_threshold=1e-10):
+    """A gap-monitor sample on the full space: eigh of at_dense(t), Hdot v = derivative_at(t) @ v."""
+    E, V = np.linalg.eigh(ht.at_dense(t))
+    w = ht.derivative_at(t) @ v
+    elements = np.abs(V.conj().T @ w)
+    degenerate = np.abs(E - E_tracked) < 1e-8
+    deg = np.abs(np.linalg.qr(V[:, degenerate])[0].conj().T @ w) if degenerate.any() else np.array([])
+    gaps = np.abs(E - E_tracked)
+    nondeg = ~degenerate
+    ratios = np.zeros_like(E)
+    ratios[nondeg] = elements[nondeg] / gaps[nondeg] ** 2
+    coupled = nondeg & (elements > element_threshold)
+    return {
+        "t": float(t),
+        "energies": E,
+        "degenerate_elements": deg,
+        "max_degenerate_element": float(deg.max()) if deg.size else 0.0,
+        "max_ratio": float(ratios.max()),
+        "effective_gap": float(gaps[coupled].min()) if coupled.any() else float("inf"),
+    }
+
+
+def monitored_eigh_shapes(monkeypatch, ht, tracked, times):
+    """gap_monitor's samples and the shape of every matrix its eigh calls see."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    samples = gap_monitor(ht, tracked, times)
+    monkeypatch.undo()
+    return samples, shapes
+
+
+def tracked_dark_state(space, t, ht):
+    return dark_state_2q(ht.params_at(t), space).vector, 1.0
+
+
+def test_gap_monitor_reduces_to_the_bright_modes(monkeypatch):
+    # the W couplings are proportional and the dark state has no dark-mode
+    # photon, so the monitor diagonalises the 20-state bright-mode block of
+    # the 60-state space and finds the full-space gap, ratio and elements
+    space = enumerate_basis(ModelDims(2, 2, 4))
+    ht = ScheduledHamiltonian(space, make_w_generation_schedule(2, 100.0))
+    times = np.linspace(1.0, 99.0, 12)
+    samples, shapes = monitored_eigh_shapes(
+        monkeypatch, ht, lambda t: tracked_dark_state(space, t, ht), times
+    )
+    assert shapes == [(20, 20)] * times.size
+    for sample, t in zip(samples, times):
+        ref = full_space_sample(ht, *tracked_dark_state(space, t, ht), t)
+        assert sample["energies"].size == 20
+        assert np.abs(sample["energies"][:, None] - ref["energies"]).min(axis=1).max() < 1e-12
+        assert abs(sample["effective_gap"] - ref["effective_gap"]) < 1e-12
+        assert abs(sample["max_ratio"] - ref["max_ratio"]) <= 1e-9 * ref["max_ratio"]
+        assert sample["max_degenerate_element"] < 1e-10
+        assert ref["max_degenerate_element"] < 1e-10
+
+
+def with_dark_photon(space, t, ht):
+    """The tracked dark state plus a photon in mode 2 alone, which the dark mode shares."""
+    v = tracked_dark_state(space, t, ht)[0].astype(complex)
+    v[space.index(BasisState((0, 1), (UP, UP)))] += 0.1
+    return v / np.linalg.norm(v), 1.0
+
+
+@pytest.mark.parametrize(
+    "schedule, tracked",
+    [
+        (make_w_generation_schedule(2, 100.0), with_dark_photon),
+        (distinct_schedule(2, 100.0), tracked_dark_state),
+    ],
+    ids=["dark-mode-weight", "ungrouped-modes"],
+)
+def test_gap_monitor_falls_back_to_the_full_space(monkeypatch, schedule, tracked):
+    space = enumerate_basis(ModelDims(2, 2, 4))
+    ht = ScheduledHamiltonian(space, schedule)
+    times = [5.0, 40.0, 95.0]
+    samples, shapes = monitored_eigh_shapes(monkeypatch, ht, lambda t: tracked(space, t, ht), times)
+    assert shapes == [(60, 60)] * len(times)
+    for sample, t in zip(samples, times):
+        ref = full_space_sample(ht, *tracked(space, t, ht), t)
+        assert sample.keys() == ref.keys()
+        for key, value in ref.items():
+            assert np.array_equal(sample[key], value), (t, key)
+
+
+@pytest.mark.parametrize("n", [40, 64, 80, 131])
+def test_density_fidelity_is_one_product(n):
+    # rho @ b is formed in row blocks, each entry its row's gemv dot product;
+    # at n = 64 plain blocks of the most rows (63) would end in a one-row
+    # block, which numpy takes as a dot summed in another order
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b /= np.linalg.norm(b)
+        assert fidelity(a, b) == float(np.real(np.vdot(b, a @ b)))
+    with pytest.raises(SpaceMismatch):
+        fidelity(a, b[1:])
+
+
 # --------------------------------------------------------------------------
 # open evolution
 
