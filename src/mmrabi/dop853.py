@@ -1,19 +1,25 @@
 """DOP853 with sampled output: the one ODE integrator every run uses.
 
-``solve_ivp`` integrates d/dt y = fun(t, y) forward in time with the
+``solve_ivp`` integrates d/dt y = f(t, y) forward in time with the
 explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince (Prince &
 Dormand, J. Comput. Appl. Math. 7, 67 (1981); Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, 2nd ed., Springer 1993,
-Ch. II) and returns the states at the times of ``t_eval``.  Its
-arithmetic is that of ``scipy.integrate.solve_ivp(method="DOP853")`` (scipy
-1.17) with ``t_eval``, operation for operation: the same initial step
-(Hairer et al., Sec. II.4), the same stage sums ``np.dot(K[:s].T, a) * h``,
-the same error norm from the 5th- and 3rd-order estimates, the same
-step-size rules and the same 7-term interpolant, built from three extra
-stages, for each step that holds samples.  So ``nfev`` and every sample
-equal scipy's bit for bit.  What it leaves out is scipy's generality
-(events, dense output, backward or vectorized integration, other methods)
-and its per-call wrappers.
+Ch. II) and returns the states at the times of ``t_eval``.  The
+right-hand side is called in place, ``fun(t, y, out)``, and writes f(t, y)
+into ``out``, which is a row of the stage array K.  Its arithmetic is that
+of ``scipy.integrate.solve_ivp(method="DOP853")`` (scipy 1.17) with
+``t_eval``, operation for operation: the same initial step (Hairer et al.,
+Sec. II.4), the same stage sums ``y + np.dot(K[:s].T, a) * h``, the same
+error norm from the 5th- and 3rd-order estimates, the same step-size rules
+and the same 7-term interpolant, built from three extra stages, for each
+step that holds samples.  So ``nfev`` and every sample equal scipy's bit
+for bit.  Each step writes its stage states, y_new, |y_new|, the error
+scale and both error estimates into buffers made once per solve, with
+scipy's operations in scipy's order (a product with h is a product with a
+0-d array of y's dtype, the scalar scipy's operator converts h to), so a
+step that holds no samples allocates no state-sized array.  What it leaves
+out is scipy's generality (events, dense output, backward or vectorized
+integration, other methods) and its per-call wrappers.
 
 The tableau below is copied from scipy's
 ``scipy/integrate/_ivp/dop853_coefficients.py``, which takes it from
@@ -254,12 +260,14 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _squared_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) ** 2 with the same roundings: the square of the rounded root."""
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im)) ** 2
-    return math.sqrt(x.dot(x)) ** 2
+def _squared_norm(re: np.ndarray, im: np.ndarray | None = None) -> float:
+    """np.linalg.norm(x) ** 2 with the same roundings, the square of the rounded root.
+
+    x is real ``re``, or complex with real part ``re`` and imaginary part ``im``.
+    """
+    if im is None:
+        return math.sqrt(re.dot(re)) ** 2
+    return math.sqrt(re.dot(re) + im.dot(im)) ** 2
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
@@ -274,7 +282,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    f1 = np.empty_like(y0)
+    fun(t0 + h0, y1, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -286,12 +295,15 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult:
     """DOP853 of d/dt y = fun(t, y) over t_span = (t0, tf), tf > t0, sampled at ``t_eval``.
 
-    ``y0`` is a non-empty 1-D float or complex array; ``fun(t, y)`` returns
-    an array of the same length and of y0's dtype.  A complex first result
-    for a real y0 raises TypeError: real stages would drop its imaginary
-    part.  ``t_eval`` is increasing and inside t_span.  ``rtol`` below 100
-    machine epsilons is raised to it with a warning, as scipy does.
-    Returns an ``OdeResult`` whose ``nfev`` counts every call of ``fun``.
+    ``y0`` is a non-empty 1-D float or complex array.  ``fun(t, y, out)``
+    writes dy/dt into ``out``, an array of y0's dtype and length, and
+    returns nothing; it keeps no reference to ``y`` or ``out``, which the
+    solver reuses.  Written through numpy's same-kind casting (a ufunc's
+    ``out=``, ``np.copyto``), a complex right-hand side for a real y0 raises
+    TypeError: real stages would drop its imaginary part.  ``t_eval`` is
+    increasing and inside t_span.  ``rtol`` below 100 machine epsilons is
+    raised to it with a warning, as scipy does.  Returns an ``OdeResult``
+    whose ``nfev`` counts every call of ``fun``.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
@@ -321,31 +333,45 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     # stages of its interpolant; row 12 is f at the step's end, so after an
     # accepted step it is f at the new start.  Each stage sum reads K[:s]
     # through a view made here, with its coefficients cast to y's dtype
-    # here, so np.dot sees the operands scipy's mixed-type call converts to.
+    # here, so the dot sees the operands scipy's mixed-type call converts to.
     K = np.empty((N_STAGES_EXTENDED, n), dtype=dtype)
 
     def stages(rows):
-        return [(s, K[:s].T, A[s, :s].astype(dtype), float(C[s])) for s in rows]
+        return [(K[s], K[:s].T, A[s, :s].astype(dtype), float(C[s])) for s in rows]
 
     steps, extras = stages(range(1, N_STAGES)), stages(range(N_STAGES + 1, N_STAGES_EXTENDED))
     KB, b = K[:N_STAGES].T, B.astype(dtype)
     KE, e5, e3 = K[: N_STAGES + 1].T, E5.astype(dtype), E3.astype(dtype)
     d = D.astype(dtype)
+    f_new = K[N_STAGES]
 
-    f0 = np.asarray(fun(t, y))
-    if dtype is float and np.iscomplexobj(f0):
-        raise TypeError("fun returned complex values for a real y0; pass y0 as complex")
-    K[N_STAGES] = f0
-    h_abs = _initial_step(fun, t, y, K[N_STAGES], t_bound, rtol, atol)
+    # Every array operation of a step attempt writes into a buffer made
+    # here, in scipy's order: a stage's state y + K[:s].T a h goes to
+    # y_stage, as a dot, a product with h and a sum; y_new and |y_new| go
+    # to the rows of ys and abs_ys that do not hold y and |y|; both error
+    # estimates go to err, whose real and imaginary parts are viewed once.
+    # h, rtol and atol are 0-d arrays of the dtypes scipy's operators
+    # convert them to.
+    y_stage = np.empty(n, dtype=dtype)
+    ys, abs_ys = np.empty((2, n), dtype=dtype), np.empty((2, n))
+    scale, err = np.empty(n), np.empty(n, dtype=dtype)
+    err_parts = (err.real, err.imag) if dtype is complex else (err,)
+    h_0d = np.empty((), dtype=dtype)
+    rtol_0d, atol_0d = np.array(rtol, dtype=float), np.array(atol, dtype=float)
+    ys[0] = y
+    (y, y_new), (abs_y, abs_new) = ys, abs_ys
+
+    fun(t, y, f_new)
+    h_abs = _initial_step(fun, t, y, f_new, t_bound, rtol, atol)
     nfev = 2
-    abs_y = np.abs(y)
+    np.abs(y, out=abs_y)
     next_sample, pieces = 0, []
     status, message = None, SUCCESS
     while status is None:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
-        K[0] = K[N_STAGES]
+        K[0] = f_new
         rejected = False
         while True:
             # written so that a NaN step size fails too, rather than loop
@@ -355,15 +381,27 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for s, KT, a, c in steps:
-                K[s] = fun(t + c * h, y + KT.dot(a) * h)
-            y_new = y + h * KB.dot(b)
-            K[N_STAGES] = fun(t + h, y_new)
+            h_0d[()] = h
+            for K_s, KT, a, c in steps:
+                KT.dot(a, out=y_stage)
+                np.multiply(y_stage, h_0d, out=y_stage)
+                np.add(y_stage, y, out=y_stage)
+                fun(t + c * h, y_stage, K_s)
+            KB.dot(b, out=y_new)
+            np.multiply(y_new, h_0d, out=y_new)
+            np.add(y_new, y, out=y_new)
+            fun(t + h, y_new, f_new)
             nfev += N_STAGES
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            err5_norm_2 = _squared_norm(KE.dot(e5) / scale)
-            err3_norm_2 = _squared_norm(KE.dot(e3) / scale)
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            np.multiply(scale, rtol_0d, out=scale)
+            np.add(scale, atol_0d, out=scale)
+            KE.dot(e5, out=err)
+            np.divide(err, scale, out=err)
+            err5_norm_2 = _squared_norm(*err_parts)
+            KE.dot(e3, out=err)
+            np.divide(err, scale, out=err)
+            err3_norm_2 = _squared_norm(*err_parts)
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -382,15 +420,21 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
             rejected = True
         if status is not None:
             break
-        t_old, y_old, t, y, abs_y = t, y, t_new, y_new, abs_new
+        # y_old keeps its row until the next step writes y_new over it
+        t_old, t = t, t_new
+        y_old, y, y_new = y, y_new, y
+        abs_y, abs_new = abs_new, abs_y
         if t >= t_bound:
             status = 0
         last_sample = bisect.bisect_right(sample_times, t)
         if last_sample == next_sample:
             continue
         # the interpolant of the step, evaluated at its samples
-        for s, KT, a, c in extras:
-            K[s] = fun(t_old + c * h, y_old + KT.dot(a) * h)
+        for K_s, KT, a, c in extras:
+            KT.dot(a, out=y_stage)
+            np.multiply(y_stage, h_0d, out=y_stage)
+            np.add(y_stage, y_old, out=y_stage)
+            fun(t_old + c * h, y_stage, K_s)
         nfev += len(extras)
         delta_y = y - y_old
         F = np.empty((INTERPOLATOR_POWER, n), dtype=dtype)

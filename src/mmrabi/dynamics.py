@@ -134,9 +134,12 @@ def _csr(A):
 
 
 class TermSum:
-    """y -> sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``, n the columns of A_k.
+    """(t, y, out): out = sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``.
 
-    Each A_k is a ``SparseOperator`` or a scipy sparse matrix.
+    n is the column count of every A_k, and ``out`` has their row count and
+    the dtype of the result.  Each A_k is a ``SparseOperator`` or a scipy
+    sparse matrix.  A call is ``dop853.solve_ivp``'s in-place right-hand
+    side.
 
     The coefficients c_k(t) are a curve's value or 1 for a term without
     one.  Every curve is piecewise linear, so on each row of a table over
@@ -150,14 +153,20 @@ class TermSum:
     one call is a search on B, one product S_r @ y and one axpy
     P_r y + (t - t_r) Q_r y.  Taking t_r as the origin keeps t - t_r within
     the row, so P_r holds no cancelling intercept.  The result is the
-    term-by-term sum to rounding.
+    term-by-term sum to rounding.  The axpy writes (t - t_r) Q_r y and then
+    adds P_r y in ``out``, with t - t_r a 0-d array of the product's dtype:
+    the bytes of ``pq[:m] + (t - t_r) * pq[m:]`` for pq = S_r @ y.
 
     S_r is a dense array when it holds fewer than ``DENSE_SEGMENT_ENTRIES``
     entries, where a dense product is the faster one, and CSR from there
     on.  The CSR store is one scipy product, kron(weights, I_m) @ [A_k],
     which gives every S_r in row order.  A dense S_r is summed in numpy as
     that product sums it, so both stores hold the same values: term by
-    term over the nonzero weights, k ascending, from +0.
+    term over the nonzero weights, k ascending, from +0.  A dense product
+    is ``S_r.dot(y, out=pq)`` into a buffer held here per state dtype, with
+    P_r y and Q_r y its halves viewed once; for n > 1 numpy's dot runs
+    gemv, as S_r @ y does, so it has the same bytes.  A CSR product is
+    scipy's S_r @ y.
     """
 
     def __init__(self, terms):
@@ -179,11 +188,27 @@ class TermSum:
             segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
             blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
         self.segments = list(zip(starts.tolist(), blocks))
+        self._dtype = blocks[0].dtype
+        self._buffers = {}
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+    def _buffers_for(self, dtype):
+        """(pq, P, Q, tau) for ``dtype`` states: the product's buffer, its halves, a 0-d t - t_r."""
+        pq = np.empty(2 * self._m, dtype=np.result_type(self._dtype, dtype))
+        tau = np.empty((), dtype=pq.dtype)
+        self._buffers[dtype] = pq, pq[: self._m], pq[self._m :], tau
+        return self._buffers[dtype]
+
+    def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
         t0, S = self.segments[bisect.bisect_right(self._breaks, t)]
-        pq = S @ y[: self._n]
-        return pq[: self._m] + (t - t0) * pq[self._m :]
+        pq, P, Q, tau = self._buffers.get(y.dtype) or self._buffers_for(y.dtype)
+        if isinstance(S, np.ndarray):
+            S.dot(y[: self._n], out=pq)
+        else:
+            pq = S @ y[: self._n]
+            P, Q = pq[: self._m], pq[self._m :]
+        tau[()] = t - t0
+        np.multiply(Q, tau, out=out)
+        np.add(out, P, out=out)
 
 
 class ScheduledHamiltonian:
@@ -222,7 +247,9 @@ class ScheduledHamiltonian:
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
-        return self.term_sum(t, y)
+        out = np.empty(self.space.dim, dtype=np.result_type(y, *(H.dtype for _, H in self.terms)))
+        self.term_sum(t, y, out)
+        return out
 
     def at(self, t: float) -> SparseOperator:
         return build_hamiltonian(self.params_at(t), self.space)
@@ -293,12 +320,13 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     n is the column count of every A_k.  Entries of y past n are ledger
     integrals: rows of A_k past n accumulate them, and no term reads them.
     The right-hand side is one ``TermSum`` built here: per call one lookup
-    of the segment that holds t and one product with its operator.  The
-    integrator is ``dop853.solve_ivp``, which calls it once per counted
-    evaluation and holds no reference to it after returning.  y0 is cast
-    to the common dtype of y0 and the A_k, so a real start under complex
-    terms is integrated as complex.  Returns sample times, sampled states
-    as rows and solver statistics.
+    of the segment that holds t and one product with its operator, written
+    in place into the row of the integrator's stage array that ``out``
+    names.  The integrator is ``dop853.solve_ivp``, which calls it once per
+    counted evaluation and holds no reference to it after returning.  y0 is
+    cast to the common dtype of y0 and the A_k, so a real start under
+    complex terms is integrated as complex.  Returns sample times, sampled
+    states as rows and solver statistics.
     """
     t_eval = np.linspace(0.0, T, n_samples)
     y0 = np.asarray(y0, dtype=np.result_type(y0, *(A.dtype for _, A in terms)))

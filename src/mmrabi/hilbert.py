@@ -30,6 +30,7 @@ arrays instead of looping over states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -222,8 +223,13 @@ class HilbertSpace:
         return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+@lru_cache(maxsize=32)
 def enumerate_basis(dims: ModelDims, sector: ParitySector | None = None) -> HilbertSpace:
-    """Enumerate all basis states with total photons <= n_max in canonical order."""
+    """Enumerate all basis states with total photons <= n_max in canonical order.
+
+    Cached per (dims, sector): a space is frozen and its arrays read-only,
+    so every caller of one space shares the first call's object.
+    """
     M, N = dims.M, dims.N
     photons = np.array(
         [occ for k in range(dims.n_max + 1) for occ in _occupation_vectors(M, k)], dtype=np.int64

@@ -232,16 +232,18 @@ def make_catch_release_schedule(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Static dissipation rates; time-dependent kappa_c lives in the schedule."""
+    """Static dissipation rates, finite and non-negative; kappa_c(t) lives in the schedule."""
 
     kappa_in: float = 0.0
     gamma: tuple = ()
     gamma_phi: tuple = ()
 
     def __post_init__(self):
-        if self.kappa_in < 0 or any(r < 0 for r in self.gamma) or any(
-            r < 0 for r in self.gamma_phi
-        ):
+        rates = [self.kappa_in, *self.gamma, *self.gamma_phi]
+        # nan would pass the sign check and integrate to nan states
+        if not np.all(np.isfinite(rates)):
+            raise ValueError(f"dissipation rates must be finite, got {rates}")
+        if any(r < 0 for r in rates):
             raise ValueError("dissipation rates must be non-negative")
 
     def qubit_rates(self, N: int):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
@@ -20,8 +21,22 @@ from mmrabi.errors import StepFailure
 from mmrabi.hilbert import UP, BasisState, ModelDims, enumerate_basis
 
 
+def in_place(fun):
+    """A returning right-hand side f(t, y) in the solver's protocol: f(t, y) written into out."""
+    def rhs(t, y, out):
+        np.copyto(out, fun(t, y))
+
+    return rhs
+
+
 def scipy_dop853(fun, t_span, y0, **kwargs):
-    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
+    """scipy's DOP853 of the in-place ``fun``, through a wrapper that returns a new array."""
+    def returning(t, y):
+        out = np.empty_like(y)
+        fun(t, y, out)
+        return out
+
+    return scipy_solve_ivp(returning, t_span, y0, method="DOP853", **kwargs)
 
 
 def assert_same_solve(fun, t_span, y0, **kwargs):
@@ -90,12 +105,12 @@ def test_samples_inside_one_step_and_at_a_step_end():
         return -1j * y
 
     y0 = np.array([1.0, 0.5j])
-    steps = scipy_dop853(rotate, (0.0, 10.0), y0, rtol=1e-3, atol=1e-6).t
+    steps = scipy_dop853(in_place(rotate), (0.0, 10.0), y0, rtol=1e-3, atol=1e-6).t
     assert steps.size < 10  # a few long steps
     t_eval = np.union1d(np.linspace(0.0, 10.0, 41), steps[2:3])
     per_step = np.histogram(t_eval, bins=steps)[0]
     assert per_step.max() >= 5 and steps[2] in t_eval
-    assert_same_solve(rotate, (0.0, 10.0), y0, rtol=1e-3, atol=1e-6, t_eval=t_eval)
+    assert_same_solve(in_place(rotate), (0.0, 10.0), y0, rtol=1e-3, atol=1e-6, t_eval=t_eval)
 
 
 def test_rejected_steps_real_state():
@@ -103,17 +118,51 @@ def test_rejected_steps_real_state():
         return (-1.0 if t < 1.0 else -30.0) * y
 
     y0 = np.array([1.0, 0.5])
-    assert rejected_steps(scipy_dop853(kink, (0.0, 3.0), y0, rtol=1e-6, atol=1e-9)) > 0
-    ours = assert_same_solve(kink, (0.0, 3.0), y0, rtol=1e-6, atol=1e-9,
+    assert rejected_steps(scipy_dop853(in_place(kink), (0.0, 3.0), y0, rtol=1e-6, atol=1e-9)) > 0
+    ours = assert_same_solve(in_place(kink), (0.0, 3.0), y0, rtol=1e-6, atol=1e-9,
                              t_eval=np.linspace(0.0, 3.0, 13))
     assert ours.y.dtype == float
 
 
 def test_complex_right_hand_side_for_real_start_raises():
-    # real stage arrays would keep only the real part, with a ComplexWarning
+    # real stage arrays would keep only the real part; numpy's same-kind
+    # casting refuses to write a complex result into them
+    def rhs(t, y, out):
+        np.multiply(y, -1j, out=out)
+
     with pytest.raises(TypeError, match="complex"):
-        dop853.solve_ivp(lambda t, y: -1j * y, (0.0, 1.0), np.array([1.0, 0.5]),
+        dop853.solve_ivp(rhs, (0.0, 1.0), np.array([1.0, 0.5]),
                          rtol=1e-9, atol=1e-11, t_eval=[1.0])
+
+
+@pytest.mark.parametrize("entries", [10**9, 0], ids=["dense", "csr"])
+def test_complex_term_sum_for_real_start_raises(monkeypatch, entries):
+    monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
+    rhs = TermSum([(None, -1j * sp.identity(2, format="csr"))])
+    with pytest.raises(TypeError, match="complex"):
+        dop853.solve_ivp(rhs, (0.0, 1.0), np.array([1.0, 0.5]),
+                         rtol=1e-9, atol=1e-11, t_eval=[1.0])
+
+
+@pytest.mark.parametrize("y0", [np.array([1.0, 0.5]), np.array([1.0, 0.5j])], ids=["real", "complex"])
+def test_fun_writes_each_counted_evaluation_into_out(y0):
+    # one call per evaluation nfev counts, rejected steps and interpolant
+    # stages included, each into an out of y's dtype and length that is
+    # not the y it reads; the caller's y0 is left as it was
+    start = y0.copy()
+    calls = []
+
+    def kink(t, y, out):
+        calls.append((out.dtype, out.shape, np.shares_memory(out, y)))
+        np.multiply(y, -1.0 if t < 1.0 else -30.0, out=out)
+
+    assert rejected_steps(scipy_dop853(kink, (0.0, 3.0), y0, rtol=1e-6, atol=1e-9)) > 0
+    calls.clear()
+    sol = dop853.solve_ivp(kink, (0.0, 3.0), y0, rtol=1e-6, atol=1e-9,
+                           t_eval=np.linspace(0.0, 3.0, 13))
+    assert sol.success and len(calls) == sol.nfev
+    assert set(calls) == {(y0.dtype, y0.shape, False)}
+    assert np.array_equal(y0, start)
 
 
 def nan_after(t_fail):
@@ -127,13 +176,16 @@ def nan_after(t_fail):
 def test_non_finite_right_hand_side_fails_both_solvers():
     y0 = np.array([1.0, 0.5j])
     t_eval = np.linspace(0.0, 3.0, 4)
-    ours = dop853.solve_ivp(nan_after(1.0), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11, t_eval=t_eval)
-    ref = scipy_dop853(nan_after(1.0), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11, t_eval=t_eval)
+    ours = dop853.solve_ivp(in_place(nan_after(1.0)), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11,
+                            t_eval=t_eval)
+    ref = scipy_dop853(in_place(nan_after(1.0)), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11,
+                       t_eval=t_eval)
     assert ours.status == ref.status == -1 and not ours.success
     assert ours.message == ref.message and ours.nfev == ref.nfev
     assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
     # NaN from the first call makes the first step size NaN; that fails too
-    ours = dop853.solve_ivp(nan_after(-1.0), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11, t_eval=t_eval)
+    ours = dop853.solve_ivp(in_place(nan_after(-1.0)), (0.0, 3.0), y0, rtol=1e-9, atol=1e-11,
+                            t_eval=t_eval)
     assert ours.status == -1 and ours.t.size == 0
 
 
@@ -143,6 +195,6 @@ def test_non_finite_right_hand_side_fails_both_solvers():
 def test_integrate_raises_step_failure(monkeypatch, t_fail):
     ht, psi0 = w_run()
     terms = [(None, -1j * ht.at(0.0))]
-    monkeypatch.setattr(dynamics, "TermSum", lambda terms: nan_after(t_fail))
+    monkeypatch.setattr(dynamics, "TermSum", lambda terms: in_place(nan_after(t_fail)))
     with pytest.raises(StepFailure, match="Required step size"):
         _integrate(terms, psi0, 3.0, 4, 1e-9, 1e-11)

@@ -1,4 +1,5 @@
 import ast
+import bisect
 import gc
 import inspect
 import weakref
@@ -164,6 +165,21 @@ def test_schedule_validation():
         ProtocolSchedule(10.0, gen.delta, gen.g, kappa_c=gen.g[:1])
 
 
+@pytest.mark.parametrize("rates", [
+    {"kappa_in": np.nan},
+    {"kappa_in": np.inf},
+    {"gamma": (1e-3, np.inf)},
+    {"gamma_phi": (np.nan, 1e-3)},
+    {"kappa_in": np.nan, "gamma": (np.inf,), "gamma_phi": (np.nan,)},
+], ids=["kappa-nan", "kappa-inf", "gamma-inf", "gamma_phi-nan", "all"])
+def test_non_finite_noise_rates_raise(rates):
+    # nan passes the sign check, and a run would integrate it into its states
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(**rates)
+    with pytest.raises(ValueError, match="non-negative"):
+        NoiseModel(gamma=(1e-3, -1e-3))
+
+
 # --------------------------------------------------------------------------
 # scheduled operator
 
@@ -213,6 +229,14 @@ def _rounding_scale(terms, y):
 ULP = np.finfo(float).eps
 
 
+def evaluate(term_sum, t, y):
+    """``term_sum(t, y, out)`` into a new array of the result's dtype, returned."""
+    S = term_sum.segments[0][1]
+    out = np.empty(S.shape[0] // 2, dtype=np.result_type(S.dtype, y.dtype))
+    term_sum(t, y, out)
+    return out
+
+
 def test_term_sum_is_the_sequential_sum_to_rounding():
     # the segment operators sum the same products in another order, and
     # each coefficient is the row's start value plus slope times the time
@@ -232,7 +256,7 @@ def test_term_sum_is_the_sequential_sum_to_rounding():
                 expected = c[0] * (terms[0][1] @ y)
                 for ck, (_, A) in zip(c[1:], terms[1:]):
                     expected += ck * (A @ y)
-                assert np.all(np.abs(term_sum(t, y) - expected) <= bound), t
+                assert np.all(np.abs(evaluate(term_sum, t, y) - expected) <= bound), t
 
 
 def test_dense_and_sparse_segments_agree(monkeypatch):
@@ -248,7 +272,35 @@ def test_dense_and_sparse_segments_agree(monkeypatch):
         for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
             for y in states:
                 bound = 4 * ULP * _rounding_scale(terms, y)
-                assert np.all(np.abs(dense(t, y) - sparse(t, y)) <= bound), t
+                assert np.all(np.abs(evaluate(dense, t, y) - evaluate(sparse, t, y)) <= bound), t
+
+
+@pytest.mark.parametrize("entries", [10**9, 0], ids=["dense", "csr"])
+def test_term_sum_writes_the_bytes_of_the_returning_form(monkeypatch, entries):
+    # the in-place call against P y + (t - t_r) Q y formed as new arrays,
+    # with S @ y for [P y; Q y]: inside segments, at and just off every
+    # breakpoint and before the first, on the closed, negated, Lindblad
+    # (ledger rows past the kept columns) and coefficient-pick terms, and on
+    # the real terms of a Hamiltonian with real and complex states
+    monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
+    ht = ScheduledHamiltonian(w_space(), release_schedule())
+    y = np.random.default_rng(7).normal(size=(2, ht.space.dim))
+    cases = [*_term_sum_cases(), (ht.terms, (y[0], y[0] + 1j * y[1]))]
+    assert any(terms[0][1].shape[0] > terms[0][1].shape[1] for terms, _ in cases)
+    for terms, states in cases:
+        term_sum = TermSum(terms)
+        assert all(isinstance(S, np.ndarray) == (entries > 0) for _, S in term_sum.segments)
+        starts = [t0 for t0, _ in term_sum.segments]
+        breaks = np.array(starts[1:])
+        m = term_sum.segments[0][1].shape[0] // 2
+        times = [breaks[0] - 1.0, *PHASE_TIMES, *breaks, *np.nextafter(breaks, -np.inf)]
+        for y in states:
+            for t in times:
+                t0, S = term_sum.segments[bisect.bisect_right(starts[1:], t)]
+                pq = S @ y[: S.shape[1]]
+                expected = pq[:m] + (t - t0) * pq[m:]
+                got = evaluate(term_sum, t, y)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), t
 
 
 def _csr_bytes(m):
@@ -393,8 +445,8 @@ def test_restricted_generator_matches_full_generator():
     full = lindblad_generator(ht, noise)
     rows = np.concatenate([keep, space.dim**2 + np.arange(M + 2)])
     for t in PHASE_TIMES:
-        reference = TermSum(full)(t, rho.ravel())[rows]
-        restricted = TermSum(terms)(t, rho.ravel()[keep])
+        reference = evaluate(TermSum(full), t, rho.ravel())[rows]
+        restricted = evaluate(TermSum(terms), t, rho.ravel()[keep])
         assert np.max(np.abs(restricted - reference)) < 1e-12
 
 

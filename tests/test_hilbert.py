@@ -179,6 +179,21 @@ def test_equality_follows_dims_and_sector():
     assert even != enumerate_basis(ModelDims(2, 2, 3), EVEN)
 
 
+def test_enumeration_is_shared_per_dims_and_sector():
+    # callers of one (dims, sector) share one space, so none may change it
+    dims = ModelDims(2, 2, 3)
+    for sector in (None, EVEN, ODD):
+        space = enumerate_basis(dims, sector)
+        assert enumerate_basis(ModelDims(2, 2, 3), sector) is space
+        for arr in (space.occupations, space.spins):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(AttributeError):
+            space.occupations = space.occupations.copy()
+    assert enumerate_basis(dims, EVEN) is not enumerate_basis(dims, ODD)
+    assert enumerate_basis(dims) is not enumerate_basis(ModelDims(2, 2, 2))
+
+
 def test_indices_outside_the_space_are_minus_one():
     full = enumerate_basis(ModelDims(2, 2, 2))
     # above the cutoff (one mode, then the total), a negative occupation,
