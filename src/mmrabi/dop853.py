@@ -4,19 +4,21 @@
 explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince (Prince &
 Dormand, J. Comput. Appl. Math. 7, 67 (1981); Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, 2nd ed., Springer 1993,
-Ch. II) and returns the states at the times of ``t_eval``.  The
-right-hand side is called in place, ``fun(t, y, out)``, and writes f(t, y)
-into ``out``, which is a row of the stage array K.  Its arithmetic is that
-of ``scipy.integrate.solve_ivp(method="DOP853")`` (scipy 1.17) with
-``t_eval``, operation for operation: the same initial step (Hairer et al.,
-Sec. II.4), the same stage sums ``y + np.dot(K[:s].T, a) * h``, the same
+Ch. II) and returns the states at the times of ``t_eval``.  States are
+complex: a real start is integrated as complex, so a complex right-hand
+side keeps its imaginary part.  The right-hand side is called in place,
+``fun(t, y, out)``, and writes f(t, y) into ``out``, which is a row of the
+stage array K.  Its arithmetic is that of
+``scipy.integrate.solve_ivp(method="DOP853")`` (scipy 1.17) with a complex
+y0 and ``t_eval``, operation for operation: the same initial step
+(Hairer et al., Sec. II.4), the same stage sums ``y + np.dot(K[:s].T, a) * h``, the same
 error norm from the 5th- and 3rd-order estimates, the same step-size rules
 and the same 7-term interpolant, built from three extra stages, for each
 step that holds samples.  So ``nfev`` and every sample equal scipy's bit
 for bit.  Each step writes its stage states, y_new, |y_new|, the error
 scale and both error estimates into buffers made once per solve, with
 scipy's operations in scipy's order (a product with h is a product with a
-0-d array of y's dtype, the scalar scipy's operator converts h to), so a
+0-d complex array, the scalar scipy's operator converts h to), so a
 step that holds no samples allocates no state-sized array.  What it leaves
 out is scipy's generality (events, dense output, backward or vectorized
 integration, other methods) and its per-call wrappers.
@@ -260,13 +262,8 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _squared_norm(re: np.ndarray, im: np.ndarray | None = None) -> float:
-    """np.linalg.norm(x) ** 2 with the same roundings, the square of the rounded root.
-
-    x is real ``re``, or complex with real part ``re`` and imaginary part ``im``.
-    """
-    if im is None:
-        return math.sqrt(re.dot(re)) ** 2
+def _squared_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """np.linalg.norm(re + 1j * im) ** 2 with the same roundings: the square of the rounded root."""
     return math.sqrt(re.dot(re) + im.dot(im)) ** 2
 
 
@@ -295,22 +292,18 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult:
     """DOP853 of d/dt y = fun(t, y) over t_span = (t0, tf), tf > t0, sampled at ``t_eval``.
 
-    ``y0`` is a non-empty 1-D float or complex array.  ``fun(t, y, out)``
-    writes dy/dt into ``out``, an array of y0's dtype and length, and
-    returns nothing; it keeps no reference to ``y`` or ``out``, which the
-    solver reuses.  Written through numpy's same-kind casting (a ufunc's
-    ``out=``, ``np.copyto``), a complex right-hand side for a real y0 raises
-    TypeError: real stages would drop its imaginary part.  ``t_eval`` is
-    increasing and inside t_span.  ``rtol`` below 100 machine epsilons is
-    raised to it with a warning, as scipy does.  Returns an ``OdeResult``
-    whose ``nfev`` counts every call of ``fun``.
+    ``y0`` is a non-empty 1-D float or complex array, cast to complex: the
+    states, the samples and ``out`` are complex.  ``fun(t, y, out)`` writes
+    dy/dt into ``out``, a complex array of y0's length, and returns
+    nothing; it keeps no reference to ``y`` or ``out``, which the solver
+    reuses.  ``t_eval`` is increasing and inside t_span.  ``rtol`` below
+    100 machine epsilons is raised to it with a warning, as scipy does.
+    Returns an ``OdeResult`` whose ``nfev`` counts every call of ``fun``.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
         raise ValueError("t_span must run forward in time")
-    y = np.asarray(y0)
-    dtype = complex if np.issubdtype(y.dtype, np.complexfloating) else float
-    y = y.astype(dtype, copy=False)
+    y = np.asarray(y0, dtype=complex)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("`y0` must be a non-empty 1-D array.")
     if not np.isfinite(y).all():
@@ -326,23 +319,23 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     if np.any(t_eval < t) or np.any(t_eval > t_bound):
         raise ValueError("Values in `t_eval` are not within `t_span`.")
     n = y.size
-    samples = np.empty((t_eval.size, n), dtype=dtype)
+    samples = np.empty((t_eval.size, n), dtype=complex)
     sample_times = t_eval.tolist()
 
     # Rows 0..12 of K hold the stages of a step and rows 13..15 the extra
     # stages of its interpolant; row 12 is f at the step's end, so after an
     # accepted step it is f at the new start.  Each stage sum reads K[:s]
-    # through a view made here, with its coefficients cast to y's dtype
-    # here, so the dot sees the operands scipy's mixed-type call converts to.
-    K = np.empty((N_STAGES_EXTENDED, n), dtype=dtype)
+    # through a view made here, with its coefficients cast to complex here,
+    # so the dot sees the operands scipy's mixed-type call converts to.
+    K = np.empty((N_STAGES_EXTENDED, n), dtype=complex)
 
     def stages(rows):
-        return [(K[s], K[:s].T, A[s, :s].astype(dtype), float(C[s])) for s in rows]
+        return [(K[s], K[:s].T, A[s, :s].astype(complex), float(C[s])) for s in rows]
 
     steps, extras = stages(range(1, N_STAGES)), stages(range(N_STAGES + 1, N_STAGES_EXTENDED))
-    KB, b = K[:N_STAGES].T, B.astype(dtype)
-    KE, e5, e3 = K[: N_STAGES + 1].T, E5.astype(dtype), E3.astype(dtype)
-    d = D.astype(dtype)
+    KB, b = K[:N_STAGES].T, B.astype(complex)
+    KE, e5, e3 = K[: N_STAGES + 1].T, E5.astype(complex), E3.astype(complex)
+    d = D.astype(complex)
     f_new = K[N_STAGES]
 
     # Every array operation of a step attempt writes into a buffer made
@@ -352,11 +345,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     # estimates go to err, whose real and imaginary parts are viewed once.
     # h, rtol and atol are 0-d arrays of the dtypes scipy's operators
     # convert them to.
-    y_stage = np.empty(n, dtype=dtype)
-    ys, abs_ys = np.empty((2, n), dtype=dtype), np.empty((2, n))
-    scale, err = np.empty(n), np.empty(n, dtype=dtype)
-    err_parts = (err.real, err.imag) if dtype is complex else (err,)
-    h_0d = np.empty((), dtype=dtype)
+    y_stage = np.empty(n, dtype=complex)
+    ys, abs_ys = np.empty((2, n), dtype=complex), np.empty((2, n))
+    scale, err = np.empty(n), np.empty(n, dtype=complex)
+    err_re, err_im = err.real, err.imag
+    h_0d = np.empty((), dtype=complex)
     rtol_0d, atol_0d = np.array(rtol, dtype=float), np.array(atol, dtype=float)
     ys[0] = y
     (y, y_new), (abs_y, abs_new) = ys, abs_ys
@@ -398,10 +391,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
             np.add(scale, atol_0d, out=scale)
             KE.dot(e5, out=err)
             np.divide(err, scale, out=err)
-            err5_norm_2 = _squared_norm(*err_parts)
+            err5_norm_2 = _squared_norm(err_re, err_im)
             KE.dot(e3, out=err)
             np.divide(err, scale, out=err)
-            err3_norm_2 = _squared_norm(*err_parts)
+            err3_norm_2 = _squared_norm(err_re, err_im)
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -437,7 +430,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
             fun(t_old + c * h, y_stage, K_s)
         nfev += len(extras)
         delta_y = y - y_old
-        F = np.empty((INTERPOLATOR_POWER, n), dtype=dtype)
+        F = np.empty((INTERPOLATOR_POWER, n), dtype=complex)
         F[0] = delta_y
         F[1] = h * K[0] - delta_y
         F[2] = 2 * delta_y - h * (K[N_STAGES] + K[0])

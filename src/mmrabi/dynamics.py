@@ -75,6 +75,10 @@ from .schedules import (  # noqa: F401  (re-exported: callers read them from dyn
 # |V V^T psi0 - psi0| <= RANGE_TOL |psi0|
 RANGE_TOL = 1e-13
 
+# gap_monitor's effective gap counts a level as coupled to the tracked
+# state v when |<E_k|Hdot|v>| exceeds this
+ELEMENT_THRESHOLD = 1e-10
+
 # A TermSum stores a segment operator with fewer entries than this as a
 # dense array, and a larger one as CSR.  Below this size a dense product
 # with a state runs on one OpenBLAS thread and beats CSR's fixed cost
@@ -323,13 +327,12 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     of the segment that holds t and one product with its operator, written
     in place into the row of the integrator's stage array that ``out``
     names.  The integrator is ``dop853.solve_ivp``, which calls it once per
-    counted evaluation and holds no reference to it after returning.  y0 is
-    cast to the common dtype of y0 and the A_k, so a real start under
-    complex terms is integrated as complex.  Returns sample times, sampled
-    states as rows and solver statistics.
+    counted evaluation and holds no reference to it after returning.  It
+    integrates complex states, so a real y0 under complex terms is
+    integrated as complex.  Returns sample times, sampled states as rows
+    and solver statistics.
     """
     t_eval = np.linspace(0.0, T, n_samples)
-    y0 = np.asarray(y0, dtype=np.result_type(y0, *(A.dtype for _, A in terms)))
     sol = solve_ivp(TermSum(terms), (0.0, T), y0, rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
@@ -647,12 +650,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # adiabatic diagnostics
 
 
-def gap_monitor(
-    hamiltonian: ScheduledHamiltonian,
-    tracked_state,
-    times,
-    element_threshold: float = 1e-10,
-):
+def gap_monitor(hamiltonian: ScheduledHamiltonian, tracked_state, times):
     """Sample instantaneous spectra and the Hdot matrix elements.
 
     ``tracked_state(t)`` returns the (normalized) protected state and its
@@ -660,7 +658,8 @@ def gap_monitor(
     eigenstates within 1e-8 of the tracked energy (gauge-fixed by
     orthonormalizing the degenerate subspace), the max adiabatic ratio
     |element| / gap^2 over nondegenerate levels, and the effective gap to
-    the closest level actually coupled by Hdot.
+    the closest level actually coupled by Hdot (element above
+    ``ELEMENT_THRESHOLD``).
 
     A sample whose tracked state reduces (``_bright_modes``, the rule
     ``evolve_schrodinger`` follows) works on the bright-mode problem with
@@ -691,7 +690,7 @@ def gap_monitor(
         nondeg = ~degenerate
         ratios = np.zeros_like(E)
         ratios[nondeg] = elements[nondeg] / gaps[nondeg] ** 2
-        coupled = nondeg & (elements > element_threshold)
+        coupled = nondeg & (elements > ELEMENT_THRESHOLD)
         eff_gap = float(gaps[coupled].min()) if np.any(coupled) else float("inf")
         samples.append(
             {

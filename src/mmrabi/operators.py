@@ -44,8 +44,8 @@ arrays, in the order and with the index dtype of scipy's
 vector are numpy operations on those arrays; ``row_sums`` holds scipy's
 rule for summing a product's rows, which ``modes.Isometry`` shares.  The
 scipy ``csr_matrix`` is built only when ``SparseOperator.matrix`` is
-first read, for a sparse product, a leading block or an iterative
-eigensolve, so a run that forms none never imports ``scipy.sparse``.
+first read, for a sparse product or an iterative eigensolve, so a run
+that forms neither never imports ``scipy.sparse``.
 
 Every builder stores float64 entries.  Complex numbers enter only where
 the physics puts them (-i H in the equations of motion, and the states);
@@ -165,17 +165,6 @@ class SparseOperator:
         # row r ends after the entries kept among the first indptr[r + 1]
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr].astype(self.indptr.dtype)
         return SparseOperator(self.space, self.data[keep], self.indices[keep], indptr)
-
-    def leading_block(self, space: HilbertSpace) -> SparseOperator:
-        """The block of the first ``space.dim`` rows and columns, as an operator on ``space``.
-
-        ``space`` is one whose basis is a prefix of this operator's.  The
-        block is scipy's slice ``matrix[:d, :d]``, which keeps the entries
-        in order, explicit zeros included.  Only iterative solves above
-        ``DENSE_THRESHOLD`` slice blocks, and they load ``scipy.sparse``.
-        """
-        block = self.matrix[: space.dim, : space.dim]
-        return SparseOperator(space, block.data, block.indices, block.indptr)
 
 
 def row_sums(index: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,13 @@ import numpy as np
 
 from .errors import ConvergenceFailure, SpaceMismatch
 from .hilbert import HilbertSpace, ModelDims, ParitySector, enumerate_basis
-from .operators import DENSE_THRESHOLD, SparseOperator, dense_blocks, fill_hamiltonians
+from .operators import (
+    DENSE_THRESHOLD,
+    SparseOperator,
+    dense_blocks,
+    fill_hamiltonian,
+    fill_hamiltonians,
+)
 
 
 @dataclass
@@ -84,14 +90,15 @@ def sweep_coupling(
     cutoff n_max - k in sector s (-1)^k, shifted by k omega, each repeated
     C(k + M - r - 1, k) times.  The canonical basis order puts the
     cutoff-(n_max - k) sector first in the cutoff-n_max one, so its
-    Hamiltonian is a leading block of the r-mode Hamiltonian.  Otherwise
-    (unequal omega_i, or r = M) each sector's M-mode Hamiltonian is solved
-    in full.
+    Hamiltonian is a leading block of the r-mode Hamiltonian.  The points
+    with unequal omega_i, or with r = M, are solved in full: they are the
+    group r = M, whose couplings are g as given (unequal omega_i cannot be
+    mixed) and whose one dark-photon count is k = 0, with multiplicity 1.
 
-    The grid is solved in groups, not point by point: one group per bright
-    rank r, and one for the points solved in full.  ``_prefix_levels``
-    fills each group's Hamiltonians on every bright sector (or full
-    sector) at once and solves each block as one stacked ``eigvalsh``.
+    The grid is solved in groups, not point by point: one group per r, each
+    by the same loop.  ``_prefix_levels`` fills a group's Hamiltonians on
+    every bright sector at once and solves each block as one stacked
+    ``eigvalsh``.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0:
@@ -123,30 +130,23 @@ def sweep_coupling(
     for r in sorted(set(rank.tolist())):
         at = np.flatnonzero(rank == r)
         where = [(ig, g_grid[ig]) for ig in at]
-        if r == M:
-            for sign in signs:
-                full = [space(M, n_max, sign)]
-                (levels[sign][at],) = _prefix_levels(
-                    full, omega[at], delta[at], g[at], n_levels, where
-                )
-            continue
-        bright_g = S[at, :r, None] * Wt[at, :r]
+        # the points solved in full keep g as given: unequal omega_i cannot be mixed
+        bright_g = S[at, :r, None] * Wt[at, :r] if r < M else g[at]
+        # the ways k photons fill the M - r dark modes: at r = M, one for k = 0 and none after
+        copies = [min(comb(max(0, k + M - r - 1), k), n_levels) for k in range(n_max + 1)]
         # k dark photons take sector s to the bright sector s * (-1)^k at cutoff n_max - k
         solved = {}
         for b in (+1, -1):
-            ks = [k for k in range(n_max + 1) if b * (-1) ** k in signs]
+            ks = [k for k in range(n_max + 1) if copies[k] and b * (-1) ** k in signs]
             if ks:
                 subs = [space(r, n_max - k, b) for k in ks]
                 blocks = _prefix_levels(subs, omega[at, :r], delta[at], bright_g, n_levels, where)
                 solved.update(zip([(b, k) for k in ks], blocks))
         for sign in signs:
             parts = [
-                np.repeat(
-                    solved[sign * (-1) ** k, k] + k * omega[at, :1],
-                    min(comb(k + M - r - 1, k), n_levels),
-                    axis=1,
-                )
+                np.repeat(solved[sign * (-1) ** k, k] + k * omega[at, :1], copies[k], axis=1)
                 for k in range(n_max + 1)
+                if copies[k]
             ]
             levels[sign][at] = np.sort(np.concatenate(parts, axis=1), axis=1)[:, :n_levels]
     return SpectrumTable(sweep_values=g_grid, levels=levels)
@@ -165,10 +165,11 @@ def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
     entries than one DENSE_THRESHOLD x DENSE_THRESHOLD matrix, the largest
     dense array ``eigenspectrum`` forms.  A chunk is scattered dense once,
     up to the largest block at or below DENSE_THRESHOLD, and each such
-    block is one stacked ``eigvalsh``.  A larger block is sliced from each
-    point's CSR arrays (``SparseOperator.leading_block``) and goes through
-    ``eigenspectrum`` point by point; above DENSE_THRESHOLD a chunk is one
-    point, filled on its own pattern.
+    block is one stacked ``eigvalsh``.  Above DENSE_THRESHOLD a chunk is one
+    point, and a larger block is that point's Hamiltonian filled on its own
+    space (``fill_hamiltonian``), solved by ``eigenspectrum``.  The
+    canonical order makes its CSR arrays those of scipy's leading slice
+    ``matrix[:d, :d]`` of the operator on ``subs[0]``.
     """
     space = subs[0]
     out = [np.empty((len(omega), min(n_levels, sub.dim))) for sub in subs]
@@ -182,10 +183,10 @@ def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
             if sub.dim <= DENSE_THRESHOLD:
                 E[rows] = np.linalg.eigvalsh(dense[:, : sub.dim, : sub.dim])[:, :n_levels]
                 continue
-            for p, values in enumerate(data, first):
-                H = SparseOperator(space, values, pattern.indices, pattern.indptr)
+            for p in range(first, first + len(data)):
+                H = fill_hamiltonian(sub, omega[p], delta[p], g[p])
                 try:
-                    E[p] = eigenspectrum(H.leading_block(sub), E.shape[1])
+                    E[p] = eigenspectrum(H, E.shape[1])
                 except ConvergenceFailure as exc:
                     ig, g_value = where[p]
                     raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc

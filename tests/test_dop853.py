@@ -114,41 +114,49 @@ def test_samples_inside_one_step_and_at_a_step_end():
 
 
 def test_rejected_steps_real_state():
+    # a real-valued state, held as complex as the solver holds every state
     def kink(t, y):
         return (-1.0 if t < 1.0 else -30.0) * y
 
-    y0 = np.array([1.0, 0.5])
+    y0 = np.array([1.0, 0.5], dtype=complex)
     assert rejected_steps(scipy_dop853(in_place(kink), (0.0, 3.0), y0, rtol=1e-6, atol=1e-9)) > 0
     ours = assert_same_solve(in_place(kink), (0.0, 3.0), y0, rtol=1e-6, atol=1e-9,
                              t_eval=np.linspace(0.0, 3.0, 13))
-    assert ours.y.dtype == float
+    assert ours.y.dtype == complex
 
 
-def test_complex_right_hand_side_for_real_start_raises():
-    # real stage arrays would keep only the real part; numpy's same-kind
-    # casting refuses to write a complex result into them
-    def rhs(t, y, out):
-        np.multiply(y, -1j, out=out)
-
-    with pytest.raises(TypeError, match="complex"):
-        dop853.solve_ivp(rhs, (0.0, 1.0), np.array([1.0, 0.5]),
-                         rtol=1e-9, atol=1e-11, t_eval=[1.0])
+def assign(t, y, out):
+    out[:] = -1j * y
 
 
-@pytest.mark.parametrize("entries", [10**9, 0], ids=["dense", "csr"])
-def test_complex_term_sum_for_real_start_raises(monkeypatch, entries):
-    monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
-    rhs = TermSum([(None, -1j * sp.identity(2, format="csr"))])
-    with pytest.raises(TypeError, match="complex"):
-        dop853.solve_ivp(rhs, (0.0, 1.0), np.array([1.0, 0.5]),
-                         rtol=1e-9, atol=1e-11, t_eval=[1.0])
+def multiply(t, y, out):
+    np.multiply(y, -1j, out=out)
+
+
+@pytest.mark.parametrize("form", ["assign", "multiply", "term-sum-dense", "term-sum-csr"])
+def test_real_start_keeps_a_complex_right_hand_side(monkeypatch, form):
+    # real stages would keep only the real part of -i y: a slice assignment
+    # into them dropped it with a ComplexWarning, a ufunc's out= raised
+    if form.startswith("term-sum"):
+        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9 if form.endswith("dense") else 0)
+        rhs = TermSum([(None, -1j * sp.identity(2, format="csr"))])
+    else:
+        rhs = assign if form == "assign" else multiply
+    y0 = np.array([1.0, 0.5])
+    t_eval = np.linspace(0.0, 1.0, 5)
+    ours = dop853.solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-9, atol=1e-11, t_eval=t_eval)
+    ref = scipy_dop853(rhs, (0.0, 1.0), y0.astype(complex), rtol=1e-9, atol=1e-11, t_eval=t_eval)
+    assert ours.status == ref.status == 0 and ours.nfev == ref.nfev
+    assert ours.y.dtype == ref.y.dtype and np.array_equal(ours.y, ref.y)
+    exact = np.exp(-1j * t_eval) * y0[:, None]
+    assert np.max(np.abs(ours.y - exact)) < 1e-8
 
 
 @pytest.mark.parametrize("y0", [np.array([1.0, 0.5]), np.array([1.0, 0.5j])], ids=["real", "complex"])
 def test_fun_writes_each_counted_evaluation_into_out(y0):
     # one call per evaluation nfev counts, rejected steps and interpolant
-    # stages included, each into an out of y's dtype and length that is
-    # not the y it reads; the caller's y0 is left as it was
+    # stages included, each into a complex out of y's length that is not
+    # the y it reads; the caller's y0 is left as it was
     start = y0.copy()
     calls = []
 
@@ -161,7 +169,8 @@ def test_fun_writes_each_counted_evaluation_into_out(y0):
     sol = dop853.solve_ivp(kink, (0.0, 3.0), y0, rtol=1e-6, atol=1e-9,
                            t_eval=np.linspace(0.0, 3.0, 13))
     assert sol.success and len(calls) == sol.nfev
-    assert set(calls) == {(y0.dtype, y0.shape, False)}
+    # a real y0 is integrated as complex
+    assert set(calls) == {(np.dtype(complex), y0.shape, False)}
     assert np.array_equal(y0, start)
 
 

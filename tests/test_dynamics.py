@@ -737,7 +737,7 @@ def test_gap_monitor_frozen_schedule():
         assert sample["max_ratio"] == 0.0
 
 
-def test_effective_gap_small_coupling():
+def test_effective_gap_small_coupling(monkeypatch):
     # at small g the gap to the nearest coupled level is about |d1 - d2|
     space = enumerate_basis(ModelDims(2, 2, 4))
     sched = make_w_generation_schedule(2, 100.0)
@@ -748,11 +748,12 @@ def test_effective_gap_small_coupling():
 
     # couplings still tiny, splitting at its initial value 0.8; the
     # element threshold masks the O(g^2)-suppressed two-photon channel
-    sample = gap_monitor(ht, tracked, [1.0], element_threshold=1e-3)[0]
+    monkeypatch.setattr(dynamics, "ELEMENT_THRESHOLD", 1e-3)
+    sample = gap_monitor(ht, tracked, [1.0])[0]
     assert abs(sample["effective_gap"] - 0.8) < 0.05
 
 
-def full_space_sample(ht, v, E_tracked, t, element_threshold=1e-10):
+def full_space_sample(ht, v, E_tracked, t):
     """A gap-monitor sample on the full space: eigh of at_dense(t), Hdot v = derivative_at(t) @ v."""
     E, V = np.linalg.eigh(ht.at_dense(t))
     w = ht.derivative_at(t) @ v
@@ -763,7 +764,7 @@ def full_space_sample(ht, v, E_tracked, t, element_threshold=1e-10):
     nondeg = ~degenerate
     ratios = np.zeros_like(E)
     ratios[nondeg] = elements[nondeg] / gaps[nondeg] ** 2
-    coupled = nondeg & (elements > element_threshold)
+    coupled = nondeg & (elements > 1e-10)
     return {
         "t": float(t),
         "energies": E,

@@ -354,12 +354,19 @@ def test_uniform_coupling_keeps_degenerate_copies_at_scale():
         assert max(_multiplicities(ref, 1e-6)) >= 4
 
 
+def _scipy_slice(H, sub):
+    """scipy's leading block ``H.matrix[:d, :d]`` for d = sub.dim, as an operator on ``sub``."""
+    block = H.matrix[: sub.dim, : sub.dim]
+    return SparseOperator(sub, block.data, block.indices, block.indptr)
+
+
 def _per_point_levels(template, grid, signs, n_levels, dims):
     """Sector sign -> levels, solved one point at a time as the sweep did before it was stacked.
 
     Each point builds its own Hamiltonian on its own nonzero couplings;
     below DENSE_THRESHOLD the bright blocks are slices of one dense array,
-    above it each goes through ``eigenspectrum``.
+    above it each is scipy's slice of the CSR matrix (``_scipy_slice``)
+    and goes through ``eigenspectrum``.
     """
     M, n_max = dims.M, dims.n_max
 
@@ -369,7 +376,7 @@ def _per_point_levels(template, grid, signs, n_levels, dims):
     def prefix_levels(H, subs):
         if H.dim > spectra.DENSE_THRESHOLD:
             return [
-                eigenspectrum(H.leading_block(sub), min(n_levels, sub.dim))
+                eigenspectrum(_scipy_slice(H, sub), min(n_levels, sub.dim))
                 for sub in subs
             ]
         dense = H.dense()
@@ -407,6 +414,24 @@ def _per_point_levels(template, grid, signs, n_levels, dims):
 
 
 _FULL_RANK = np.array([[1.0, 0.2, 0.0], [0.3, 0.8, 0.1], [0.0, 0.4, 0.9]])
+
+
+def _seeded_case(seed, dims, rank, equal_omega):
+    """(dims, omega, pattern, grid) drawn from ``seed``: a normal pattern of the given rank.
+
+    The pattern holds a zero: below full rank a whole row (an uncoupled
+    mode, which keeps the rank), at full rank one entry.  The grid is 0
+    and three draws of either sign.
+    """
+    rng = np.random.default_rng(seed)
+    M, N = dims.M, dims.N
+    omega = np.ones(M) if equal_omega else rng.uniform(0.8, 1.2, M)
+    pattern = rng.normal(size=(M, rank)) @ rng.normal(size=(rank, N))
+    pattern[rng.integers(M), : N if rank < M else 1] = 0.0
+    assert np.linalg.matrix_rank(pattern) == rank
+    return dims, omega, pattern, [0.0, *rng.uniform(-0.6, 0.6, 3)]
+
+
 # name -> (dims, omega, coupling pattern, grid); the sweep's points are g * pattern
 STACKED_CASES = {
     # g = 0 joins the rank-1 group
@@ -427,6 +452,12 @@ STACKED_CASES = {
     "one-point": (
         ModelDims(4, 2, 4), np.ones(4), np.outer([1.0, 0.5, -0.2, 0.3], [0.7, 1.0]), [0.35]
     ),
+    "seeded-rank-1": _seeded_case(11, ModelDims(3, 2, 3), 1, True),
+    "seeded-rank-2": _seeded_case(12, ModelDims(3, 3, 2), 2, True),
+    "seeded-full-rank": _seeded_case(13, ModelDims(2, 3, 3), 2, True),
+    # M <= N, so the unequal-omega points could be given M rotated couplings
+    "seeded-unequal-omega": _seeded_case(14, ModelDims(3, 3, 2), 1, False),
+    "seeded-unequal-omega-full-rank": _seeded_case(15, ModelDims(2, 2, 4), 2, False),
 }
 
 
