@@ -161,35 +161,36 @@ def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
     Hamiltonian.  ``where`` holds each point's (grid index, g), for errors.
     Returns one (points, levels) array per space.
 
-    The points are filled and solved in chunks that never hold more
+    A block at or below DENSE_THRESHOLD is solved by stacked ``eigvalsh``
+    over the points.  The largest such block is its own prefix space, and
+    every smaller one a leading slice of it, so the points are filled once
+    on that space and scattered dense, in chunks that never hold more
     entries than one DENSE_THRESHOLD x DENSE_THRESHOLD matrix, the largest
-    dense array ``eigenspectrum`` forms.  A chunk is scattered dense once,
-    up to the largest block at or below DENSE_THRESHOLD, and each such
-    block is one stacked ``eigvalsh``.  Above DENSE_THRESHOLD a chunk is one
-    point, and a larger block is that point's Hamiltonian filled on its own
-    space (``fill_hamiltonian``), solved by ``eigenspectrum``.  The
-    canonical order makes its CSR arrays those of scipy's leading slice
-    ``matrix[:d, :d]`` of the operator on ``subs[0]``.
+    dense array ``eigenspectrum`` forms.  A larger block is each point's
+    Hamiltonian filled on its own space (``fill_hamiltonian``), solved by
+    ``eigenspectrum``.  The canonical order makes its CSR arrays those of
+    scipy's leading slice ``matrix[:d, :d]`` of the operator on ``subs[0]``.
     """
-    space = subs[0]
     out = [np.empty((len(omega), min(n_levels, sub.dim))) for sub in subs]
-    dense_dim = max((sub.dim for sub in subs if sub.dim <= DENSE_THRESHOLD), default=0)
-    chunk = max(1, DENSE_THRESHOLD**2 // space.dim**2)
-    for first in range(0, len(omega), chunk):
-        rows = slice(first, first + chunk)
-        pattern, data = fill_hamiltonians(space, omega[rows], delta[rows], g[rows])
-        dense = dense_blocks(pattern.indptr, pattern.indices, data, dense_dim)
-        for sub, E in zip(subs, out):
-            if sub.dim <= DENSE_THRESHOLD:
-                E[rows] = np.linalg.eigvalsh(dense[:, : sub.dim, : sub.dim])[:, :n_levels]
-                continue
-            for p in range(first, first + len(data)):
-                H = fill_hamiltonian(sub, omega[p], delta[p], g[p])
-                try:
-                    E[p] = eigenspectrum(H, E.shape[1])
-                except ConvergenceFailure as exc:
-                    ig, g_value = where[p]
-                    raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc
+    dense = [(sub, E) for sub, E in zip(subs, out) if sub.dim <= DENSE_THRESHOLD]
+    large = [(sub, E) for sub, E in zip(subs, out) if sub.dim > DENSE_THRESHOLD]
+    if dense:
+        space = dense[0][0]
+        chunk = max(1, DENSE_THRESHOLD**2 // space.dim**2)
+        for first in range(0, len(omega), chunk):
+            rows = slice(first, first + chunk)
+            pattern, data = fill_hamiltonians(space, omega[rows], delta[rows], g[rows])
+            stack = dense_blocks(pattern.indptr, pattern.indices, data, space.dim)
+            for sub, E in dense:
+                E[rows] = np.linalg.eigvalsh(stack[:, : sub.dim, : sub.dim])[:, :n_levels]
+    for p in range(len(omega)):
+        for sub, E in large:
+            H = fill_hamiltonian(sub, omega[p], delta[p], g[p])
+            try:
+                E[p] = eigenspectrum(H, E.shape[1])
+            except ConvergenceFailure as exc:
+                ig, g_value = where[p]
+                raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc
     return out
 
 

@@ -4,14 +4,13 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 printed lines for passing criteria as well).
 """
 
+import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmrabi.cli import FIGURE_PRESETS, cmd_catch_release, format_json
-from mmrabi.config import default_config
+from mmrabi.cli import format_json
 from mmrabi.dynamics import (
     NoiseModel,
     PiecewiseLinear,
@@ -276,16 +275,9 @@ def test_criterion_7_protected_matrix_element(T):
     )
 
 
-def test_criterion_8_open_system_generation_and_release():
-    cfg = default_config()
-    out_summaries = {}
-    for figure in ("fig4", "fig5"):
-        out = Path("/tmp/mmrabi_acceptance") / figure
-        out.mkdir(parents=True, exist_ok=True)
-        out_summaries[figure] = cmd_catch_release(
-            cfg.with_overrides(FIGURE_PRESETS[figure]), out)
-
-    s4, s5 = out_summaries["fig4"], out_summaries["fig5"]
+def test_criterion_8_open_system_generation_and_release(steps):
+    # the summaries of `mmrabi reproduce fig4` and `fig5` in the session pass
+    s4, s5 = (json.loads((steps[f]["out"] / "summary.json").read_text()) for f in ("fig4", "fig5"))
     shares4 = np.array([s4["emitted_shares"][str(i)] for i in (1, 2, 3)])
     share5_line3 = s5["emitted_shares"]["3"]
 

@@ -1,14 +1,10 @@
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import NUMPY_ONLY_RUNS
 
-import mmrabi
 from mmrabi import cli, dynamics
 from mmrabi.cli import cmd_catch_release, format_json, main
 from mmrabi.config import SCHEMA, default_config, parse_config, schema_lines
@@ -88,27 +84,25 @@ def test_cli_repeated_key_exit_2(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-def test_cli_basis_summary(tmp_path):
-    out = tmp_path / "o"
-    assert main(["--out", str(out), "--quiet", "basis"]) == 0
-    text = (out / "summary.json").read_text()
-    assert '"dim": 112' in text
-    assert (out / "basis.csv").exists()
+def test_cli_basis_summary(steps):
+    assert steps["basis"]["result"] == 0 and "basis.csv" in steps["basis"]["files"]
+    assert '"dim": 112' in (steps["basis"]["out"] / "summary.json").read_text()
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["dark-verify"], ["reproduce", "fig2"], ["reproduce", "fig4"], ["reproduce", "fig5"]],
-    ids=["dark-verify", "fig2", "fig4", "fig5"],
-)
-def test_cli_byte_identical_reruns(tmp_path, command):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["--out", str(out), "--quiet", "--seed", "7", *command]) == 0
-        outs.append((out / "summary.json").read_bytes())
-    assert outs[0] == outs[1]
-    assert b'"seed": 7' in outs[0]
+@pytest.mark.parametrize("name", ["dark-verify", "fig2", "fig4", "fig5"])
+def test_cli_byte_identical_reruns(steps, name):
+    # the session pass runs each of these twice, the second fig4 with
+    # --cutoff 3, its preset's n_max
+    first, again = steps[name], steps[f"{name} again"]
+    assert first["result"] == again["result"] == 0
+    assert "summary.json" in first["files"] and first["files"] == again["files"]
+    assert b'"seed": 7' in (first["out"] / "summary.json").read_bytes()
+
+
+def test_the_session_pass_runs_every_command_and_figure(steps):
+    # so that each command and figure gets its load claim and its run in the pass
+    ran = {" ".join(entry["argv"]) for entry in steps.values() if "argv" in entry}
+    assert {*cli.COMMANDS, *(f"reproduce {figure}" for figure in cli.FIGURE_PRESETS)} - ran == set()
 
 
 def test_cli_basis_csv_layout(tmp_path):
@@ -138,7 +132,7 @@ def test_cli_cutoff_flag(tmp_path):
     assert '"dim": 12' in (out / "summary.json").read_text()
 
 
-def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys):
+def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys, steps):
     out = tmp_path / "o"
     assert main(["--out", str(out), "--cutoff", "4", "reproduce", "fig4"]) == 2
     assert "dims.n_max" in capsys.readouterr().err
@@ -152,9 +146,10 @@ def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out), "reproduce", "fig2"]) == 2
     assert "schedule.T" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
-    # a value equal to the preset's is no override
-    assert main(["--out", str(out), "--quiet", "--cutoff", "3", "reproduce", "fig4"]) == 0
-    assert (out / "summary.json").exists()
+    # a value equal to the preset's is no override: the session pass runs it
+    accepted = steps["fig4 again"]
+    assert accepted["argv"] == ["--cutoff", "3", "reproduce", "fig4"]
+    assert accepted["result"] == 0 and "summary.json" in accepted["files"]
 
 
 PRESET_KEYS_OFF_DEFAULT = [
@@ -239,11 +234,9 @@ def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names)
     assert not (out / "summary.json").exists()
 
 
-def test_cli_circuit_map(tmp_path):
-    out = tmp_path / "o"
-    assert main(["--out", str(out), "--quiet", "circuit-map"]) == 0
-    text = (out / "summary.json").read_text()
-    assert '"rabi_couplings"' in text
+def test_cli_circuit_map(steps):
+    assert steps["circuit-map"]["result"] == 0
+    assert '"rabi_couplings"' in (steps["circuit-map"]["out"] / "summary.json").read_text()
 
 
 def test_catch_release_reads_solver_atol(tmp_path, monkeypatch):
@@ -274,106 +267,6 @@ def test_only_cli_formats_output():
     assert formatting == []
 
 
-NUMPY_ONLY_RUNS = {
-    "basis": ["basis"],
-    "dark-verify": ["dark-verify"],
-    "solve-one-photon": ["solve-one-photon"],
-    "circuit-map": ["circuit-map"],
-    "spectrum": ["spectrum"],
-    "sweep": ["sweep"],
-    "fig1a": ["reproduce", "fig1a"],
-    "fig1b": ["reproduce", "fig1b"],
-    "adiabatic": ["adiabatic"],
-    "fig2": ["reproduce", "fig2"],
-}
-WATCHED = ("scipy.integrate", "scipy.sparse", "scipy.sparse.linalg")
-
-CLOSED_GENERATION_AND_GAP_MONITOR = """
-import numpy as np
-from mmrabi import dynamics, hilbert, solutions
-
-def vacuum_up(space):
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.index(hilbert.BasisState((0,) * space.dims.M, (hilbert.UP,) * space.dims.N))] = 1.0
-    return psi
-
-space = hilbert.enumerate_basis(hilbert.ModelDims(3, 2, 6))
-ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(3, 100.0))
-traj = dynamics.evolve_schrodinger(ht, vacuum_up(space), n_samples=3)
-target = solutions.dark_state_2q(ht.params_at(100.0), space).vector
-assert dynamics.fidelity(traj.final_state, target) > 0.99
-
-space = hilbert.enumerate_basis(hilbert.ModelDims(2, 2, 4))
-ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(2, 10.0))
-samples = dynamics.gap_monitor(
-    ht, lambda t: (solutions.dark_state_2q(ht.params_at(t), space).vector, 1.0), [1.0, 5.0, 9.0])
-assert max(s["max_degenerate_element"] for s in samples) < 1e-10
-"""
-
-HAMILTONIAN_VIEWS = """
-import numpy as np
-from mmrabi import dynamics, hilbert
-
-space = hilbert.enumerate_basis(hilbert.ModelDims(2, 2, 4))
-ht = dynamics.ScheduledHamiltonian(space, dynamics.make_w_generation_schedule(2, 10.0))
-v = np.ones(space.dim)
-for t in (0.0, 1.0, 5.0, 10.0):
-    H = ht.at(t)
-    assert np.array_equal(H.dense(), ht.at_dense(t))
-    assert (ht.derivative_at(t) @ v).shape == v.shape
-"""
-
-# runs (name, code) steps in order in one namespace and logs, after each,
-# its ``result``, its traceback and which watched modules are loaded
-STEP_RUNNER = """
-import json, sys, traceback
-watched, steps, log_path = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
-namespace, log = {}, []
-for name, code in steps:
-    error = None
-    try:
-        exec(code, namespace)
-    except Exception:
-        error = traceback.format_exc()
-    loaded = [m for m in watched if m in sys.modules]
-    log.append({"step": name, "result": namespace.pop("result", None), "error": error, "loaded": loaded})
-with open(log_path, "w") as f:
-    json.dump(log, f)
-"""
-
-
-@pytest.fixture(scope="module")
-def steps(tmp_path_factory):
-    """Step name -> its log entry, every step run in order in one fresh interpreter.
-
-    A loaded module stays loaded, so a module absent after a step was loaded
-    by none of the steps before it either.  The order puts the imports
-    first, then the commands that load no ``scipy.sparse``, then fig4,
-    which does; no step loads ``scipy.integrate`` or ``scipy.sparse.linalg``.
-    """
-    out = tmp_path_factory.mktemp("steps")
-
-    def command(name, argv):
-        return f"result = cli.main(['--quiet', '--out', {str(out / name)!r}, *{argv!r}])"
-
-    plan = [
-        ("import config, modes, schedules", "import mmrabi.config, mmrabi.modes, mmrabi.schedules"),
-        # the modules the benchmark workloads import
-        ("import", "from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra"),
-        *((name, command(name, argv)) for name, argv in NUMPY_ONLY_RUNS.items()),
-        ("closed generation and gap monitor", CLOSED_GENERATION_AND_GAP_MONITOR),
-        ("hamiltonian views", HAMILTONIAN_VIEWS),
-        ("fig4", command("fig4", ["reproduce", "fig4"])),
-    ]
-    src = str(Path(mmrabi.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    log_path = out / "steps.json"
-    argv = [sys.executable, "-c", STEP_RUNNER, json.dumps(WATCHED), json.dumps(plan), str(log_path)]
-    run = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    return {entry["step"]: entry for entry in json.loads(log_path.read_text())}
-
-
 def assert_step(steps, name, result, unloaded):
     """The step ran without error, gave ``result`` and left the ``unloaded`` modules unloaded."""
     entry = steps[name]
@@ -402,7 +295,7 @@ def test_integrating_commands_load_no_scipy_solver_module(steps, figure):
     assert_step(steps, figure, 0, ["scipy.integrate", "scipy.sparse.linalg"])
 
 
-@pytest.mark.parametrize("name", NUMPY_ONLY_RUNS)
+@pytest.mark.parametrize("name", [run.split()[-1] for run in NUMPY_ONLY_RUNS])
 def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(steps, name):
     # the modules the benchmark workloads import, then a command whose
     # operators are dense or multiplied by their numpy CSR arrays

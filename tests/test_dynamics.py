@@ -191,8 +191,12 @@ def test_schedule_must_fit_the_space(dims):
         ScheduledHamiltonian(enumerate_basis(dims), make_w_generation_schedule(2, 10.0))
 
 
-def _term_sum_cases():
-    """(terms, states) pairs: closed, negated and restricted Lindblad terms, and coefficient picks."""
+@pytest.fixture(scope="module")
+def term_sum_cases():
+    """(terms, states, stores): closed, negated and restricted Lindblad terms, and coefficient picks.
+
+    ``stores`` holds the case's ``TermSum`` with all segments "dense" and all "csr", each built once.
+    """
     space = w_space()
     ht = ScheduledHamiltonian(space, release_schedule())
     noise = NoiseModel(kappa_in=2e-3, gamma=(1e-3, 3e-3), gamma_phi=(2e-3, 1e-3))
@@ -216,7 +220,12 @@ def _term_sum_cases():
                          (lindblad, np.outer(psi0, psi0.conj()).ravel()[keep]),
                          (picks, np.ones(K, dtype=complex))):
         noisy = start + rng.normal(size=start.size) + 1j * rng.normal(size=start.size)
-        cases.append((terms, (start, noisy)))
+        stores = {}
+        for kind, entries in (("dense", 10**9), ("csr", 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
+                stores[kind] = TermSum(terms)
+        cases.append((terms, (start, noisy), stores))
     return cases
 
 
@@ -237,12 +246,14 @@ def evaluate(term_sum, t, y):
     return out
 
 
-def test_term_sum_is_the_sequential_sum_to_rounding():
+def test_term_sum_is_the_sequential_sum_to_rounding(term_sum_cases):
     # the segment operators sum the same products in another order, and
     # each coefficient is the row's start value plus slope times the time
     # since, not np.interp's own segment arithmetic
-    for terms, states in _term_sum_cases():
-        term_sum = TermSum(terms)
+    for terms, states, stores in term_sum_cases:
+        # the store TermSum picks at the default DENSE_SEGMENT_ENTRIES
+        kind = "dense" if 2 * np.prod(terms[0][1].shape) < dynamics.DENSE_SEGMENT_ENTRIES else "csr"
+        term_sum = stores[kind]
         breaks = np.unique(np.concatenate([c.ts for c, _ in terms if c is not None]))
         times = np.concatenate([
             [0.0, *PHASE_TIMES, breaks[0] - 1.0, breaks[-1] + 1.0],
@@ -259,37 +270,21 @@ def test_term_sum_is_the_sequential_sum_to_rounding():
                 assert np.all(np.abs(evaluate(term_sum, t, y) - expected) <= bound), t
 
 
-def test_dense_and_sparse_segments_agree(monkeypatch):
-    for terms, states in _term_sum_cases():
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
-        sparse = TermSum(terms)
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
-        dense = TermSum(terms)
-        assert all(sp.issparse(S) for _, S in sparse.segments)
-        assert all(isinstance(S, np.ndarray) for _, S in dense.segments)
-        for (t, S), (t_sparse, S_sparse) in zip(dense.segments, sparse.segments, strict=True):
-            assert t == t_sparse and np.array_equal(S, S_sparse.toarray()), t
-        for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
-            for y in states:
-                bound = 4 * ULP * _rounding_scale(terms, y)
-                assert np.all(np.abs(evaluate(dense, t, y) - evaluate(sparse, t, y)) <= bound), t
-
-
-@pytest.mark.parametrize("entries", [10**9, 0], ids=["dense", "csr"])
-def test_term_sum_writes_the_bytes_of_the_returning_form(monkeypatch, entries):
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_term_sum_writes_the_bytes_of_the_returning_form(monkeypatch, term_sum_cases, kind):
     # the in-place call against P y + (t - t_r) Q y formed as new arrays,
     # with S @ y for [P y; Q y]: inside segments, at and just off every
     # breakpoint and before the first, on the closed, negated, Lindblad
     # (ledger rows past the kept columns) and coefficient-pick terms, and on
     # the real terms of a Hamiltonian with real and complex states
-    monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", entries)
+    monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9 if kind == "dense" else 0)
     ht = ScheduledHamiltonian(w_space(), release_schedule())
     y = np.random.default_rng(7).normal(size=(2, ht.space.dim))
-    cases = [*_term_sum_cases(), (ht.terms, (y[0], y[0] + 1j * y[1]))]
-    assert any(terms[0][1].shape[0] > terms[0][1].shape[1] for terms, _ in cases)
-    for terms, states in cases:
-        term_sum = TermSum(terms)
-        assert all(isinstance(S, np.ndarray) == (entries > 0) for _, S in term_sum.segments)
+    cases = [(terms, states, stores[kind]) for terms, states, stores in term_sum_cases]
+    cases.append((ht.terms, (y[0], y[0] + 1j * y[1]), TermSum(ht.terms)))
+    assert any(terms[0][1].shape[0] > terms[0][1].shape[1] for terms, _, _ in cases)
+    for terms, states, term_sum in cases:
+        assert all(isinstance(S, np.ndarray) == (kind == "dense") for _, S in term_sum.segments)
         starts = [t0 for t0, _ in term_sum.segments]
         breaks = np.array(starts[1:])
         m = term_sum.segments[0][1].shape[0] // 2
@@ -307,24 +302,32 @@ def _csr_bytes(m):
     return [(a.dtype, a.tobytes()) for a in (m.data, m.indices, m.indptr)]
 
 
-def test_segments_equal_those_of_the_kron_form(monkeypatch):
-    for terms, _ in _term_sum_cases():
+def test_segments_equal_those_of_the_kron_form(term_sum_cases):
+    # both stores against scipy's product kron(weights, I_m) @ [A_k], and against each other
+    for terms, states, stores in term_sum_cases:
         starts, weights = dynamics._segment_weights([c for c, _ in terms])
         m, n = terms[0][1].shape
         stack = sp.vstack([dynamics._csr(A) for _, A in terms], format="csr")
         product = sp.kron(weights, sp.identity(m)) @ stack
+        sparse, dense = stores["csr"], stores["dense"]
+        assert all(sp.issparse(S) for _, S in sparse.segments)
+        assert all(isinstance(S, np.ndarray) for _, S in dense.segments)
         # CSR segments: row slices of scipy's product, bit for bit
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 0)
-        for r, (t, S) in enumerate(TermSum(terms).segments):
+        for r, (t, S) in enumerate(sparse.segments):
             S_ref = product[2 * m * r : 2 * m * (r + 1)]
             assert t == starts[r] and _csr_bytes(S) == _csr_bytes(S_ref), t
         # dense segments, summed in numpy: the bytes of scipy's CSR product turned dense
-        monkeypatch.setattr(dynamics, "DENSE_SEGMENT_ENTRIES", 10**9)
         product = product.toarray()
-        for r, (t, S) in enumerate(TermSum(terms).segments):
+        for r, (t, S) in enumerate(dense.segments):
             S_ref = product[2 * m * r : 2 * m * (r + 1)]
             assert t == starts[r] and S.shape == (2 * m, n), t
             assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes(), t
+        for (t, S), (t_sparse, S_sparse) in zip(dense.segments, sparse.segments, strict=True):
+            assert t == t_sparse and np.array_equal(S, S_sparse.toarray()), t
+        for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
+            for y in states:
+                bound = 4 * ULP * _rounding_scale(terms, y)
+                assert np.all(np.abs(evaluate(dense, t, y) - evaluate(sparse, t, y)) <= bound), t
 
 
 def test_operator_views_agree():

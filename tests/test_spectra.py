@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -12,6 +13,7 @@ from mmrabi.operators import (
     SparseOperator,
     build_hamiltonian,
     build_jc_hamiltonian,
+    fill_hamiltonian,
     fill_hamiltonians,
 )
 from mmrabi.spectra import (
@@ -531,6 +533,34 @@ def test_blocks_above_dense_threshold_are_solved_per_point(monkeypatch, name):
     for sign, lv in table.levels.items():
         assert lv.shape == ref[sign].shape
         assert lv.tobytes() == ref[sign].tobytes(), sign
+
+
+def test_each_point_is_filled_once_per_space(monkeypatch):
+    # at DENSE_THRESHOLD = 20 a point's dense blocks are slices of one fill
+    # on the largest of them, and a larger block is filled on its own space
+    # only: the (2, 2, 4) unequal-omega sectors hold 30 states each, and
+    # rank 2 at (4, 2, 4) has bright sectors of 30, 20, 12, 6 and 2 states
+    # (its g = 0 point is rank 1, of 10, 8, 6, 4 and 2)
+    fills = []
+
+    def stacked(space, omega, delta, g, *args):
+        fills.extend([space.dim] * len(g))
+        return fill_hamiltonians(space, omega, delta, g, *args)
+
+    def single(space, omega, delta, g):
+        fills.append(space.dim)
+        return fill_hamiltonian(space, omega, delta, g)
+
+    monkeypatch.setattr(spectra, "fill_hamiltonians", stacked)
+    monkeypatch.setattr(spectra, "fill_hamiltonian", single)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 20)
+    for name, expected in (("seeded-unequal-omega-full-rank", {30: 8}),
+                           ("rank-2", {10: 2, 20: 6, 30: 6})):
+        dims, template, grid = _stacked_case(name)
+        fills.clear()
+        table = sweep_coupling(template, grid, None, 12, dims)
+        assert Counter(fills) == expected, name
+        _assert_same_bytes(table, _per_point_levels(template, grid, [+1, -1], 12, dims))
 
 
 def test_iterative_solve_of_a_diagonal_block_repeats(monkeypatch):
