@@ -302,9 +302,22 @@ def _csr_bytes(m):
     return [(a.dtype, a.tobytes()) for a in (m.data, m.indices, m.indptr)]
 
 
-def test_segments_equal_those_of_the_kron_form(term_sum_cases):
-    # both stores against scipy's product kron(weights, I_m) @ [A_k], and against each other
+def test_dense_and_sparse_segments_agree(term_sum_cases):
     for terms, states, stores in term_sum_cases:
+        sparse, dense = stores["csr"], stores["dense"]
+        assert all(sp.issparse(S) for _, S in sparse.segments)
+        assert all(isinstance(S, np.ndarray) for _, S in dense.segments)
+        for (t, S), (t_sparse, S_sparse) in zip(dense.segments, sparse.segments, strict=True):
+            assert t == t_sparse and np.array_equal(S, S_sparse.toarray()), t
+        for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
+            for y in states:
+                bound = 4 * ULP * _rounding_scale(terms, y)
+                assert np.all(np.abs(evaluate(dense, t, y) - evaluate(sparse, t, y)) <= bound), t
+
+
+def test_segments_equal_those_of_the_kron_form(term_sum_cases):
+    # both stores against scipy's product kron(weights, I_m) @ [A_k]
+    for terms, _, stores in term_sum_cases:
         starts, weights = dynamics._segment_weights([c for c, _ in terms])
         m, n = terms[0][1].shape
         stack = sp.vstack([dynamics._csr(A) for _, A in terms], format="csr")
@@ -322,12 +335,6 @@ def test_segments_equal_those_of_the_kron_form(term_sum_cases):
             S_ref = product[2 * m * r : 2 * m * (r + 1)]
             assert t == starts[r] and S.shape == (2 * m, n), t
             assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes(), t
-        for (t, S), (t_sparse, S_sparse) in zip(dense.segments, sparse.segments, strict=True):
-            assert t == t_sparse and np.array_equal(S, S_sparse.toarray()), t
-        for t in (-1.0, 0.0, *PHASE_TIMES, 1e3):
-            for y in states:
-                bound = 4 * ULP * _rounding_scale(terms, y)
-                assert np.all(np.abs(evaluate(dense, t, y) - evaluate(sparse, t, y)) <= bound), t
 
 
 def test_operator_views_agree():
