@@ -210,11 +210,20 @@ def cmd_basis(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
+def _sector_levels(cfg: ExperimentConfig) -> int:
+    """``sweep.n_levels``, which no parity sector may have fewer states than."""
+    # flipping qubit 1 maps one parity sector onto the other, so each has half the states
+    sector_dim = cfg.dims().dim // 2
+    if cfg["sweep.n_levels"] > sector_dim:
+        raise ConfigError(
+            f"sweep.n_levels = {cfg['sweep.n_levels']} exceeds the sector dimension {sector_dim}"
+        )
+    return cfg["sweep.n_levels"]
+
+
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     params = cfg.rabi_params()
-    # each parity sector holds half the states, as in cmd_sweep
-    k = min(cfg["sweep.n_levels"], cfg.dims().dim // 2)
-    table = sweep_coupling(lambda _: params, [0.0], None, k, cfg.dims())
+    table = sweep_coupling(lambda _: params, [0.0], None, _sector_levels(cfg), cfg.dims())
     rows = []
     summary = {}
     for name, sector in (("even", EVEN), ("odd", ODD)):
@@ -228,19 +237,13 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     pattern = cfg.rabi_params()
     grid = cfg.sweep_grid()
-    # flipping qubit 1 maps one parity sector onto the other, so each has half the states
-    sector_dim = cfg.dims().dim // 2
-    if cfg["sweep.n_levels"] > sector_dim:
-        raise ConfigError(
-            f"sweep.n_levels = {cfg['sweep.n_levels']} exceeds the sector dimension {sector_dim}"
-        )
+    n_levels = _sector_levels(cfg)
 
     def template(g):
         # grid values scale the configured coupling pattern
         return cfg.rabi_params(g_scale=g)
 
-    table = sweep_coupling(template, grid, cfg.parity("sweep.parity"),
-                           cfg["sweep.n_levels"], cfg.dims())
+    table = sweep_coupling(template, grid, cfg.parity("sweep.parity"), n_levels, cfg.dims())
     rows = [
         [g, sign, k, lv[ig, k]]
         for sign, lv in sorted(table.levels.items())

@@ -4,9 +4,9 @@
 explicit Runge-Kutta pair of order 8(5,3) of Dormand and Prince (Prince &
 Dormand, J. Comput. Appl. Math. 7, 67 (1981); Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, 2nd ed., Springer 1993,
-Ch. II) and returns the states at the times of ``t_eval``.  States are
-complex: a real start is integrated as complex, so a complex right-hand
-side keeps its imaginary part.  The right-hand side is called in place,
+Ch. II) and returns the states at the times of ``t_eval`` and ``nfev``.
+States are complex: a real start is integrated as complex, so a complex
+right-hand side keeps its imaginary part.  The right-hand side is called in place,
 ``fun(t, y, out)``, and writes f(t, y) into ``out``, which is a row of the
 stage array K.  Its arithmetic is that of
 ``scipy.integrate.solve_ivp(method="DOP853")`` (scipy 1.17) with a complex
@@ -15,7 +15,9 @@ y0 and ``t_eval``, operation for operation: the same initial step
 error norm from the 5th- and 3rd-order estimates, the same step-size rules
 and the same 7-term interpolant, built from three extra stages, for each
 step that holds samples.  So ``nfev`` and every sample equal scipy's bit
-for bit.  Each step writes its stage states, y_new, |y_new|, the error
+for bit, and where scipy's solve returns status -1 this one raises
+``StepFailure`` at that step, with scipy's message.  Each step writes its
+stage states, y_new, |y_new|, the error
 scale and both error estimates into buffers made once per solve, with
 scipy's operations in scipy's order (a product with h is a product with a
 0-d complex array, the scalar scipy's operator converts h to), so a
@@ -36,6 +38,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import StepFailure
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -235,27 +239,15 @@ MAX_FACTOR = 10.0  # largest factor an accepted step grows by
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-SUCCESS = "The solver successfully reached the end of the integration interval."
 
 
 @dataclass
 class OdeResult:
-    """Samples of one solve, with scipy's field names.
-
-    ``y`` holds one column per sampled time of ``t``; ``status`` is 0 when
-    the solve reached the end and -1 when a step failed, and then ``t``
-    and ``y`` hold the samples before the failure.
-    """
+    """Samples of one solve, with scipy's field names: ``y`` holds one column per time of ``t``."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    status: int
-    message: str
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
 
 
 def _rms(x: np.ndarray) -> float:
@@ -298,7 +290,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     nothing; it keeps no reference to ``y`` or ``out``, which the solver
     reuses.  ``t_eval`` is increasing and inside t_span.  ``rtol`` below
     100 machine epsilons is raised to it with a warning, as scipy does.
-    Returns an ``OdeResult`` whose ``nfev`` counts every call of ``fun``.
+    Returns an ``OdeResult`` of the samples at every time of ``t_eval``,
+    whose ``nfev`` counts every call of ``fun``.  A step size below ten
+    spacings of floats at t, or NaN, raises ``StepFailure`` naming t and
+    scipy's message.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
@@ -359,8 +354,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     nfev = 2
     np.abs(y, out=abs_y)
     next_sample, pieces = 0, []
-    status, message = None, SUCCESS
-    while status is None:
+    while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -369,8 +363,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
         while True:
             # written so that a NaN step size fails too, rather than loop
             if not h_abs >= min_step:
-                status, message = -1, TOO_SMALL_STEP
-                break
+                raise StepFailure(f"integration failed at t={t}: {TOO_SMALL_STEP}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -411,14 +404,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
-        if status is not None:
-            break
         # y_old keeps its row until the next step writes y_new over it
         t_old, t = t, t_new
         y_old, y, y_new = y, y_new, y
         abs_y, abs_new = abs_new, abs_y
-        if t >= t_bound:
-            status = 0
         last_sample = bisect.bisect_right(sample_times, t)
         if last_sample == next_sample:
             continue
@@ -447,4 +436,4 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> OdeResult
     # y joins the steps' samples as scipy does, so it has scipy's memory
     # layout, and reductions over y.T round as they do there
     y = np.hstack([samples[i:j].T for i, j in pieces]) if pieces else samples[:0].T
-    return OdeResult(t=t_eval[:next_sample], y=y, nfev=nfev, status=status, message=message)
+    return OdeResult(t=t_eval, y=y, nfev=nfev)

@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .dop853 import solve_ivp
-from .errors import PositivityLoss, SpaceMismatch, StepFailure
+from .errors import PositivityLoss, SpaceMismatch
 from .hilbert import HilbertSpace, parity_signs
 from .modes import mode_groups, reduce_modes
 from .operators import (
@@ -140,10 +140,10 @@ def _csr(A):
 class TermSum:
     """(t, y, out): out = sum_k c_k(t) A_k y[:n] over (curve or None, A_k) ``terms``.
 
-    n is the column count of every A_k, and ``out`` has their row count and
-    the dtype of the result.  Each A_k is a ``SparseOperator`` or a scipy
-    sparse matrix.  A call is ``dop853.solve_ivp``'s in-place right-hand
-    side.
+    n is the column count of every A_k; ``y`` and ``out`` are complex, and
+    ``out`` has the row count of the A_k.  Each A_k is a ``SparseOperator``
+    or a scipy sparse matrix.  A call is ``dop853.solve_ivp``'s in-place
+    right-hand side.
 
     The coefficients c_k(t) are a curve's value or 1 for a term without
     one.  Every curve is piecewise linear, so on each row of a table over
@@ -159,7 +159,8 @@ class TermSum:
     the row, so P_r holds no cancelling intercept.  The result is the
     term-by-term sum to rounding.  The axpy writes (t - t_r) Q_r y and then
     adds P_r y in ``out``, with t - t_r a 0-d array of the product's dtype:
-    the bytes of ``pq[:m] + (t - t_r) * pq[m:]`` for pq = S_r @ y.
+    the bytes of ``pq[:m] + (t - t_r) * pq[m:]`` for pq = S_r @ y, which is
+    complex.
 
     S_r is a dense array when it holds fewer than ``DENSE_SEGMENT_ENTRIES``
     entries, where a dense product is the faster one, and CSR from there
@@ -167,8 +168,8 @@ class TermSum:
     which gives every S_r in row order.  A dense S_r is summed in numpy as
     that product sums it, so both stores hold the same values: term by
     term over the nonzero weights, k ascending, from +0.  A dense product
-    is ``S_r.dot(y, out=pq)`` into a buffer held here per state dtype, with
-    P_r y and Q_r y its halves viewed once; for n > 1 numpy's dot runs
+    is ``S_r.dot(y, out=pq)`` into one complex buffer made with the store,
+    with P_r y and Q_r y its halves viewed once; for n > 1 numpy's dot runs
     gemv, as S_r @ y does, so it has the same bytes.  A CSR product is
     scipy's S_r @ y.
     """
@@ -192,19 +193,13 @@ class TermSum:
             segments = sp.kron(weights, sp.identity(self._m), format="csr") @ stack
             blocks = [segments[r * rows : (r + 1) * rows] for r in range(starts.size)]
         self.segments = list(zip(starts.tolist(), blocks))
-        self._dtype = blocks[0].dtype
-        self._buffers = {}
-
-    def _buffers_for(self, dtype):
-        """(pq, P, Q, tau) for ``dtype`` states: the product's buffer, its halves, a 0-d t - t_r."""
-        pq = np.empty(2 * self._m, dtype=np.result_type(self._dtype, dtype))
-        tau = np.empty((), dtype=pq.dtype)
-        self._buffers[dtype] = pq, pq[: self._m], pq[self._m :], tau
-        return self._buffers[dtype]
+        pq = np.empty(rows, dtype=complex)
+        # the dense product's buffer, its halves and a 0-d t - t_r
+        self._buffers = pq, pq[: self._m], pq[self._m :], np.empty((), dtype=complex)
 
     def __call__(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
         t0, S = self.segments[bisect.bisect_right(self._breaks, t)]
-        pq, P, Q, tau = self._buffers.get(y.dtype) or self._buffers_for(y.dtype)
+        pq, P, Q, tau = self._buffers
         if isinstance(S, np.ndarray):
             S.dot(y[: self._n], out=pq)
         else:
@@ -250,9 +245,9 @@ class ScheduledHamiltonian:
         return TermSum(self.terms)
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        """H(t) @ y without assembling H(t); no run calls it, runs integrate ``terms``."""
-        out = np.empty(self.space.dim, dtype=np.result_type(y, *(H.dtype for _, H in self.terms)))
-        self.term_sum(t, y, out)
+        """H(t) @ y, complex, without assembling H(t); no run calls it, runs integrate ``terms``."""
+        out = np.empty(self.space.dim, dtype=complex)
+        self.term_sum(t, np.asarray(y, dtype=complex), out)
         return out
 
     def at(self, t: float) -> SparseOperator:
@@ -328,15 +323,14 @@ def _integrate(terms, y0, T: float, n_samples: int, rtol: float, atol: float):
     in place into the row of the integrator's stage array that ``out``
     names.  The integrator is ``dop853.solve_ivp``, which calls it once per
     counted evaluation and holds no reference to it after returning.  It
-    integrates complex states, so a real y0 under complex terms is
-    integrated as complex.  Returns sample times, sampled states as rows
-    and solver statistics.
+    integrates complex states, so a real y0 is integrated as complex, and
+    raises ``StepFailure`` at a step that fails.  Returns sample times,
+    sampled states as rows and solver statistics: the tolerances and
+    ``nfev``.
     """
     t_eval = np.linspace(0.0, T, n_samples)
     sol = solve_ivp(TermSum(terms), (0.0, T), y0, rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StepFailure(f"integration failed at t={sol.t[-1] if sol.t.size else 0}: {sol.message}")
-    stats = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev), "status": int(sol.status)}
+    stats = {"rtol": rtol, "atol": atol, "nfev": int(sol.nfev)}
     return t_eval, sol.y.T, stats
 
 

@@ -105,10 +105,16 @@ def test_the_session_pass_runs_every_command_and_figure(steps):
     assert {*cli.COMMANDS, *(f"reproduce {figure}" for figure in cli.FIGURE_PRESETS)} - ran == set()
 
 
-def test_cli_basis_csv_layout(tmp_path):
-    out = tmp_path / "o"
+@pytest.fixture(scope="module")
+def cutoff_basis(tmp_path_factory):
+    """The output directory of one ``--cutoff 1 basis`` run, which must exit 0."""
+    out = tmp_path_factory.mktemp("cutoff-basis")
     assert main(["--out", str(out), "--quiet", "--cutoff", "1", "basis"]) == 0
-    lines = (out / "basis.csv").read_text().splitlines()
+    return out
+
+
+def test_cli_basis_csv_layout(cutoff_basis):
+    lines = (cutoff_basis / "basis.csv").read_text().splitlines()
     assert lines[0] == "index,n_1,n_2,s_1,s_2,parity"
     assert lines[1] == "0,0,0,1,1,1"
     assert len(lines) == 1 + 12
@@ -126,10 +132,8 @@ def test_cli_sweep_csv_layout(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 4  # both sectors, two grid points, four levels
 
 
-def test_cli_cutoff_flag(tmp_path):
-    out = tmp_path / "o"
-    assert main(["--out", str(out), "--quiet", "--cutoff", "1", "basis"]) == 0
-    assert '"dim": 12' in (out / "summary.json").read_text()
+def test_cli_cutoff_flag(cutoff_basis):
+    assert '"dim": 12' in (cutoff_basis / "summary.json").read_text()
 
 
 def test_reproduce_refuses_values_its_preset_replaces(tmp_path, capsys, steps):
@@ -216,11 +220,12 @@ def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
         (["params.omega = nan"], "dark-verify", ["params.omega"]),
         (["params.delta = nan, 0.1"], "dark-verify", ["params.delta"]),
         (["dims.M = 1", "dims.n_max = 2"], "sweep", ["sweep.n_levels", "dimension 6"]),
+        (["dims.M = 1", "dims.n_max = 2"], "spectrum", ["sweep.n_levels", "dimension 6"]),
         (["noise.gamma = -1e-3"], "lindblad", ["noise.gamma"]),
         (["noise.gamma_phi = -1"], "catch-release", ["noise.gamma_phi"]),
     ],
     ids=["zero-omega-dark-verify", "zero-omega-spectrum", "nan-g", "nan-omega", "nan-delta",
-         "sweep-levels", "negative-gamma", "negative-gamma-phi"],
+         "sweep-levels", "spectrum-levels", "negative-gamma", "negative-gamma-phi"],
 )
 def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names):
     # schema-valid values that no model can be built from are config errors
