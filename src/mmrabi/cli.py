@@ -28,13 +28,14 @@ loop, so no command loads ``scipy.integrate``.
 
 ``scipy.sparse`` is loaded only by a command that forms a sparse product:
 the open protocol commands (``lindblad``, ``catch-release`` and
-``reproduce fig4|fig5``), whose Lindblad generators are CSR, and an
-eigensolve above ``operators.DENSE_THRESHOLD``, which goes through
-``eigsh``.  ``basis``, ``dark-verify``, ``solve-one-photon``,
-``circuit-map``, ``spectrum``, ``sweep``, ``adiabatic`` and
-``reproduce fig1a|fig1b|fig2`` run on numpy alone at the sizes they are
-given by default: a closed run's isometry and terms are numpy arrays, and
-its segment operators are dense.
+``reproduce fig4|fig5``), whose Lindblad generators are CSR, and a closed
+run whose segment operators hold ``dynamics.DENSE_SEGMENT_ENTRIES``
+entries or more.  Every eigensolve is a dense ``eigvalsh``, so
+``spectrum``, ``sweep`` and ``reproduce fig1a|fig1b`` run on numpy alone
+at every size, as do ``basis``, ``dark-verify``, ``solve-one-photon``
+and ``circuit-map``.  ``adiabatic`` and ``reproduce fig2`` do at the
+sizes they are given by default: a closed run's isometry and terms are
+numpy arrays, and its segment operators are dense.
 """
 
 from __future__ import annotations

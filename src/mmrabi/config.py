@@ -101,15 +101,18 @@ def _parse_value(key: str, spec: Key, raw: str):
             raise ConfigError(f"schema bug: unknown kind {spec.kind!r} for {key}")
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {spec.kind}") from exc
+    return _checked(key, spec, value)
+
+
+def _checked(key: str, spec: Key, value):
+    """``value``, if it is one of the key's choices, finite and at least its minimum."""
     if spec.kind == "choice" and value not in spec.choices:
         raise ConfigError(f"{key}: {value!r} not one of {spec.choices}")
     # nan would pass every comparison below and every later check silently
     if spec.kind in ("float", "floats") and not np.all(np.isfinite(value)):
-        raise ConfigError(f"{key}: {raw!r} is not finite")
-    if spec.minimum is not None:
-        low = min(value) if isinstance(value, tuple) else value
-        if low < spec.minimum:
-            raise ConfigError(f"{key}: value {value} below minimum {spec.minimum}")
+        raise ConfigError(f"{key}: {value!r} is not finite")
+    if spec.minimum is not None and np.any(np.asarray(value) < spec.minimum):
+        raise ConfigError(f"{key}: value {value} below minimum {spec.minimum}")
     return value
 
 
@@ -260,10 +263,12 @@ class ExperimentConfig:
             raise ConfigError(f"circuit.*: {exc}") from exc
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
+        """This config with ``overrides`` set, each value checked as a config file's is."""
         unknown = set(overrides) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown override keys {sorted(unknown)}")
-        return ExperimentConfig({**self.values, **overrides})
+        checked = {key: _checked(key, SCHEMA[key], value) for key, value in overrides.items()}
+        return ExperimentConfig({**self.values, **checked})
 
 
 def default_config() -> ExperimentConfig:

@@ -34,10 +34,6 @@ class ConditionsViolated(MMRabiError):
         super().__init__(f"solution conditions violated: {detail}")
 
 
-class ConvergenceFailure(MMRabiError):
-    """Eigensolver failed to converge."""
-
-
 class InvalidSchedule(MMRabiError):
     """Protocol schedule is malformed (empty duration, bad breakpoints)."""
 

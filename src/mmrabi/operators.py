@@ -44,8 +44,10 @@ arrays, in the order and with the index dtype of scipy's
 vector are numpy operations on those arrays; ``row_sums`` holds scipy's
 rule for summing a product's rows, which ``modes.Isometry`` shares.  The
 scipy ``csr_matrix`` is built only when ``SparseOperator.matrix`` is
-first read, for a sparse product or an iterative eigensolve, so a run
-that forms neither never imports ``scipy.sparse``.
+first read, for a sparse product, so a run that forms none never imports
+``scipy.sparse``.  ``DENSE_THRESHOLD`` sizes the chunks of a coupling
+sweep: one chunk holds no more entries than one DENSE_THRESHOLD x
+DENSE_THRESHOLD dense array.
 
 Every builder stores float64 entries.  Complex numbers enter only where
 the physics puts them (-i H in the equations of motion, and the states);

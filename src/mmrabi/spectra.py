@@ -7,15 +7,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SpaceMismatch
+from .errors import SpaceMismatch
 from .hilbert import HilbertSpace, ModelDims, ParitySector, enumerate_basis
-from .operators import (
-    DENSE_THRESHOLD,
-    SparseOperator,
-    dense_blocks,
-    fill_hamiltonian,
-    fill_hamiltonians,
-)
+from .operators import DENSE_THRESHOLD, SparseOperator, dense_blocks, fill_hamiltonians
 
 
 @dataclass
@@ -27,43 +21,17 @@ class SpectrumTable:
 
 
 def eigenspectrum(H: SparseOperator, n_levels: int | None = None) -> np.ndarray:
-    """Lowest ``n_levels`` eigenvalues (all by default), ascending.
+    """Lowest ``n_levels`` eigenvalues (all by default), ascending, by dense ``eigvalsh``.
 
-    Dense ``eigvalsh`` below DENSE_THRESHOLD, unshifted Lanczos (``eigsh``,
-    smallest algebraic) above, from a fixed seeded start vector, so that a
-    solve depends only on H and not on the solves before it.  The start is
-    random, not uniform: a uniform vector is symmetric under every basis
-    permutation and never reaches the antisymmetric levels.  A real
-    operator is solved as real symmetric, a complex one as complex
-    Hermitian.
-
-    Above DENSE_THRESHOLD, an operator with no nonzero off-diagonal entry
-    (uncoupled qubits, g = 0) is its sorted diagonal, each entry added
-    into +0.0 as ``dense()`` reads it; these are the bytes ``eigvalsh``
-    gives for that diagonal.  Lanczos breaks down on such an operator and
-    restarts from ARPACK's own random state, so a level at 0 would come out
-    as noise that changes from call to call.
+    A real operator is solved as real symmetric, a complex one as complex
+    Hermitian.  Every level comes with all its degenerate copies, at the
+    cost of a dim x dim array.
     """
-    dim = H.dim
     if n_levels is None:
-        n_levels = dim
-    if n_levels > dim:
-        raise ValueError(f"requested {n_levels} levels from dim {dim}")
-    if dim <= DENSE_THRESHOLD or n_levels >= dim - 1:
-        return np.linalg.eigvalsh(H.dense())[:n_levels]
-    on_diagonal = H.indices == H.rows
-    if not np.any(H.data[~on_diagonal]):
-        diagonal = np.zeros(dim)
-        diagonal[H.rows[on_diagonal]] += H.data[on_diagonal].real
-        return np.sort(diagonal)[:n_levels]
-    import scipy.sparse.linalg as spla  # only here: it is a large import that no dense solve needs
-
-    try:
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        E, _ = spla.eigsh(H.matrix, k=n_levels, sigma=None, which="SA", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"iterative eigensolve failed: {exc}") from exc
-    return E[np.argsort(E)]
+        n_levels = H.dim
+    if n_levels > H.dim:
+        raise ValueError(f"requested {n_levels} levels from dim {H.dim}")
+    return np.linalg.eigvalsh(H.dense())[:n_levels]
 
 
 def sweep_coupling(
@@ -97,8 +65,9 @@ def sweep_coupling(
 
     The grid is solved in groups, not point by point: one group per r, each
     by the same loop.  ``_prefix_levels`` fills a group's Hamiltonians on
-    every bright sector at once and solves each block as one stacked
-    ``eigvalsh``.
+    every bright sector at once and solves each block as one stacked dense
+    ``eigvalsh``, at every size: each level keeps all its degenerate copies,
+    and a block of d states costs a d x d array per point of a chunk.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0:
@@ -129,7 +98,6 @@ def sweep_coupling(
     levels = {sign: np.empty((g_grid.size, n_levels)) for sign in signs}
     for r in sorted(set(rank.tolist())):
         at = np.flatnonzero(rank == r)
-        where = [(ig, g_grid[ig]) for ig in at]
         # the points solved in full keep g as given: unequal omega_i cannot be mixed
         bright_g = S[at, :r, None] * Wt[at, :r] if r < M else g[at]
         # the ways k photons fill the M - r dark modes: at r = M, one for k = 0 and none after
@@ -140,7 +108,7 @@ def sweep_coupling(
             ks = [k for k in range(n_max + 1) if copies[k] and b * (-1) ** k in signs]
             if ks:
                 subs = [space(r, n_max - k, b) for k in ks]
-                blocks = _prefix_levels(subs, omega[at, :r], delta[at], bright_g, n_levels, where)
+                blocks = _prefix_levels(subs, omega[at, :r], delta[at], bright_g, n_levels)
                 solved.update(zip([(b, k) for k in ks], blocks))
         for sign in signs:
             parts = [
@@ -152,45 +120,28 @@ def sweep_coupling(
     return SpectrumTable(sweep_values=g_grid, levels=levels)
 
 
-def _prefix_levels(subs, omega, delta, g, n_levels: int, where) -> list:
+def _prefix_levels(subs, omega, delta, g, n_levels: int) -> list:
     """Lowest levels of each point's Hamiltonian on each prefix space in ``subs``.
 
     ``omega``, ``delta`` and ``g`` stack the points (``fill_hamiltonians``),
-    whose Hamiltonians live on ``subs[0]``; each later prefix of its basis
-    order spans its own space, and the leading block is that space's
-    Hamiltonian.  ``where`` holds each point's (grid index, g), for errors.
-    Returns one (points, levels) array per space.
+    whose Hamiltonians live on ``subs[0]``, the largest space; each later
+    prefix of its basis order spans its own space, and the leading block is
+    that space's Hamiltonian.  Returns one (points, levels) array per space.
 
-    A block at or below DENSE_THRESHOLD is solved by stacked ``eigvalsh``
-    over the points.  The largest such block is its own prefix space, and
-    every smaller one a leading slice of it, so the points are filled once
-    on that space and scattered dense, in chunks that never hold more
-    entries than one DENSE_THRESHOLD x DENSE_THRESHOLD matrix, the largest
-    dense array ``eigenspectrum`` forms.  A larger block is each point's
-    Hamiltonian filled on its own space (``fill_hamiltonian``), solved by
-    ``eigenspectrum``.  The canonical order makes its CSR arrays those of
-    scipy's leading slice ``matrix[:d, :d]`` of the operator on ``subs[0]``.
+    The points are filled on ``subs[0]`` and scattered dense, in chunks that
+    hold no more entries than one DENSE_THRESHOLD x DENSE_THRESHOLD matrix
+    (one point at a time above it), and each block is one stacked
+    ``eigvalsh`` over the chunk's leading slices.
     """
+    space = subs[0]
     out = [np.empty((len(omega), min(n_levels, sub.dim))) for sub in subs]
-    dense = [(sub, E) for sub, E in zip(subs, out) if sub.dim <= DENSE_THRESHOLD]
-    large = [(sub, E) for sub, E in zip(subs, out) if sub.dim > DENSE_THRESHOLD]
-    if dense:
-        space = dense[0][0]
-        chunk = max(1, DENSE_THRESHOLD**2 // space.dim**2)
-        for first in range(0, len(omega), chunk):
-            rows = slice(first, first + chunk)
-            pattern, data = fill_hamiltonians(space, omega[rows], delta[rows], g[rows])
-            stack = dense_blocks(pattern.indptr, pattern.indices, data, space.dim)
-            for sub, E in dense:
-                E[rows] = np.linalg.eigvalsh(stack[:, : sub.dim, : sub.dim])[:, :n_levels]
-    for p in range(len(omega)):
-        for sub, E in large:
-            H = fill_hamiltonian(sub, omega[p], delta[p], g[p])
-            try:
-                E[p] = eigenspectrum(H, E.shape[1])
-            except ConvergenceFailure as exc:
-                ig, g_value = where[p]
-                raise ConvergenceFailure(f"at grid index {ig} (g={g_value}): {exc}") from exc
+    chunk = max(1, DENSE_THRESHOLD**2 // space.dim**2)
+    for first in range(0, len(omega), chunk):
+        rows = slice(first, first + chunk)
+        pattern, data = fill_hamiltonians(space, omega[rows], delta[rows], g[rows])
+        stack = dense_blocks(pattern.indptr, pattern.indices, data, space.dim)
+        for sub, E in zip(subs, out):
+            E[rows] = np.linalg.eigvalsh(stack[:, : sub.dim, : sub.dim])[:, :n_levels]
     return out
 
 

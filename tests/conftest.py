@@ -55,6 +55,17 @@ for t in (0.0, 1.0, 5.0, 10.0):
     assert (ht.derivative_at(t) @ v).shape == v.shape
 """
 
+# the default spectrum with every block above DENSE_THRESHOLD, which is
+# restored afterwards
+ABOVE_DENSE_THRESHOLD = """
+threshold = spectra.DENSE_THRESHOLD
+spectra.DENSE_THRESHOLD = 3
+try:
+    result = cli.main({argv!r})
+finally:
+    spectra.DENSE_THRESHOLD = threshold
+"""
+
 # runs (name, code) steps in order in one namespace and logs, after each,
 # its ``result``, its traceback and which watched modules are loaded
 STEP_RUNNER = """
@@ -80,7 +91,8 @@ def steps(tmp_path_factory):
 
     A loaded module stays loaded, so a module absent after a step was loaded
     by none of the steps before it either.  The order puts the imports
-    first, then the commands that load no ``scipy.sparse``, then fig4,
+    first, then the commands that load no ``scipy.sparse`` (``spectrum`` a
+    second time, with every block above ``DENSE_THRESHOLD``), then fig4,
     which does; no step loads ``scipy.integrate`` or ``scipy.sparse.linalg``.
     Each run is seeded 7; its entry also holds its ``argv``, its ``out``
     directory and the sha256 of each file it wrote (``files``).
@@ -88,18 +100,19 @@ def steps(tmp_path_factory):
     out = tmp_path_factory.mktemp("steps")
     runs = {}
 
-    def commands(lines, suffix=""):
+    def commands(lines, suffix="", code="result = cli.main({argv!r})"):
         for line in lines:
             name = line.split()[-1] + suffix
             runs[name] = line.split()
             argv = ["--quiet", "--seed", "7", "--out", str(out / name), *runs[name]]
-            yield name, f"result = cli.main({argv!r})"
+            yield name, code.format(argv=argv)
 
     plan = [
         ("import config, modes, schedules", "import mmrabi.config, mmrabi.modes, mmrabi.schedules"),
         # the modules the benchmark workloads import
         ("import", "from mmrabi import cli, config, dynamics, hilbert, operators, solutions, spectra"),
         *commands(NUMPY_ONLY_RUNS),
+        *commands(["spectrum"], " above dense threshold", ABOVE_DENSE_THRESHOLD),
         ("closed generation and gap monitor", CLOSED_GENERATION_AND_GAP_MONITOR),
         ("hamiltonian views", HAMILTONIAN_VIEWS),
         *commands(SPARSE_RUNS),

@@ -48,6 +48,13 @@ def test_bad_value_reports_key():
         parse_config("dims.n_max = -2\n")
 
 
+def test_overrides_are_checked_as_config_values():
+    cfg = default_config()
+    for key, value in (("dims.n_max", -1), ("sweep.parity", "sideways"), ("params.g", (float("nan"),))):
+        with pytest.raises(ConfigError, match=key):
+            cfg.with_overrides({key: value})
+
+
 def test_schema_lines_round_trip():
     # the rendered schema is itself a valid config
     cfg = parse_config("\n".join(schema_lines()))
@@ -223,9 +230,10 @@ def test_cli_invalid_schedule_exit_2(tmp_path, capsys, line):
         (["dims.M = 1", "dims.n_max = 2"], "spectrum", ["sweep.n_levels", "dimension 6"]),
         (["noise.gamma = -1e-3"], "lindblad", ["noise.gamma"]),
         (["noise.gamma_phi = -1"], "catch-release", ["noise.gamma_phi"]),
+        (["noise.gamma ="], "lindblad", ["noise.gamma"]),
     ],
     ids=["zero-omega-dark-verify", "zero-omega-spectrum", "nan-g", "nan-omega", "nan-delta",
-         "sweep-levels", "spectrum-levels", "negative-gamma", "negative-gamma-phi"],
+         "sweep-levels", "spectrum-levels", "negative-gamma", "negative-gamma-phi", "empty-gamma"],
 )
 def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names):
     # schema-valid values that no model can be built from are config errors
@@ -236,6 +244,18 @@ def test_cli_invalid_model_value_exit_2(tmp_path, capsys, lines, command, names)
     err = capsys.readouterr().err
     assert "config error" in err and all(name in err for name in names)
     assert not (out / "error.json").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,key", [(["--cutoff", "-1"], "dims.n_max"), (["--seed", "-5"], "seed")], ids=["cutoff", "seed"]
+)
+def test_cli_flag_below_schema_minimum_exit_2(tmp_path, capsys, flag, key):
+    # a flag value is checked as the same value in a config file is
+    out = tmp_path / "o"
+    assert main([*flag, "--out", str(out), "basis"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
     assert not (out / "summary.json").exists()
 
 
@@ -307,6 +327,14 @@ def test_commands_that_form_no_sparse_product_leave_scipy_sparse_unloaded(steps,
     assert_step(steps, name, 0, ["scipy.sparse"])
 
 
+def test_spectrum_above_dense_threshold_leaves_scipy_sparse_unloaded(steps):
+    # every block of the default spectrum above DENSE_THRESHOLD is still solved
+    # by dense eigvalsh, to the bytes of the default threshold
+    name = "spectrum above dense threshold"
+    assert_step(steps, name, 0, ["scipy.sparse", "scipy.sparse.linalg"])
+    assert steps[name]["files"] == steps["spectrum"]["files"]
+
+
 def test_closed_generation_and_gap_monitor_leave_scipy_sparse_unloaded(steps):
     # a W generation at (3, 2, 6) that integrates its bright mode, and the
     # gap monitor on the full (2, 2, 4) space: their terms, isometry,
@@ -328,7 +356,6 @@ def test_no_module_imports_scipy_at_import_time():
         "dynamics.TermSum.__init__",
         "dynamics.lindblad_generator",
         "dynamics.evolve_eigenbasis_markovian",
-        "spectra.eigenspectrum",
     }
     package = Path(cli.__file__).parent
     found, sites = [], set()

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import mmrabi.spectra as spectra
-from mmrabi.errors import ConvergenceFailure, SpaceMismatch
+from mmrabi.errors import SpaceMismatch
 from mmrabi.hilbert import EVEN, ODD, UP, ModelDims, ParitySector, enumerate_basis
 from mmrabi.operators import (
     RabiParams,
     SparseOperator,
     build_hamiltonian,
     build_jc_hamiltonian,
-    fill_hamiltonian,
     fill_hamiltonians,
 )
 from mmrabi.spectra import (
@@ -58,45 +57,23 @@ def test_eigenpair_residuals():
         assert r < 1e-9 * max(scale, 1.0)
 
 
-def test_dense_iterative_agreement(monkeypatch):
-    space = enumerate_basis(ModelDims(2, 2, 4))
-    H = build_hamiltonian(uniform_params(g=0.45), space)
-    dense = eigenspectrum(H, n_levels=6)
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 1)
-    iterative = eigenspectrum(H, n_levels=6)
-    assert np.allclose(dense, iterative, atol=1e-8)
-
-
-def test_iterative_solve_depends_only_on_its_matrix(monkeypatch):
-    # six identical qubits: eigsh from an unseeded start gave other levels
-    # on each call; from the seeded start every call repeats the first,
-    # whatever was solved in between
-    space = enumerate_basis(ModelDims(1, 6, 4), EVEN)
-    H = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.5] * 6, g=0.2), space)
-    other = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.7] * 6, g=0.3), space)
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
-    first = eigenspectrum(H, n_levels=20)
-    for _ in range(2):
-        eigenspectrum(other, n_levels=20)
-        assert np.array_equal(eigenspectrum(H, n_levels=20), first)
-
-
-@pytest.mark.xfail(strict=True, reason="eigsh drops copies of degenerate levels")
-def test_iterative_solve_keeps_every_degenerate_copy(monkeypatch):
-    # six identical qubits make multiplets of up to nine levels; every call
-    # must give the dense levels with their multiplicities
-    space = enumerate_basis(ModelDims(1, 6, 4), EVEN)
-    H = build_hamiltonian(uniform_params(M=1, N=6, delta=[0.5] * 6, g=0.2), space)
+def test_every_degenerate_copy_is_kept_above_dense_threshold(monkeypatch):
+    # six identical qubits make multiplets of up to nine levels; above
+    # DENSE_THRESHOLD, both eigenspectrum and the sweep that cmd_spectrum runs
+    # must give the levels of eigvalsh with their multiplicities (single-vector
+    # Lanczos once gave 8 copies of the 9-fold level, 0.20 off)
+    dims = ModelDims(1, 6, 4)
+    params = uniform_params(M=1, N=6, delta=[0.5] * 6, g=0.2)
+    space = enumerate_basis(dims, EVEN)
+    H = build_hamiltonian(params, space)
     dense = np.linalg.eigvalsh(H.dense())[:20]
-
-    def multiplicities(levels):
-        return np.diff(np.flatnonzero(np.diff(levels, prepend=-np.inf, append=np.inf) > 1e-6)).tolist()
-
+    assert _multiplicities(dense, 1e-6) == [1, 1, 5, 1, 9, 1, 2]
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
-    for _ in range(3):
-        levels = eigenspectrum(H, n_levels=20)
-        assert multiplicities(levels) == multiplicities(dense)
-        assert np.max(np.abs(levels - dense)) < 1e-8
+    assert space.dim > spectra.DENSE_THRESHOLD
+    swept = sweep_coupling(lambda _: params, [0.0], EVEN, 20, dims).levels[+1][0]
+    for levels in (eigenspectrum(H, n_levels=20), swept):
+        assert levels.tobytes() == dense.tobytes()
+        assert _multiplicities(levels, 1e-6) == [1, 1, 5, 1, 9, 1, 2]
 
 
 def test_sector_completeness():
@@ -293,9 +270,9 @@ def test_rank_two_sweep_matches_full_space_oracle(monkeypatch, n_levels):
             assert _multiplicities(row, 1e-6) == _multiplicities(ref_row, 1e-6)
 
 
-def test_bright_blocks_above_dense_threshold_go_through_eigenspectrum(monkeypatch):
-    # with DENSE_THRESHOLD at 1 every bright block that asks for fewer than
-    # dim - 1 levels is a sparse slice solved by eigsh
+def test_bright_blocks_above_dense_threshold_match_the_oracle(monkeypatch):
+    # with DENSE_THRESHOLD at 1 every chunk holds one point, filled on the
+    # largest bright space and solved dense
     dims = ModelDims(4, 2, 5)
     pattern = (np.outer([1.0, -0.4, 0.7, 0.2], [1.0, 0.5])
                + np.outer([0.1, 0.8, -0.3, 0.5], [0.3, -1.0]))
@@ -356,19 +333,11 @@ def test_uniform_coupling_keeps_degenerate_copies_at_scale():
         assert max(_multiplicities(ref, 1e-6)) >= 4
 
 
-def _scipy_slice(H, sub):
-    """scipy's leading block ``H.matrix[:d, :d]`` for d = sub.dim, as an operator on ``sub``."""
-    block = H.matrix[: sub.dim, : sub.dim]
-    return SparseOperator(sub, block.data, block.indices, block.indptr)
-
-
 def _per_point_levels(template, grid, signs, n_levels, dims):
     """Sector sign -> levels, solved one point at a time as the sweep did before it was stacked.
 
-    Each point builds its own Hamiltonian on its own nonzero couplings;
-    below DENSE_THRESHOLD the bright blocks are slices of one dense array,
-    above it each is scipy's slice of the CSR matrix (``_scipy_slice``)
-    and goes through ``eigenspectrum``.
+    Each point builds its own Hamiltonian on its own nonzero couplings,
+    and the bright blocks are slices of its one dense array.
     """
     M, n_max = dims.M, dims.n_max
 
@@ -376,11 +345,6 @@ def _per_point_levels(template, grid, signs, n_levels, dims):
         return enumerate_basis(ModelDims(M, dims.N, n_max), ParitySector(sign))
 
     def prefix_levels(H, subs):
-        if H.dim > spectra.DENSE_THRESHOLD:
-            return [
-                eigenspectrum(_scipy_slice(H, sub), min(n_levels, sub.dim))
-                for sub in subs
-            ]
         dense = H.dense()
         return [np.linalg.eigvalsh(dense[: sub.dim, : sub.dim])[:n_levels] for sub in subs]
 
@@ -491,8 +455,8 @@ def test_stacked_sweep_equals_per_point_solves(name, parity):
 
 @pytest.mark.parametrize("name", list(STACKED_CASES))
 def test_stacked_sweep_splits_into_bounded_chunks(monkeypatch, name):
-    # DENSE_THRESHOLD at 1.5 times the largest Hamiltonian filled: no block
-    # is iterative, and a chunk holds at most two points of that size
+    # DENSE_THRESHOLD at 1.5 times the largest Hamiltonian filled: a chunk
+    # holds at most two points of that size
     dims, template, grid = _stacked_case(name)
     fills = []
 
@@ -512,81 +476,54 @@ def test_stacked_sweep_splits_into_bounded_chunks(monkeypatch, name):
     _assert_same_bytes(table, _per_point_levels(template, grid, [+1, -1], 12, dims))
 
 
+def _record_fills(monkeypatch):
+    """(fills, calls): the (space dim, points) of each stacked fill and of each
+    ``_prefix_levels`` call's ``subs[0]``."""
+    fills, calls = [], []
+    prefix_levels = spectra._prefix_levels
+
+    def filling(space, omega, delta, g, *args):
+        fills.append((space.dim, len(g)))
+        return fill_hamiltonians(space, omega, delta, g, *args)
+
+    def recording(subs, omega, *args):
+        calls.append((subs[0].dim, len(omega)))
+        return prefix_levels(subs, omega, *args)
+
+    monkeypatch.setattr(spectra, "fill_hamiltonians", filling)
+    monkeypatch.setattr(spectra, "_prefix_levels", recording)
+    return fills, calls
+
+
 @pytest.mark.parametrize("name", list(STACKED_CASES))
 def test_blocks_above_dense_threshold_are_solved_per_point(monkeypatch, name):
+    # at DENSE_THRESHOLD = 3 every space is above it, so a chunk holds one
+    # point: each point is filled once, alone, on the largest space of its
+    # bright sector, and every block is a leading slice of that fill
     dims, template, grid = _stacked_case(name)
+    fills, calls = _record_fills(monkeypatch)
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
-    solved = []
-    eigen = spectra.eigenspectrum
-
-    def recording(H, *args, **kwargs):
-        solved.append(H.dim)
-        return eigen(H, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "eigenspectrum", recording)
     table = sweep_coupling(template, grid, None, 12, dims)
-    assert solved and min(solved) > 3
-    ref = _per_point_levels(template, grid, [+1, -1], 12, dims)
-    # at g = 0 every block is diagonal and solved by sorting its diagonal
-    # (test_iterative_solve_of_a_diagonal_block_repeats)
-    assert list(table.levels) == list(ref)
-    for sign, lv in table.levels.items():
-        assert lv.shape == ref[sign].shape
-        assert lv.tobytes() == ref[sign].tobytes(), sign
+    assert min(dim for dim, _ in calls) > 3
+    assert fills == [(dim, 1) for dim, points in calls for _ in range(points)]
+    _assert_same_bytes(table, _per_point_levels(template, grid, [+1, -1], 12, dims))
 
 
 def test_each_point_is_filled_once_per_space(monkeypatch):
-    # at DENSE_THRESHOLD = 20 a point's dense blocks are slices of one fill
-    # on the largest of them, and a larger block is filled on its own space
-    # only: the (2, 2, 4) unequal-omega sectors hold 30 states each, and
+    # at DENSE_THRESHOLD = 20 the blocks above it are slices of the same fill
+    # as those below it: one per point and bright sector, on its largest
+    # space.  The (2, 2, 4) unequal-omega sectors hold 30 states each, and
     # rank 2 at (4, 2, 4) has bright sectors of 30, 20, 12, 6 and 2 states
     # (its g = 0 point is rank 1, of 10, 8, 6, 4 and 2)
-    fills = []
-
-    def stacked(space, omega, delta, g, *args):
-        fills.extend([space.dim] * len(g))
-        return fill_hamiltonians(space, omega, delta, g, *args)
-
-    def single(space, omega, delta, g):
-        fills.append(space.dim)
-        return fill_hamiltonian(space, omega, delta, g)
-
-    monkeypatch.setattr(spectra, "fill_hamiltonians", stacked)
-    monkeypatch.setattr(spectra, "fill_hamiltonian", single)
+    fills, _ = _record_fills(monkeypatch)
     monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 20)
     for name, expected in (("seeded-unequal-omega-full-rank", {30: 8}),
-                           ("rank-2", {10: 2, 20: 6, 30: 6})):
+                           ("rank-2", {10: 2, 30: 6})):
         dims, template, grid = _stacked_case(name)
         fills.clear()
         table = sweep_coupling(template, grid, None, 12, dims)
-        assert Counter(fills) == expected, name
+        assert Counter(dim for dim, points in fills for _ in range(points)) == expected, name
         _assert_same_bytes(table, _per_point_levels(template, grid, [+1, -1], 12, dims))
-
-
-def test_iterative_solve_of_a_diagonal_block_repeats(monkeypatch):
-    # uncoupled qubits with 0.8 - 0.5 - 0.3 = 0 put a level at 0 in the odd
-    # sector of (1, 3, 3); Lanczos on the diagonal H stops early and
-    # restarts, and eigsh gave that level as noise near 1e-91 that changed
-    # from one call to the next
-    space = enumerate_basis(ModelDims(1, 3, 3), ODD)
-    H = build_hamiltonian(RabiParams([1.0], [0.8, 0.5, 0.3], [[0.0, 0.0, 0.0]]), space)
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
-    first = eigenspectrum(H, 12)
-    assert first.tobytes() == np.linalg.eigvalsh(H.dense())[:12].tobytes()
-    for _ in range(3):
-        assert eigenspectrum(H, 12).tobytes() == first.tobytes()
-
-
-def test_iterative_failure_names_its_grid_point(monkeypatch):
-    dims, template, grid = _stacked_case("full-rank")
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 3)
-
-    def failing(H, *args, **kwargs):
-        raise ConvergenceFailure("no convergence")
-
-    monkeypatch.setattr(spectra, "eigenspectrum", failing)
-    with pytest.raises(ConvergenceFailure, match=r"at grid index 0 \(g=0.0\): no convergence"):
-        sweep_coupling(template, grid, None, 12, dims)
 
 
 @pytest.mark.parametrize("omega", [np.ones(3), np.array([1.0, 1.1, 0.9])], ids=["bright", "full"])
